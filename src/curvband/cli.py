@@ -53,18 +53,16 @@ def _thread_count() -> int:
         return 1
 
 
-def _solve_channels(profile, field, grid, config):
-    """Build and solve one operator per azimuthal index, optionally in parallel."""
-    def one(m):
-        op = operator.build_tangential(profile, field, m, grid,
-                                       mode=config.mode, e=config.charge_e)
-        return op, solver.eigen_solve(op, config.k_eigen)
+def _solve_channels(ops, k):
+    """Solve each channel's operator, optionally in parallel."""
+    def one(op):
+        return op, solver.eigen_solve(op, k)
 
-    workers = min(_thread_count(), len(config.m_list))
+    workers = min(_thread_count(), len(ops))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, config.m_list))
-    return [one(m) for m in config.m_list]
+            return list(pool.map(one, ops))
+    return [one(op) for op in ops]
 
 
 def _summary_lines(config, profile, field, grid):
@@ -109,21 +107,21 @@ def run_command(config: cfgmod.RunConfig, command: str, output_dir=None) -> int:
 
     elif command == "gauge-check":
         report = fieldmod.is_coulomb_gauge(field, profile, grid, GAUGE_TOL)
-        values = [fieldmod.divergence(field, profile, float(r), 0.0,
-                                      step_rho=grid.spacing)
-                  for r in grid.nodes]
+        if report.values is None:
+            raise CurvbandError(f"gauge check: {report.note}")
         write_csv(out / "gauge_check.csv", ["rho", "divergence"],
-                  zip(grid.nodes, values))
+                  zip(grid.nodes, report.values))
         extra.append(
             f"gauge-check: passed={report.passed} "
             f"max_violation={_fmt(report.max_violation)} "
             f"at_rho={_fmt(report.at_rho)} tol={_fmt(report.tol)}"
         )
-        if report.note:
-            extra.append(f"gauge-check note: {report.note}")
 
     elif command == "spectrum":
-        results = _solve_channels(profile, field, grid, config)
+        ops = [op0] + [operator.build_tangential(profile, field, m, grid,
+                                                 mode=config.mode, e=config.charge_e)
+                       for m in config.m_list[1:]]
+        results = _solve_channels(ops, config.k_eigen)
 
         def rows():
             for op, spec in results:

@@ -15,7 +15,7 @@ divergence-free when |div A| stays below a caller tolerance on the grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -221,13 +221,18 @@ def divergence(A: VectorPotentialSpec, profile: SurfaceProfile,
 
 @dataclass(frozen=True)
 class GaugeReport:
-    """Outcome of the divergence-free check over a radial grid."""
+    """Outcome of the divergence-free check over a radial grid.
+
+    values holds the divergence at every grid node, or None when the
+    evaluation failed (see note).
+    """
 
     passed: bool
     max_violation: float
     at_rho: float
     tol: float
     note: str = ""
+    values: Optional[np.ndarray] = dc_field(default=None, compare=False)
 
 
 def is_coulomb_gauge(A: VectorPotentialSpec, profile: SurfaceProfile,
@@ -250,6 +255,7 @@ def is_coulomb_gauge(A: VectorPotentialSpec, profile: SurfaceProfile,
             max_violation=max_violation,
             at_rho=float(nodes[worst]),
             tol=tol,
+            values=values,
         )
     except Exception as exc:  # diagnostic never fails hard
         return GaugeReport(

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
 
@@ -67,10 +67,13 @@ class RadialGrid:
         return self.spacing * np.arange(1, self.n_points + 1)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class TangentialOperator:
     """Discretized tangential operator for one azimuthal channel.
 
+    The operator is tridiagonal and kept as its bands: lower[j] = M[j+1, j],
+    diag[j] = M[j, j], upper[j] = M[j, j+1].  A dense tridiagonal matrix=
+    may be given instead, so dataclasses.replace(op, matrix=M) works.
     measure_weights are the surface-measure quadrature weights rho Z drho;
     the corrected operator with no field is self-adjoint under them.
     coupling_diag holds e * A3 * H per node, the coefficient of the
@@ -78,16 +81,42 @@ class TangentialOperator:
     """
 
     m: int
-    matrix: np.ndarray
     mode: str
     charge_e: float
     measure_weights: np.ndarray
     grid: RadialGrid
     coupling_diag: np.ndarray
+    lower: np.ndarray
+    diag: np.ndarray
+    upper: np.ndarray
+
+    def __init__(self, m, mode, charge_e, measure_weights, grid, coupling_diag,
+                 lower=None, diag=None, upper=None, matrix=None):
+        if matrix is not None:
+            lower, diag, upper = (np.diagonal(matrix, k) for k in (-1, 0, 1))
+            if np.count_nonzero(matrix) != sum(map(np.count_nonzero, (lower, diag, upper))):
+                raise DomainError("operator matrix must be tridiagonal")
+        lower, diag, upper = (np.array(b, dtype=complex) for b in (lower, diag, upper))
+        values = (m, mode, charge_e, measure_weights, grid, coupling_diag, lower, diag, upper)
+        for f, value in zip(dataclass_fields(self), values):
+            object.__setattr__(self, f.name, value)
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return self.diag.shape[0]
+
+    @property
+    def bands(self):
+        return self.lower, self.diag, self.upper
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense n x n copy of the operator, built on each access."""
+        n = self.n
+        mat = np.zeros((n, n), dtype=complex)
+        flat = mat.reshape(-1)
+        flat[::n + 1], flat[1::n + 1], flat[n::n + 1] = self.diag, self.upper, self.lower
+        return mat
 
 
 @dataclass(frozen=True)
@@ -115,7 +144,7 @@ def normal_channel(omega: float, n: int) -> NormalChannel:
 def build_tangential(profile: SurfaceProfile, A: VectorPotentialSpec, m: int,
                      grid: RadialGrid, mode: str = "hermitian-corrected",
                      e: float = 1.0) -> TangentialOperator:
-    """Assemble the complex n x n tangential operator at q = 0."""
+    """Assemble the three bands of the complex tangential operator at q = 0."""
     if mode not in MODES:
         raise DomainError(f"mode must be one of {MODES}, got {mode!r}")
     if int(m) != m:
@@ -186,17 +215,12 @@ def build_tangential(profile: SurfaceProfile, A: VectorPotentialSpec, m: int,
         + 1j * coupling \
         + 0.5 * e * e * (a1 ** 2 + a2 ** 2 + a3 ** 2)
 
-    mat = np.zeros((n, n), dtype=complex)
-    idx = np.arange(n)
-    mat[idx, idx] = diag
-    mat[idx[:-1], idx[:-1] + 1] = up[:-1]
-    mat[idx[1:], idx[1:] - 1] = lo[1:]
     if m == 0:
-        mat[0, 0] += lo[0]      # fold the axis ghost chi(0) := chi(drho)
+        diag[0] += lo[0]        # fold the axis ghost chi(0) := chi(drho)
 
     return TangentialOperator(
-        m=m, matrix=mat, mode=mode, charge_e=e,
-        measure_weights=wt * dr, grid=grid, coupling_diag=coupling,
+        m=m, mode=mode, charge_e=e, measure_weights=wt * dr, grid=grid,
+        coupling_diag=coupling, lower=lo[1:], diag=diag, upper=up[:-1],
     )
 
 

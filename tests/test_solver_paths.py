@@ -1,0 +1,284 @@
+"""Solver routes on the banded operator: which path runs, and that it agrees
+with dense references built in the test from the materialized matrix."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import curvband.operator as operator_mod
+import curvband.solver as solver_mod
+from curvband import (
+    CoarseGridWarning,
+    DomainError,
+    RadialGrid,
+    axial_uniform,
+    build_tangential,
+    catalog,
+    divergence,
+    eigen_solve,
+    evolve,
+    flat,
+    frame_synthetic,
+    gaussian_bump,
+    ground_state,
+    hermiticity_report,
+    is_coulomb_gauge,
+    paraboloid,
+    sphere_cap,
+    zero_field,
+)
+from curvband.cli import main
+
+CAP_YAML = """surface:
+  kind: sphere-cap
+  rho_max: 1.0
+  radius: 2.0
+field:
+  kind: frame-synthetic
+  a3: 0.4
+grid:
+  n_points: 400
+dt: 0.001
+steps: 1000
+"""
+
+
+def weighted(op):
+    d = np.sqrt(op.measure_weights)
+    return (d[:, None] * op.matrix) / d[None, :]
+
+
+def structured_cases(n, ms=(0, 1, 2)):
+    """Every catalog profile with no field and an axial-uniform field, plus
+    uniform a3 on the umbilic cap, at each m in ms; and a radial a1 field
+    (complex couplings, so the phase gauge matters) at each m != 0."""
+    grid = RadialGrid(n, 1.0)
+    for name, prof in catalog(1.0).items():
+        for field in (zero_field(), axial_uniform(1.0, prof)):
+            for m in ms:
+                yield name, build_tangential(prof, field, m, grid)
+    cap = sphere_cap(2.0, 1.0)
+    for m in ms:
+        yield "cap-a3", build_tangential(cap, frame_synthetic(a3=0.4), m, grid)
+    # at m = 0 the axis fold puts a1 into an imaginary diagonal entry
+    for m in set(ms) - {0}:
+        yield "paraboloid-a1", build_tangential(paraboloid(0.5, 1.0),
+                                                frame_synthetic(a1=0.7, a2=0.3), m, grid)
+
+
+# ----------------------------------------------------------------------
+# band storage
+# ----------------------------------------------------------------------
+
+def test_matrix_is_built_from_the_bands():
+    op = build_tangential(paraboloid(0.5, 1.0), axial_uniform(1.0, paraboloid(0.5, 1.0)),
+                          1, RadialGrid(40, 1.0))
+    mat = op.matrix
+    expected = np.diag(op.diag) + np.diag(op.upper, 1) + np.diag(op.lower, -1)
+    np.testing.assert_array_equal(mat, expected)
+    assert op.n == 40 and mat.shape == (40, 40)
+
+
+def test_replace_with_dense_matrix_keeps_its_bands():
+    op = build_tangential(sphere_cap(2.0, 1.0), zero_field(), 0, RadialGrid(30, 1.0))
+    moved = dataclasses.replace(op, matrix=op.matrix + 0.5j * np.eye(op.n))
+    np.testing.assert_array_equal(moved.diag, op.diag + 0.5j)
+    np.testing.assert_array_equal(moved.upper, op.upper)
+    np.testing.assert_array_equal(moved.lower, op.lower)
+    assert moved.grid is op.grid and moved.m == op.m
+
+
+def test_replace_rejects_non_tridiagonal_matrix():
+    op = build_tangential(flat(1.0), zero_field(), 0, RadialGrid(20, 1.0))
+    mat = op.matrix
+    mat[0, 5] = 1.0
+    with pytest.raises(DomainError):
+        dataclasses.replace(op, matrix=mat)
+
+
+# ----------------------------------------------------------------------
+# eigensolve routes
+# ----------------------------------------------------------------------
+
+def test_tridiagonal_route_matches_dense_eigh():
+    for name, op in structured_cases(300):
+        spec = eigen_solve(op, 5)
+        assert spec.path == "tridiagonal", name
+        mw = weighted(op)
+        shift = float(np.mean(np.diagonal(mw).imag))
+        ref = np.linalg.eigh(0.5 * (mw + mw.conj().T))[0][:5]
+        np.testing.assert_allclose(spec.eigenvalues.real, ref, rtol=1e-10, atol=1e-10,
+                                   err_msg=f"{name} m={op.m}")
+        assert np.all(spec.eigenvalues.imag == shift), (name, op.m)
+        assert np.all(spec.residuals < 1e-8)
+
+
+def test_non_normal_operators_take_the_general_solvers(monkeypatch):
+    grid = RadialGrid(400, 1.0)
+    prof = paraboloid(0.5, 1.0)
+    nonuniform = build_tangential(prof, frame_synthetic(a3=0.3), 0, grid)
+    as_written = build_tangential(prof, zero_field(), 1, grid, mode="as-written")
+    for op in (nonuniform, as_written):
+        assert eigen_solve(op, 3).path == "dense"
+    monkeypatch.setattr(solver_mod, "DENSE_LIMIT", 100)
+    for op in (nonuniform, as_written):
+        assert eigen_solve(op, 3).path == "shift-invert"
+    # structured operators never reach the general solvers
+    cap = build_tangential(sphere_cap(2.0, 1.0), frame_synthetic(a3=0.4), 0, grid)
+    assert eigen_solve(cap, 3).path == "tridiagonal"
+
+
+def test_shift_invert_agrees_with_dense_on_non_normal_operator(monkeypatch):
+    op = build_tangential(paraboloid(0.5, 1.0), zero_field(), 0, RadialGrid(400, 1.0),
+                          mode="as-written")
+    dense = eigen_solve(op, 4)
+    monkeypatch.setattr(solver_mod, "DENSE_LIMIT", 100)
+    sparse = eigen_solve(op, 4)
+    assert (dense.path, sparse.path) == ("dense", "shift-invert")
+    np.testing.assert_allclose(sparse.eigenvalues, dense.eigenvalues, rtol=1e-9, atol=1e-9)
+    assert np.all(sparse.residuals < 1e-8)
+
+
+def test_shift_invert_is_deterministic(monkeypatch):
+    monkeypatch.setattr(solver_mod, "DENSE_LIMIT", 100)
+    op = build_tangential(paraboloid(0.5, 1.0), zero_field(), 0, RadialGrid(400, 1.0),
+                          mode="as-written")
+    first = eigen_solve(op, 4)
+    second = eigen_solve(op, 4)
+    assert first.path == "shift-invert"
+    np.testing.assert_array_equal(first.eigenvalues, second.eigenvalues)
+
+
+def test_structured_channels_meet_contract_at_n2500():
+    worst = 0.0
+    for name, op in structured_cases(2500, ms=(0, 1)):
+        spec = eigen_solve(op, 6)
+        assert spec.path == "tridiagonal", name
+        worst = max(worst, float(spec.residuals.max()))
+    assert worst < 1e-8
+
+
+def test_structured_channels_meet_contract_at_n4000():
+    # channels whose residual sat at 1.0-1.5e-8 with a single unrefined
+    # linear solve in the inverse-iteration step
+    flat_disc = flat(1.0)
+    cases = [(gaussian_bump(0.39780681718321453, 0.4338020330052859, 1.0), zero_field(), 1),
+             (flat_disc, axial_uniform(1.1107957869229923, flat_disc), 1),
+             (flat_disc, axial_uniform(-1.7490055345676845, flat_disc), 0),
+             (flat_disc, axial_uniform(-1.7490055345676845, flat_disc), 2)]
+    for prof, field, m in cases:
+        spec = eigen_solve(build_tangential(prof, field, m, RadialGrid(4000, 1.0)), 6)
+        assert spec.path == "tridiagonal"
+        assert spec.residuals.max() < 5e-9, (prof.name, m)
+
+
+def test_readme_cap_spectrum_at_n2500_exits_zero(tmp_path):
+    cfg = tmp_path / "cap.yaml"
+    cfg.write_text(CAP_YAML, encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["spectrum", "--config", str(cfg), "--output", str(out),
+                 "--n-points", "2500"])
+    assert code == 0
+    assert len((out / "spectrum.csv").read_text().splitlines()) == 7
+
+
+# ----------------------------------------------------------------------
+# Crank-Nicolson and the Hermiticity report against dense references
+# ----------------------------------------------------------------------
+
+def dense_cn(op, chi, dt, steps):
+    mat = op.matrix
+    eye = np.eye(op.n)
+    fwd, back = eye + 0.5j * dt * mat, eye - 0.5j * dt * mat
+    states = [chi]
+    for _ in range(steps):
+        chi = np.linalg.solve(fwd, back @ chi)
+        states.append(chi)
+    return np.array(states)
+
+
+def test_banded_cn_matches_dense_reference():
+    grid = RadialGrid(60, 1.0)
+    prof = paraboloid(0.5, 1.0)
+    ops = (build_tangential(sphere_cap(2.0, 1.0), frame_synthetic(a3=0.4), 0, grid),
+           build_tangential(prof, frame_synthetic(a3=0.3), 1, grid),
+           build_tangential(prof, zero_field(), 0, grid, mode="as-written"))
+    for op in ops:
+        psi = ground_state(op)
+        trace = evolve(op, psi, dt=1e-3, steps=200)
+        ref = dense_cn(op, psi.astype(complex), 1e-3, 200)
+        ref_norms = np.sqrt((np.abs(ref) ** 2) @ op.measure_weights)
+        np.testing.assert_allclose(trace.norms, ref_norms, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(trace.states, ref, rtol=0.0, atol=1e-12)
+
+
+def test_grids_under_three_points_solve_and_evolve():
+    # LAPACK's gttrf wrapper needs 3 rows; smaller systems are padded
+    for n in (1, 2):
+        with pytest.warns(CoarseGridWarning):
+            op = build_tangential(sphere_cap(2.0, 1.0), frame_synthetic(a3=0.4), 1,
+                                  RadialGrid(n, 1.0))
+        spec = eigen_solve(op, n)
+        ref = np.sort_complex(np.linalg.eigvals(op.matrix))
+        np.testing.assert_allclose(spec.eigenvalues, ref, rtol=1e-12)
+        trace = evolve(op, spec.eigenvectors[:, 0], dt=1e-2, steps=5)
+        ref_states = dense_cn(op, spec.eigenvectors[:, 0], 1e-2, 5)
+        np.testing.assert_allclose(trace.states, ref_states, rtol=0.0, atol=1e-12)
+
+
+def test_hermiticity_report_matches_dense_reference():
+    grid = RadialGrid(120, 1.0)
+    prof = paraboloid(0.5, 1.0)
+    ops = (build_tangential(sphere_cap(2.0, 1.0), frame_synthetic(a3=0.4), 0, grid),
+           build_tangential(prof, frame_synthetic(a3=0.3), 1, grid),
+           build_tangential(prof, zero_field(), 0, grid, mode="as-written"))
+    for op in ops:
+        mw = weighted(op)
+        gap_matrix = mw - mw.conj().T
+        anti = 0.5 * gap_matrix
+        rep = hermiticity_report(op)
+        assert rep.max_asymmetry == np.abs(gap_matrix).max()
+        assert rep.relative_asymmetry == rep.max_asymmetry / max(1.0, np.abs(mw).max())
+        assert rep.antihermitian_norm == pytest.approx(np.linalg.norm(anti), rel=1e-14)
+        gap = np.abs(anti - np.diag(1j * op.coupling_diag)).max()
+        assert rep.coupling_equality_gap == gap
+
+
+# ----------------------------------------------------------------------
+# gauge values and operator reuse in the CLI
+# ----------------------------------------------------------------------
+
+def test_gauge_report_carries_per_node_divergence():
+    grid = RadialGrid(48, 1.0)
+    prof = paraboloid(0.5, 1.0)
+    field = frame_synthetic(a1=lambda r, q: r)
+    report = is_coulomb_gauge(field, prof, grid, tol=1e-10)
+    ref = [divergence(field, prof, float(r), 0.0, step_rho=grid.spacing)
+           for r in grid.nodes]
+    np.testing.assert_array_equal(report.values, ref)
+
+
+def test_gauge_report_has_no_values_when_evaluation_fails():
+    def explode(r, q):
+        raise RuntimeError("boom")
+
+    report = is_coulomb_gauge(frame_synthetic(a1=explode), flat(1.0),
+                              RadialGrid(16, 1.0), tol=1e-10)
+    assert report.values is None and report.note
+
+
+def test_spectrum_builds_each_channel_once(tmp_path, monkeypatch):
+    calls = []
+    build = operator_mod.build_tangential
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(operator_mod, "build_tangential", counting)
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text("surface:\n  kind: flat\n  rho_max: 1.0\ngrid:\n  n_points: 64\n"
+                   "m_list: [0, 1, 2]\n", encoding="utf-8")
+    assert main(["spectrum", "--config", str(cfg), "--output", str(tmp_path / "o")]) == 0
+    assert calls == [0, 1, 2]
