@@ -16,6 +16,7 @@ import argparse
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -33,16 +34,27 @@ def _fmt(x) -> str:
     return f"{x:.17g}"
 
 
+@contextmanager
+def _replacing(path: Path):
+    """Text file written to a sibling temp file and moved over path by
+    os.replace once complete; on failure the temp file is removed and path
+    is left as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_csv(path: Path, header, rows) -> None:
-    """Write rows of numbers; on failure leave a trailing error marker."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write rows of numbers; a failure leaves no partial file behind."""
+    with _replacing(path) as fh:
         fh.write(",".join(header) + "\n")
-        try:
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
-        except Exception as exc:
-            fh.write(f"# ERROR: {exc}\n")
-            raise
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _thread_count() -> int:
@@ -152,7 +164,7 @@ def run_command(config: cfgmod.RunConfig, command: str, output_dir=None) -> int:
         extra.append(f"weighted coupling <e A3 H>: {_fmt(avg)}")
         extra.append(f"norm ratio: {_fmt(trace.norms[-1] / trace.norms[0])}")
 
-    with open(out / "run_summary.txt", "w", encoding="utf-8") as fh:
+    with _replacing(out / "run_summary.txt") as fh:
         fh.write(f"command: {command}\n")
         for line in summary + extra:
             fh.write(line + "\n")
@@ -162,29 +174,18 @@ def run_command(config: cfgmod.RunConfig, command: str, output_dir=None) -> int:
     return 0
 
 
-def _apply_overrides(config: cfgmod.RunConfig, args) -> cfgmod.RunConfig:
-    if args.mode is not None:
-        if args.mode not in operator.MODES:
-            raise CurvbandError(f"--mode must be one of {operator.MODES}")
-        config.mode = args.mode
+def _overrides(args) -> dict:
+    """Config keys set by flags; parse_config validates them like the YAML."""
+    doc = {key: getattr(args, key) for key in ("mode", "dt", "steps")
+           if getattr(args, key) is not None}
+    if args.n_points is not None:
+        doc["grid"] = {"n_points": args.n_points}
     if args.m is not None:
         try:
-            config.m_list = [int(v) for v in args.m.split(",")]
+            doc["m_list"] = [int(v) for v in args.m.split(",")]
         except ValueError:
             raise CurvbandError(f"--m expects integers like '0,1,2', got {args.m!r}")
-    if args.n_points is not None:
-        if args.n_points < cfgmod.MIN_N_POINTS:
-            raise CurvbandError(f"--n-points must be >= {cfgmod.MIN_N_POINTS}")
-        config.grid.n_points = args.n_points
-    if args.dt is not None:
-        if args.dt <= 0:
-            raise CurvbandError("--dt must be > 0")
-        config.dt = args.dt
-    if args.steps is not None:
-        if args.steps < 1:
-            raise CurvbandError("--steps must be >= 1")
-        config.steps = args.steps
-    return config
+    return doc
 
 
 def main(argv=None) -> int:
@@ -212,7 +213,7 @@ def main(argv=None) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
     try:
-        config = _apply_overrides(cfgmod.parse_config(text), args)
+        config = cfgmod.parse_config(text, _overrides(args))
         return run_command(config, args.command, output_dir=args.output)
     except CurvbandError as exc:
         print(f"error: {args.command}: {exc}", file=sys.stderr)

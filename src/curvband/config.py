@@ -2,7 +2,8 @@
 
 A run is described by one YAML document.  Unknown keys are rejected by
 name, every numeric field is validated, and serialize_config/parse_config
-round-trip exactly.
+round-trip exactly.  The dataclasses below are the schema: accepted keys,
+defaults and the serialized document all come from their fields.
 
     surface:
       kind: flat | paraboloid | gaussian-bump | sphere-cap
@@ -34,8 +35,8 @@ round-trip exactly.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field as dc_field
+import sys
+from dataclasses import asdict, dataclass, field as dc_field, fields as dataclass_fields
 from typing import List, Optional
 
 import yaml
@@ -47,23 +48,14 @@ from .operator import MODES, RadialGrid
 SURFACE_KINDS = ("flat", "paraboloid", "gaussian-bump", "sphere-cap")
 FIELD_KINDS = ("axial-uniform", "cartesian-constant", "frame-synthetic")
 
-DEFAULT_MODE = "hermitian-corrected"
-DEFAULT_CHARGE = 1.0
-DEFAULT_N_POINTS = 1000
 DEFAULT_M_LIST = [0]
-DEFAULT_K_EIGEN = 6
-DEFAULT_OMEGA = 1e6
-DEFAULT_N_NORMAL = 0
-DEFAULT_DT = 1e-3
-DEFAULT_STEPS = 1000
-DEFAULT_RHO_MAX = 1.0
 MIN_N_POINTS = 16
 
 
 @dataclass
 class SurfaceConfig:
     kind: str
-    rho_max: float = DEFAULT_RHO_MAX
+    rho_max: float = 1.0
     a: Optional[float] = None
     amplitude: Optional[float] = None
     sigma: Optional[float] = None
@@ -83,7 +75,7 @@ class FieldConfig:
 
 @dataclass
 class GridConfig:
-    n_points: int = DEFAULT_N_POINTS
+    n_points: int = 1000
 
 
 @dataclass
@@ -91,14 +83,14 @@ class RunConfig:
     surface: SurfaceConfig
     field: FieldConfig = dc_field(default_factory=FieldConfig)
     grid: GridConfig = dc_field(default_factory=GridConfig)
-    mode: str = DEFAULT_MODE
-    charge_e: float = DEFAULT_CHARGE
+    mode: str = "hermitian-corrected"
+    charge_e: float = 1.0
     m_list: List[int] = dc_field(default_factory=lambda: list(DEFAULT_M_LIST))
-    k_eigen: int = DEFAULT_K_EIGEN
-    omega: float = DEFAULT_OMEGA
-    n_normal: int = DEFAULT_N_NORMAL
-    dt: float = DEFAULT_DT
-    steps: int = DEFAULT_STEPS
+    k_eigen: int = 6
+    omega: float = 1e6
+    n_normal: int = 0
+    dt: float = 1e-3
+    steps: int = 1000
     output_path: str = "."
 
 
@@ -110,24 +102,22 @@ def _require_mapping(obj, where: str) -> dict:
     return obj
 
 
-def _reject_unknown(mapping: dict, allowed, where: str) -> None:
+def _reject_unknown(mapping: dict, schema, where: str) -> None:
+    allowed = [f.name for f in dataclass_fields(schema)]
     for key in mapping:
         if key not in allowed:
             raise ConfigError(f"{where}: unknown key {key!r}")
 
 
-def _number(mapping: dict, key: str, where: str, default=None,
-            required: bool = False, positive: bool = False):
+def _number(mapping: dict, key: str, where: str, default=None, positive: bool = False):
     if key not in mapping or mapping[key] is None:
-        if required:
-            raise ConfigError(f"{where}.{key}: required")
         return default
     value = mapping[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}.{key}: must be a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
+    if not -sys.float_info.max <= value <= sys.float_info.max:  # also ints past float range
         raise ConfigError(f"{where}.{key}: must be finite, got {value}")
+    value = float(value)
     if positive and value <= 0:
         raise ConfigError(f"{where}.{key}: must be > 0, got {value}")
     return value
@@ -146,14 +136,13 @@ def _integer(mapping: dict, key: str, where: str, default=None, minimum=None):
 
 def _parse_surface(raw) -> SurfaceConfig:
     raw = _require_mapping(raw, "surface")
-    _reject_unknown(raw, ("kind", "rho_max", "a", "amplitude", "sigma", "radius"),
-                    "surface")
+    _reject_unknown(raw, SurfaceConfig, "surface")
     kind = raw.get("kind")
     if kind not in SURFACE_KINDS:
         raise ConfigError(f"surface.kind: must be one of {SURFACE_KINDS}, got {kind!r}")
     cfg = SurfaceConfig(
         kind=kind,
-        rho_max=_number(raw, "rho_max", "surface", default=DEFAULT_RHO_MAX, positive=True),
+        rho_max=_number(raw, "rho_max", "surface", default=SurfaceConfig.rho_max, positive=True),
         a=_number(raw, "a", "surface"),
         amplitude=_number(raw, "amplitude", "surface"),
         sigma=_number(raw, "sigma", "surface"),
@@ -177,8 +166,8 @@ def _parse_surface(raw) -> SurfaceConfig:
 
 def _parse_field(raw, rho_max: float) -> FieldConfig:
     raw = _require_mapping(raw, "field")
-    _reject_unknown(raw, ("kind", "b", "c", "a1", "a2", "a3", "gamma_interval"), "field")
-    kind = raw.get("kind", "frame-synthetic")
+    _reject_unknown(raw, FieldConfig, "field")
+    kind = raw.get("kind", FieldConfig.kind)
     if kind not in FIELD_KINDS:
         raise ConfigError(f"field.kind: must be one of {FIELD_KINDS}, got {kind!r}")
     gamma = raw.get("gamma_interval")
@@ -186,19 +175,18 @@ def _parse_field(raw, rho_max: float) -> FieldConfig:
         if (not isinstance(gamma, list) or len(gamma) != 2
                 or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in gamma)):
             raise ConfigError(f"field.gamma_interval: must be a [lo, hi] pair, got {gamma!r}")
-        lo, hi = float(gamma[0]), float(gamma[1])
-        if not (0.0 <= lo <= hi <= rho_max):
+        if not (0.0 <= gamma[0] <= gamma[1] <= rho_max):
             raise ConfigError(
                 f"field.gamma_interval: need 0 <= lo <= hi <= rho_max = {rho_max}, got {gamma}"
             )
-        gamma = [lo, hi]
+        gamma = [float(gamma[0]), float(gamma[1])]
     cfg = FieldConfig(
         kind=kind,
         b=_number(raw, "b", "field"),
         c=_number(raw, "c", "field"),
-        a1=_number(raw, "a1", "field", default=0.0),
-        a2=_number(raw, "a2", "field", default=0.0),
-        a3=_number(raw, "a3", "field", default=0.0),
+        a1=_number(raw, "a1", "field", default=FieldConfig.a1),
+        a2=_number(raw, "a2", "field", default=FieldConfig.a2),
+        a3=_number(raw, "a3", "field", default=FieldConfig.a3),
         gamma_interval=gamma,
     )
     if kind == "axial-uniform" and cfg.b is None:
@@ -208,35 +196,38 @@ def _parse_field(raw, rho_max: float) -> FieldConfig:
     return cfg
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate a YAML run configuration with defaults resolved."""
+def parse_config(text: str, overrides: Optional[dict] = None) -> RunConfig:
+    """Parse and validate a YAML run configuration with defaults resolved.
+
+    overrides (the CLI flags) replace document keys before validation; a
+    nested mapping such as {"grid": {"n_points": 400}} only the keys it names.
+    """
     try:
         raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: e.g. a date 2001-13-01
         mark = getattr(exc, "problem_mark", None)
         line = f" at line {mark.line + 1}" if mark is not None else ""
         raise ConfigError(f"config parse error{line}: {exc}") from exc
 
     raw = _require_mapping(raw, "config")
-    _reject_unknown(
-        raw,
-        ("surface", "field", "grid", "mode", "charge_e", "m_list", "k_eigen",
-         "omega", "n_normal", "dt", "steps", "output_path"),
-        "config",
-    )
+    for key, value in (overrides or {}).items():
+        if isinstance(value, dict):
+            value = {**_require_mapping(raw.get(key), key), **value}
+        raw[key] = value
+    _reject_unknown(raw, RunConfig, "config")
     if "surface" not in raw:
         raise ConfigError("surface: required")
     surface = _parse_surface(raw["surface"])
     field_cfg = _parse_field(raw.get("field"), surface.rho_max)
 
     grid_raw = _require_mapping(raw.get("grid"), "grid")
-    _reject_unknown(grid_raw, ("n_points",), "grid")
+    _reject_unknown(grid_raw, GridConfig, "grid")
     grid = GridConfig(
         n_points=_integer(grid_raw, "n_points", "grid",
-                          default=DEFAULT_N_POINTS, minimum=MIN_N_POINTS)
+                          default=GridConfig.n_points, minimum=MIN_N_POINTS)
     )
 
-    mode = raw.get("mode", DEFAULT_MODE)
+    mode = raw.get("mode", RunConfig.mode)
     if mode not in MODES:
         raise ConfigError(f"mode: must be one of {MODES}, got {mode!r}")
 
@@ -250,46 +241,22 @@ def parse_config(text: str) -> RunConfig:
         field=field_cfg,
         grid=grid,
         mode=mode,
-        charge_e=_number(raw, "charge_e", "config", default=DEFAULT_CHARGE),
+        charge_e=_number(raw, "charge_e", "config", default=RunConfig.charge_e),
         m_list=list(m_list),
-        k_eigen=_integer(raw, "k_eigen", "config", default=DEFAULT_K_EIGEN, minimum=1),
-        omega=_number(raw, "omega", "config", default=DEFAULT_OMEGA, positive=True),
-        n_normal=_integer(raw, "n_normal", "config", default=DEFAULT_N_NORMAL, minimum=0),
-        dt=_number(raw, "dt", "config", default=DEFAULT_DT, positive=True),
-        steps=_integer(raw, "steps", "config", default=DEFAULT_STEPS, minimum=1),
+        k_eigen=_integer(raw, "k_eigen", "config", default=RunConfig.k_eigen, minimum=1),
+        omega=_number(raw, "omega", "config", default=RunConfig.omega, positive=True),
+        n_normal=_integer(raw, "n_normal", "config", default=RunConfig.n_normal, minimum=0),
+        dt=_number(raw, "dt", "config", default=RunConfig.dt, positive=True),
+        steps=_integer(raw, "steps", "config", default=RunConfig.steps, minimum=1),
         output_path=str(raw.get("output_path", ".")),
     )
 
 
 def serialize_config(config: RunConfig) -> str:
     """YAML document that parse_config maps back to an equal RunConfig."""
-    surface = {"kind": config.surface.kind, "rho_max": config.surface.rho_max}
-    for key in ("a", "amplitude", "sigma", "radius"):
-        value = getattr(config.surface, key)
-        if value is not None:
-            surface[key] = value
-    fld = {"kind": config.field.kind,
-           "a1": config.field.a1, "a2": config.field.a2, "a3": config.field.a3}
-    if config.field.b is not None:
-        fld["b"] = config.field.b
-    if config.field.c is not None:
-        fld["c"] = config.field.c
-    if config.field.gamma_interval is not None:
-        fld["gamma_interval"] = list(config.field.gamma_interval)
-    doc = {
-        "surface": surface,
-        "field": fld,
-        "grid": {"n_points": config.grid.n_points},
-        "mode": config.mode,
-        "charge_e": config.charge_e,
-        "m_list": list(config.m_list),
-        "k_eigen": config.k_eigen,
-        "omega": config.omega,
-        "n_normal": config.n_normal,
-        "dt": config.dt,
-        "steps": config.steps,
-        "output_path": config.output_path,
-    }
+    doc = asdict(config)
+    for section in ("surface", "field"):
+        doc[section] = {k: v for k, v in doc[section].items() if v is not None}
     return yaml.safe_dump(doc, sort_keys=True)
 
 

@@ -21,14 +21,10 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import ChartDegenerateError, DomainError, EvaluationError
-from .geometry import SurfaceProfile, curvatures, offset_scale_factors
+from .geometry import SurfaceProfile, _chart_factor, _farr, curvatures, offset_scale_factors
 
 # step for the q-derivative in the divergence
 Q_STEP = 1e-5
-
-
-def _farr(x) -> np.ndarray:
-    return np.asarray(x, dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,22 +45,13 @@ class VectorPotentialSpec:
 
 def _component(value, mask) -> Callable:
     """Lift a constant or (rho, q) callable to a masked vectorized map."""
-    if callable(value):
-        def comp(rho, q):
-            r = _farr(rho)
-            out = np.broadcast_to(_farr(value(r, q)), r.shape).astype(float).copy()
-            if mask is not None:
-                out *= mask(r)
-            return out
-    else:
-        const = float(value)
-
-        def comp(rho, q):
-            r = _farr(rho)
-            out = np.full_like(r, const)
-            if mask is not None:
-                out *= mask(r)
-            return out
+    def comp(rho, q):
+        r = _farr(rho)
+        raw = value(r, q) if callable(value) else float(value)
+        out = np.broadcast_to(_farr(raw), r.shape).astype(float)
+        if mask is not None:
+            out *= mask(r)
+        return out
 
     return comp
 
@@ -127,9 +114,7 @@ def project_to_frame(cartesian_field: Callable, profile: SurfaceProfile,
     frame there.  Raises ChartDegenerateError outside the valid chart.
     """
     _, H, K = curvatures(profile, float(rho))
-    F = 1.0 + 2.0 * q * float(H) + q * q * float(K)
-    if F <= 0.0:
-        raise ChartDegenerateError(f"chart degenerate at rho={rho}, q={q}: F={F}")
+    _chart_factor(float(H), float(K), q, rho)
     a1, a2, a3 = _frame_components(cartesian_field, profile, float(rho), phi, q)
     return float(a1), float(a2), float(a3)
 
@@ -191,32 +176,37 @@ def cartesian_constant(c: float, profile: SurfaceProfile) -> VectorPotentialSpec
 # ----------------------------------------------------------------------
 
 def divergence(A: VectorPotentialSpec, profile: SurfaceProfile,
-               rho: float, q: float = 0.0,
-               step_rho: Optional[float] = None, step_q: float = Q_STEP) -> float:
+               rho, q: float = 0.0,
+               step_rho: Optional[float] = None, step_q: float = Q_STEP):
     """Numeric divergence of A at (rho, q) by central differences.
 
-    The rho-derivative uses step_rho (default 1e-5 * rho_max); both the
-    profile and the field must be evaluable within one step of the point.
+    rho is a scalar (a float is returned) or an array of radii.  The
+    rho-derivative uses step_rho (default 1e-5 * rho_max); both the profile
+    and the field must be evaluable within one step of each point.
     """
     h = step_rho if step_rho is not None else 1e-5 * profile.rho_max
-    if rho < h * (1.0 - 1e-12):
-        raise DomainError(f"rho = {rho} smaller than differencing step {h}")
+    r = _farr(rho)
+    too_close = r < h * (1.0 - 1e-12)
+    if np.any(too_close):
+        raise DomainError(f"rho = {r[too_close].flat[0]} smaller than differencing step {h}")
 
-    def radial_flux(r):
-        _, h2 = offset_scale_factors(profile, r, q)
-        return h2 * A.A1(r, q)
+    def radial_flux(rr):
+        _, h2 = offset_scale_factors(profile, rr, q)
+        return h2 * A.A1(rr, q)
 
     def normal_flux(qq):
-        h1, h2 = offset_scale_factors(profile, rho, qq)
-        return h1 * h2 * A.A3(rho, qq)
+        h1, h2 = offset_scale_factors(profile, r, qq)
+        return h1 * h2 * A.A3(r, qq)
 
-    d_rho = (radial_flux(rho + h) - radial_flux(rho - h)) / (2.0 * h)
+    d_rho = (radial_flux(r + h) - radial_flux(r - h)) / (2.0 * h)
     d_q = (normal_flux(q + step_q) - normal_flux(q - step_q)) / (2.0 * step_q)
-    h1, h2 = offset_scale_factors(profile, rho, q)
-    denom = float(h1 * h2)
-    if denom <= 0.0:
-        raise ChartDegenerateError(f"chart degenerate at rho={rho}, q={q}")
-    return float((d_rho + d_q) / denom)
+    h1, h2 = offset_scale_factors(profile, r, q)
+    denom = h1 * h2
+    folded = denom <= 0.0
+    if np.any(folded):
+        raise ChartDegenerateError(f"chart degenerate at rho={r[folded].flat[0]}, q={q}")
+    div = (d_rho + d_q) / denom
+    return float(div) if div.ndim == 0 else div
 
 
 @dataclass(frozen=True)
@@ -244,10 +234,7 @@ def is_coulomb_gauge(A: VectorPotentialSpec, profile: SurfaceProfile,
     """
     try:
         nodes = grid.nodes
-        values = np.array([
-            divergence(A, profile, float(r), 0.0, step_rho=grid.spacing)
-            for r in nodes
-        ])
+        values = divergence(A, profile, nodes, 0.0, step_rho=grid.spacing)
         worst = int(np.argmax(np.abs(values)))
         max_violation = float(abs(values[worst]))
         return GaugeReport(
@@ -260,7 +247,7 @@ def is_coulomb_gauge(A: VectorPotentialSpec, profile: SurfaceProfile,
     except Exception as exc:  # diagnostic never fails hard
         return GaugeReport(
             passed=False, max_violation=float("inf"), at_rho=float("nan"),
-            tol=tol, note=f"evaluation failed: {exc}",
+            tol=tol, note=f"evaluation failed: {type(exc).__name__}: {exc}",
         )
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, NamedTuple, Tuple
 
 import numpy as np
 
@@ -208,15 +208,6 @@ def catalog(rho_max: float = 1.0) -> dict:
 # evaluation
 # ----------------------------------------------------------------------
 
-def _check_domain(profile: SurfaceProfile, rho: np.ndarray) -> None:
-    if np.any(rho < 0.0) or np.any(rho > profile.rho_max):
-        bad = rho[(rho < 0.0) | (rho > profile.rho_max)]
-        raise DomainError(
-            f"rho = {np.atleast_1d(bad)[0]} outside [0, {profile.rho_max}] "
-            f"for profile {profile.name!r}"
-        )
-
-
 def _axis_ratio(profile: SurfaceProfile, rho: np.ndarray, sr: np.ndarray) -> np.ndarray:
     """S_rho/rho with the removable axis singularity resolved to S_rhorho(0)."""
     eps = AXIS_EPS_FACTOR * profile.rho_max
@@ -226,23 +217,50 @@ def _axis_ratio(profile: SurfaceProfile, rho: np.ndarray, sr: np.ndarray) -> np.
     return np.where(near, srr0, sr / safe)
 
 
+class _Surface(NamedTuple):
+    """S_rho, S_rhorho, Z and the axis-regular ratio S_rho/rho at some radii."""
+
+    S_rho: np.ndarray
+    S_rhorho: np.ndarray
+    Z: np.ndarray
+    ratio: np.ndarray
+
+    def curvatures(self):
+        """(Z, H, K); see the module-level curvatures."""
+        H = -0.5 * (self.ratio / self.Z + self.S_rhorho / self.Z ** 3)
+        return self.Z, H, self.ratio * self.S_rhorho / self.Z ** 4
+
+
+def _surface(profile: SurfaceProfile, rho, checked: bool = True) -> _Surface:
+    """Evaluate the profile once; checked rejects radii outside [0, rho_max]
+    and non-finite derivatives."""
+    r = _farr(rho)
+    outside = (r < 0.0) | (r > profile.rho_max)
+    if checked and np.any(outside):
+        raise DomainError(f"rho = {r[outside].flat[0]} outside [0, {profile.rho_max}] "
+                          f"for profile {profile.name!r}")
+    sr = _farr(profile.S_rho(r))
+    srr = _farr(profile.S_rhorho(r))
+    if checked and not (np.all(np.isfinite(sr)) and np.all(np.isfinite(srr))):
+        raise EvaluationError(f"profile {profile.name!r} derivatives non-finite on input")
+    return _Surface(sr, srr, np.sqrt(1.0 + sr * sr), _axis_ratio(profile, r, sr))
+
+
 def curvatures(profile: SurfaceProfile, rho) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized (Z, H, K) at the given radii.
 
     H = -(S_rho/(Z rho) + S_rhorho/Z^3)/2 and K = S_rho S_rhorho/(rho Z^4),
     with the axis limits H(0) = -S_rhorho(0), K(0) = S_rhorho(0)^2.
     """
-    r = _farr(rho)
-    _check_domain(profile, r)
-    sr = _farr(profile.S_rho(r))
-    srr = _farr(profile.S_rhorho(r))
-    if not (np.all(np.isfinite(sr)) and np.all(np.isfinite(srr))):
-        raise EvaluationError(f"profile {profile.name!r} derivatives non-finite on input")
-    Z = np.sqrt(1.0 + sr * sr)
-    ratio = _axis_ratio(profile, r, sr)
-    H = -0.5 * (ratio / Z + srr / Z ** 3)
-    K = ratio * srr / Z ** 4
-    return Z, H, K
+    return _surface(profile, rho).curvatures()
+
+
+def _chart_factor(H: float, K: float, q: float, rho) -> float:
+    """F(q) = 1 + 2qH + q^2 K at radius rho; ChartDegenerateError if F <= 0."""
+    F = 1.0 + 2.0 * q * H + q * q * K
+    if F <= 0.0:
+        raise ChartDegenerateError(f"chart degenerate at rho={rho}, q={q}: F={F}")
+    return F
 
 
 def _q_interval(H: float, K: float) -> Tuple[float, float]:
@@ -268,12 +286,8 @@ def frame_vectors(profile: SurfaceProfile, rho: float, phi: float):
     e1 points along increasing rho on the surface, e2 along increasing phi,
     e3 along the unit normal; e1 x e2 = e3 exactly.
     """
-    r = float(rho)
-    _check_domain(profile, np.asarray([r]))
-    sr = float(profile.S_rho(r))
-    if not math.isfinite(sr):
-        raise EvaluationError(f"profile {profile.name!r}: S_rho({r}) non-finite")
-    Z = math.sqrt(1.0 + sr * sr)
+    surf = _surface(profile, float(rho))
+    sr, Z = float(surf.S_rho), float(surf.Z)
     c, s = math.cos(phi), math.sin(phi)
     e1 = np.array([c, s, sr]) / Z
     e2 = np.array([-s, c, 0.0])
@@ -302,12 +316,9 @@ def offset_scale_factors(profile: SurfaceProfile, rho, q) -> Tuple[np.ndarray, n
     written in forms regular at the axis.
     """
     r = _farr(rho)
-    sr = _farr(profile.S_rho(r))
-    srr = _farr(profile.S_rhorho(r))
-    Z = np.sqrt(1.0 + sr * sr)
-    ratio = _axis_ratio(profile, r, sr)
-    h1 = Z - q * srr / Z ** 2
-    h2 = r * (1.0 - q * ratio / Z)
+    s = _surface(profile, r, checked=False)
+    h1 = s.Z - q * s.S_rhorho / s.Z ** 2
+    h2 = r * (1.0 - q * s.ratio / s.Z)
     return h1, h2
 
 
@@ -317,11 +328,7 @@ def scale_factors(sample: GeometrySample, profile: SurfaceProfile, q: float) -> 
     Raises ChartDegenerateError when F(q) = 1 + 2qH + q^2 K <= 0, where the
     offset chart folds onto itself.
     """
-    F = 1.0 + 2.0 * q * sample.H + q * q * sample.K
-    if F <= 0.0:
-        raise ChartDegenerateError(
-            f"chart degenerate at rho={sample.rho}, q={q}: F={F}"
-        )
+    _chart_factor(sample.H, sample.K, q, sample.rho)
     h1, h2 = offset_scale_factors(profile, sample.rho, q)
     return ScaleFactors(h1=float(h1), h2=float(h2), h3=1.0, q=q)
 

@@ -33,9 +33,9 @@ from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
 
-from .errors import CoarseGridWarning, DomainError, EvaluationError
+from .errors import ChartDegenerateError, CoarseGridWarning, DomainError, EvaluationError
 from .fields import VectorPotentialSpec
-from .geometry import SurfaceProfile, curvatures
+from .geometry import SurfaceProfile, _chart_factor, _surface, curvatures
 
 MODES = ("as-written", "hermitian-corrected")
 RECOMMENDED_MIN_POINTS = 16
@@ -160,14 +160,15 @@ def build_tangential(profile: SurfaceProfile, A: VectorPotentialSpec, m: int,
     n = grid.n_points
     dr = grid.spacing
     rho = grid.nodes
-    Z, H, K = curvatures(profile, rho)
+    # the surface at the nodes plus ghost radii at the axis and at the wall
+    rho_ext = np.concatenate(([0.0], rho, [grid.rho_max]))
+    surf = _surface(profile, rho_ext)
+    inner = slice(1, n + 1)
+    Z, H, K = (v[inner] for v in surf.curvatures())
     wt = rho * Z
 
-    # flux coefficients of the corrected kinetic block, with ghost values
-    # at the axis (g(0) = 0 exactly) and at the Dirichlet wall
-    rho_ext = np.concatenate(([0.0], rho, [grid.rho_max]))
-    sr_ext = np.asarray(profile.S_rho(rho_ext), dtype=float)
-    g_ext = rho_ext / np.sqrt(1.0 + sr_ext * sr_ext)
+    # flux coefficients of the corrected kinetic block (g(0) = 0 exactly)
+    g_ext = rho_ext / surf.Z
     gbar_up = 0.5 * (g_ext[1:n + 1] + g_ext[2:n + 2])
     gbar_lo = 0.5 * (g_ext[0:n] + g_ext[1:n + 1])
 
@@ -178,8 +179,7 @@ def build_tangential(profile: SurfaceProfile, A: VectorPotentialSpec, m: int,
     if mode == "as-written":
         # difference between the printed coefficients and the corrected
         # ones; identically zero on a flat profile
-        sr = np.asarray(profile.S_rho(rho), dtype=float)
-        srr = np.asarray(profile.S_rhorho(rho), dtype=float)
+        sr, srr = surf.S_rho[inner], surf.S_rhorho[inner]
         delta_kin = Z ** 2 - 1.0 / Z ** 2
         delta_drift = 0.5 * sr * srr * (Z ** 4 - 1.0 / Z ** 4)
         up = up - 0.5 * delta_kin * (1.0 / dr ** 2 + 1.0 / (2.0 * rho * dr)) \
@@ -201,7 +201,7 @@ def build_tangential(profile: SurfaceProfile, A: VectorPotentialSpec, m: int,
     up = up - 1j * e * sbar_up / (2.0 * dr * wt)
     lo = lo + 1j * e * sbar_lo / (2.0 * dr * wt)
 
-    a1 = a1_ext[1:n + 1]
+    a1 = a1_ext[inner]
     a2 = np.asarray(A.A2(rho, 0.0), dtype=float)
     a3 = np.asarray(A.A3(rho, 0.0), dtype=float)
     if not (np.all(np.isfinite(a1_ext)) and np.all(np.isfinite(a2))
@@ -257,9 +257,12 @@ def decoupling_check(omega: float, A: VectorPotentialSpec,
     drive = max_a3 * omega * q_star
     ratio = math.inf if drive == 0.0 else v_n / drive
     _, H, K = curvatures(profile, grid.nodes[worst])
-    F = 1.0 + 2.0 * q_star * float(H) + q_star ** 2 * float(K)
+    try:
+        _chart_factor(float(H), float(K), q_star, grid.nodes[worst])
+        chart_ok = True
+    except ChartDegenerateError:
+        chart_ok = False
     return DecouplingReport(
         omega=omega, q_star=q_star, v_n=v_n, max_abs_a3=max_a3,
-        drive=drive, ratio=ratio, passed=bool(ratio >= 100.0),
-        chart_ok=bool(F > 0.0),
+        drive=drive, ratio=ratio, passed=bool(ratio >= 100.0), chart_ok=chart_ok,
     )

@@ -274,14 +274,53 @@ def test_flag_overrides_mirror_config_keys(tmp_path):
     assert "n_points: 150" in summary
 
 
-def test_interrupted_csv_carries_error_marker(tmp_path):
+@pytest.mark.parametrize("flag, value, key", [
+    ("--dt", "nan", "dt: .nan"),
+    ("--dt", "inf", "dt: .inf"),
+    ("--n-points", "4", "grid:\n  n_points: 4"),
+], ids=["dt-nan", "dt-inf", "n-points-4"])
+def test_flags_are_validated_like_config_keys(tmp_path, capsys, flag, value, key):
+    code, _ = run_cli(tmp_path, MINIMAL, "evolve", flag, value)
+    assert code == 1
+    flag_err = capsys.readouterr().err
+    code, _ = run_cli(tmp_path, MINIMAL + key + "\n", "evolve")
+    assert code == 1
+    assert flag_err == capsys.readouterr().err
+    if flag == "--dt":
+        assert "config.dt: must be finite" in flag_err
+    else:
+        assert "grid.n_points: must be >= 16" in flag_err
+
+
+def test_malformed_m_flag_exits_one(tmp_path, capsys):
+    code, _ = run_cli(tmp_path, MINIMAL, "spectrum", "--m", "0,x")
+    assert code == 1
+    assert "--m expects integers" in capsys.readouterr().err
+
+
+def test_interrupted_csv_leaves_no_partial_file(tmp_path):
     def rows():
         yield (1.0, 2.0)
         raise RuntimeError("lost midway")
 
     path = tmp_path / "broken.csv"
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="lost midway"):
         write_csv(path, ["a", "b"], rows())
-    lines = path.read_text().splitlines()
-    assert lines[-1].startswith("# ERROR:")
-    assert "lost midway" in lines[-1]
+    assert list(tmp_path.iterdir()) == []         # no target, no temp file
+
+    write_csv(path, ["a", "b"], [(1.0, 2.0)])
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError, match="lost midway"):
+        write_csv(path, ["a", "b"], rows())
+    assert path.read_bytes() == before            # previous output kept whole
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_failed_run_leaves_no_summary(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("serializer lost")
+
+    monkeypatch.setattr("curvband.config.serialize_config", fail)
+    with pytest.raises(RuntimeError, match="serializer lost"):
+        run_cli(tmp_path, MINIMAL + "grid:\n  n_points: 32\n", "geometry")
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["geometry.csv"]

@@ -1,0 +1,135 @@
+"""Property tests of the run-configuration schema (Hypothesis).
+
+Valid documents are drawn for every surface x field kind, each optional
+key present or absent.  Invalid ones are valid documents with one value
+replaced by junk or an unknown key added, and raw text.  Examples are
+derandomized, so every run checks the same cases.
+"""
+
+import pytest
+import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from curvband import ConfigError, RunConfig, parse_config, serialize_config
+from curvband.config import (FIELD_KINDS, MIN_N_POINTS, SURFACE_KINDS, FieldConfig,
+                             GridConfig, SurfaceConfig)
+from curvband.operator import MODES
+
+PROPERTY = settings(derandomize=True, max_examples=8, deadline=None)
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=1e-6, max_value=1e6)
+
+
+def maybe(strategy):
+    """A value or null; a null key reads as absent."""
+    return st.none() | strategy
+
+
+# keys each kind requires; a sphere-cap radius is drawn as rho_max + margin
+REQUIRED = {"flat": {}, "paraboloid": {"a": finite},
+            "gaussian-bump": {"amplitude": finite, "sigma": positive},
+            "sphere-cap": {}, "frame-synthetic": {},
+            "axial-uniform": {"b": finite}, "cartesian-constant": {"c": finite}}
+
+
+def _some(draw, target, options):
+    """Set each key of options not yet in target, or leave it out."""
+    for key, strategy in options.items():
+        if key not in target and draw(st.booleans()):
+            target[key] = draw(strategy)
+
+
+@st.composite
+def documents(draw, surface_kind, field_kind):
+    """A valid run document as a dict."""
+    surface = {"kind": surface_kind}
+    _some(draw, surface, {"rho_max": st.floats(min_value=1e-3, max_value=1e3)})
+    limit = surface.get("rho_max", SurfaceConfig.rho_max)
+    if surface_kind == "sphere-cap":
+        surface["radius"] = limit + draw(st.floats(min_value=1e-2, max_value=1e2))
+    surface.update({k: draw(s) for k, s in REQUIRED[surface_kind].items()})
+    _some(draw, surface, {k: maybe(finite) for k in ("a", "amplitude", "sigma", "radius")})
+
+    field = {"kind": field_kind}
+    field.update({k: draw(s) for k, s in REQUIRED[field_kind].items()})
+    if field_kind == FieldConfig.kind and draw(st.booleans()):
+        del field["kind"]
+    gamma = st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2).map(
+        lambda pair: sorted(v * limit for v in pair))
+    _some(draw, field, {"b": maybe(finite), "c": maybe(finite), "a1": finite,
+                        "a2": finite, "a3": finite, "gamma_interval": maybe(gamma)})
+
+    doc = {"surface": surface}
+    if field_kind != FieldConfig.kind:
+        doc["field"] = field
+    _some(draw, doc, {
+        "field": st.just(field),
+        "grid": st.just({}) | st.builds(dict, n_points=st.integers(MIN_N_POINTS, 10 ** 6)),
+        "mode": st.sampled_from(MODES),
+        "charge_e": finite,
+        "m_list": st.lists(st.integers(-50, 50), min_size=1, max_size=4),
+        "k_eigen": st.integers(1, 10 ** 4),
+        "omega": positive,
+        "n_normal": st.integers(0, 100),
+        "dt": positive,
+        "steps": st.integers(1, 10 ** 6),
+        "output_path": st.text("abc/._-01", min_size=1, max_size=12),
+    })
+    return doc
+
+
+kinds = pytest.mark.parametrize(
+    "surface_kind, field_kind", [(s, f) for s in SURFACE_KINDS for f in FIELD_KINDS])
+
+
+@kinds
+@PROPERTY
+@given(data=st.data())
+def test_serialize_then_parse_is_identity(surface_kind, field_kind, data):
+    doc = data.draw(documents(surface_kind, field_kind))
+    cfg = parse_config(yaml.safe_dump(doc))
+    assert parse_config(serialize_config(cfg)) == cfg
+    # given keys keep their values; absent ones take the dataclass defaults
+    scalars = {k: v for k, v in doc.items() if k not in ("surface", "field", "grid")}
+    assert cfg == RunConfig(surface=SurfaceConfig(**doc["surface"]),
+                            field=FieldConfig(**doc.get("field", {})),
+                            grid=GridConfig(**doc.get("grid", {})), **scalars)
+
+
+junk = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10 ** 400)
+    | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _parses_or_config_error(text):
+    try:
+        assert isinstance(parse_config(text), RunConfig)
+    except ConfigError:
+        pass
+
+
+@kinds
+@PROPERTY
+@given(data=st.data())
+def test_corrupted_documents_raise_only_config_error(surface_kind, field_kind, data):
+    doc = data.draw(documents(surface_kind, field_kind))
+    section = data.draw(st.sampled_from([None, "surface", "field", "grid"]))
+    target = doc if section is None else doc.setdefault(section, {})
+    key = data.draw(st.sampled_from(sorted(target) + ["unknown_key"]))
+    target[key] = data.draw(junk)
+    _parses_or_config_error(yaml.safe_dump(doc))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(text=st.text("surfacekindflt:-[]{},.0123456789e\n #!&*", max_size=60))
+@example(text="surface:\n  kind: flat\ndt: 2001-13-01\n")
+@example(text="surface:\n  kind: flat\ndt: 1" + "0" * 400 + "\n")
+@example(text="surface:\n  kind: flat\nfield:\n  gamma_interval: [0, 1" + "0" * 400 + "]\n")
+def test_raw_text_raises_only_config_error(text):
+    _parses_or_config_error(text)

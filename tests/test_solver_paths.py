@@ -14,6 +14,7 @@ from curvband import (
     RadialGrid,
     axial_uniform,
     build_tangential,
+    cartesian_constant,
     catalog,
     divergence,
     eigen_solve,
@@ -250,13 +251,25 @@ def test_hermiticity_report_matches_dense_reference():
 # ----------------------------------------------------------------------
 
 def test_gauge_report_carries_per_node_divergence():
+    # the report's one vectorized divergence call equals scalar calls node
+    # by node, bit for bit, for every catalog profile and field family
     grid = RadialGrid(48, 1.0)
-    prof = paraboloid(0.5, 1.0)
-    field = frame_synthetic(a1=lambda r, q: r)
-    report = is_coulomb_gauge(field, prof, grid, tol=1e-10)
-    ref = [divergence(field, prof, float(r), 0.0, step_rho=grid.spacing)
-           for r in grid.nodes]
-    np.testing.assert_array_equal(report.values, ref)
+    cases = [("paraboloid", "radial a1", paraboloid(0.5, 1.0),
+              frame_synthetic(a1=lambda r, q: r))]
+    for name, prof in catalog(1.0).items():
+        cases += [
+            (name, "axial-uniform", prof, axial_uniform(1.0, prof)),
+            (name, "cartesian-constant", prof, cartesian_constant(0.7, prof)),
+            (name, "frame-synthetic a3", prof, frame_synthetic(a3=0.4)),
+            (name, "masked a1/a3", prof,
+             frame_synthetic(a1=0.3, a3=0.4, gamma_interval=(0.2, 0.6))),
+        ]
+    for name, kind, prof, field in cases:
+        report = is_coulomb_gauge(field, prof, grid, tol=1e-10)
+        ref = [divergence(field, prof, float(r), 0.0, step_rho=grid.spacing)
+               for r in grid.nodes]
+        assert all(type(v) is float for v in ref)
+        np.testing.assert_array_equal(report.values, ref, err_msg=f"{name}, {kind}")
 
 
 def test_gauge_report_has_no_values_when_evaluation_fails():
@@ -266,6 +279,7 @@ def test_gauge_report_has_no_values_when_evaluation_fails():
     report = is_coulomb_gauge(frame_synthetic(a1=explode), flat(1.0),
                               RadialGrid(16, 1.0), tol=1e-10)
     assert report.values is None and report.note
+    assert report.note == "evaluation failed: RuntimeError: boom"
 
 
 def test_spectrum_builds_each_channel_once(tmp_path, monkeypatch):
