@@ -5,9 +5,6 @@ can be overridden by flags.  Outputs are deterministic CSV files plus a
 run_summary.txt with the config echo, Hermiticity report and decoupling
 ratio.  Numbers are written with 17 significant digits and no timestamps,
 so identical inputs produce byte-identical files.
-
-CURVBAND_THREADS > 1 fans independent azimuthal channels out to a thread
-pool; results are written in channel order regardless.
 """
 
 from __future__ import annotations
@@ -15,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -55,26 +51,6 @@ def write_csv(path: Path, header, rows) -> None:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("CURVBAND_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _solve_channels(ops, k):
-    """Solve each channel's operator, optionally in parallel."""
-    def one(op):
-        return op, solver.eigen_solve(op, k)
-
-    workers = min(_thread_count(), len(ops))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, ops))
-    return [one(op) for op in ops]
 
 
 def _summary_lines(config, profile, field, grid):
@@ -133,7 +109,7 @@ def run_command(config: cfgmod.RunConfig, command: str, output_dir=None) -> int:
         ops = [op0] + [operator.build_tangential(profile, field, m, grid,
                                                  mode=config.mode, e=config.charge_e)
                        for m in config.m_list[1:]]
-        results = _solve_channels(ops, config.k_eigen)
+        results = [(op, solver.eigen_solve(op, config.k_eigen)) for op in ops]
 
         def rows():
             for op, spec in results:

@@ -231,6 +231,10 @@ def parse_config(text: str, overrides: Optional[dict] = None) -> RunConfig:
     if mode not in MODES:
         raise ConfigError(f"mode: must be one of {MODES}, got {mode!r}")
 
+    output_path = raw.get("output_path", RunConfig.output_path)
+    if not isinstance(output_path, str):
+        raise ConfigError(f"output_path: must be a string, got {output_path!r}")
+
     m_list = raw.get("m_list", list(DEFAULT_M_LIST))
     if (not isinstance(m_list, list) or not m_list
             or any(isinstance(v, bool) or not isinstance(v, int) for v in m_list)):
@@ -248,7 +252,7 @@ def parse_config(text: str, overrides: Optional[dict] = None) -> RunConfig:
         n_normal=_integer(raw, "n_normal", "config", default=RunConfig.n_normal, minimum=0),
         dt=_number(raw, "dt", "config", default=RunConfig.dt, positive=True),
         steps=_integer(raw, "steps", "config", default=RunConfig.steps, minimum=1),
-        output_path=str(raw.get("output_path", ".")),
+        output_path=output_path,
     )
 
 

@@ -21,7 +21,8 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import ChartDegenerateError, DomainError, EvaluationError
-from .geometry import SurfaceProfile, _chart_factor, _farr, curvatures, offset_scale_factors
+from .geometry import (SurfaceProfile, _chart_factor, _farr, _surface, curvatures,
+                       offset_scale_factors)
 
 # step for the q-derivative in the divergence
 Q_STEP = 1e-5
@@ -93,9 +94,9 @@ def _frame_components(cartesian_field: Callable, profile: SurfaceProfile,
                       rho, phi: float, q):
     """Project a Cartesian field onto the adapted frame at (rho, phi, q)."""
     r = _farr(rho)
-    sr = _farr(profile.S_rho(r))
+    surf = _surface(profile, r, checked=False)
+    sr, Z = surf.S_rho, surf.Z
     S = _farr(profile.S(r))
-    Z = np.sqrt(1.0 + sr * sr)
     c, s = np.cos(phi), np.sin(phi)
     rad = r - q * sr / Z          # cylindrical radius of the offset point
     x, y, z = rad * c, rad * s, S + q / Z
@@ -139,9 +140,19 @@ def from_cartesian(cartesian_field: Callable, profile: SurfaceProfile,
                     "only axisymmetric fields are supported"
                 )
 
+    # the (rho, q) of the last projection and its three components: the
+    # components are asked for one after another at the same points
+    last = None
+
     def make(i):
         def comp(rho, q):
-            return _frame_components(cartesian_field, profile, rho, 0.0, q)[i]
+            nonlocal last
+            r, qq = _farr(rho), _farr(q)
+            key = (r.shape, r.tobytes(), qq.shape, qq.tobytes())
+            cached = last
+            if cached is None or cached[0] != key:
+                cached = last = (key, _frame_components(cartesian_field, profile, rho, 0.0, q))
+            return cached[1][i]
         return comp
 
     return VectorPotentialSpec(

@@ -7,8 +7,10 @@ measure-weighted operator is Hermitian, or Hermitian up to a constant
 imaginary diagonal (the uniform-coupling case), a diagonal phase gauge
 makes it real symmetric tridiagonal; its lowest pairs are computed
 directly, the imaginary shift is applied exactly, and one
-inverse-iteration step refines each pair.  Non-normal operators take a
-general dense solve, or shift-invert iteration above DENSE_LIMIT points.
+inverse-iteration step refines each pair.  Non-normal operators take
+shift-invert Arnoldi iteration through one tridiagonal factorization, the
+same refinement step, and a certificate that no eigenvalue left out has a
+smaller real part; only problems too small for Arnoldi are solved densely.
 
 Propagation is Crank-Nicolson, with the left side factored once,
 
@@ -20,7 +22,10 @@ are taken under the surface measure, ||chi|| = sqrt(sum w_j |chi_j|^2).
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -28,15 +33,15 @@ from typing import Optional
 import numpy as np
 import scipy.linalg as sla
 import scipy.linalg.lapack as lapack
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import InstabilityWarning, SolveError
 from .operator import NormalChannel, TangentialOperator
 
 RESIDUAL_TOL = 1e-8
-# non-normal operators above this many points use shift-invert iteration
-DENSE_LIMIT = 3000
+# eigenvalues computed beyond the k requested in shift-invert iteration;
+# below k + ARNOLDI_EXTRA + 2 points a non-normal channel is solved densely
+ARNOLDI_EXTRA = 4
 # relative threshold for classifying the weighted matrix as Hermitian
 # (possibly up to a constant imaginary diagonal)
 HERMITIAN_RTOL = 1e-13
@@ -47,8 +52,9 @@ class Spectrum:
     """Verified eigenpairs of one azimuthal channel, sorted by (Re, Im).
 
     eigenvectors are columns, normalized under the surface measure.  path
-    is the route that computed them: "tridiagonal", "dense" or
-    "shift-invert".
+    is the route that computed them: "tridiagonal" (Hermitian, or Hermitian
+    up to a constant imaginary diagonal), "shift-invert" (non-normal) or
+    "dense" (non-normal with k + ARNOLDI_EXTRA >= n - 1).
     """
 
     m: int
@@ -114,6 +120,62 @@ def _tridiag_solver(lower, diag, upper):
     return None if info else solve
 
 
+@functools.cache
+def _scipy_blas_threads():
+    """(get, set) of the thread count of the OpenBLAS that scipy calls, or
+    None where scipy's BLAS is not an OpenBLAS whose symbols can be found."""
+    try:
+        from scipy.linalg import _fblas
+        lib = ctypes.CDLL(_fblas.__file__)
+    except (ImportError, OSError):
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        get = getattr(lib, f"{prefix}_get_num_threads", None)
+        put = getattr(lib, f"{prefix}_set_num_threads", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+class _OneBlasThread:
+    """Holds scipy's BLAS, for the whole process, at one thread while any
+    caller is inside the block, and restores the count when the last leaves.
+
+    Arnoldi's products are n x 21 for k = 6, too small to gain from a second
+    thread, and a threaded call waits for its slowest thread: with another
+    thread pool still busy (numpy's OpenBLAS spins for ~0.1 s after each
+    threaded call), solves of ~7 ms took 12-140 ms in a loop that also
+    multiplied dense matrices with numpy.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._inside = 0
+        self._before = None
+
+    def __enter__(self):
+        threads = _scipy_blas_threads()
+        if threads is not None:
+            with self._lock:
+                if self._inside == 0:
+                    self._before = threads[0]()
+                    threads[1](1)
+                self._inside += 1
+
+    def __exit__(self, *exc):
+        threads = _scipy_blas_threads()
+        if threads is not None:
+            with self._lock:
+                self._inside -= 1
+                if self._inside == 0:
+                    threads[1](self._before)
+
+
+_one_blas_thread = _OneBlasThread()
+
+
 def _weighted(operator: TangentialOperator):
     """Bands of M_w = W^1/2 M W^-1/2, |M_w - M_w^dag| above its diagonal,
     and max(1, max |M_w|)."""
@@ -147,7 +209,7 @@ def eigen_solve(operator: TangentialOperator, k: int) -> Spectrum:
     shift = _structured_shift(operator)
     if shift is not None:
         path, (values, vectors) = "tridiagonal", _tridiagonal_solve(operator, k, shift)
-    elif n > DENSE_LIMIT:
+    elif k + ARNOLDI_EXTRA < n - 1:
         path, (values, vectors) = "shift-invert", _sparse_solve(operator, k)
     else:
         path, (values, vectors) = "dense", sla.eig(operator.matrix)
@@ -159,8 +221,7 @@ def eigen_solve(operator: TangentialOperator, k: int) -> Spectrum:
     wnorm = np.sqrt(operator.measure_weights @ (np.abs(vectors) ** 2))
     vectors = vectors / wnorm[None, :]
 
-    res = _matvec(*operator.bands, vectors) - vectors * values
-    residuals = np.linalg.norm(res, axis=0) / np.linalg.norm(vectors, axis=0)
+    residuals = _residuals(operator, values, vectors)
     if np.any(residuals >= RESIDUAL_TOL):
         raise SolveError(
             f"eigen residual contract violated: max {residuals.max():.3e} "
@@ -170,14 +231,42 @@ def eigen_solve(operator: TangentialOperator, k: int) -> Spectrum:
                     residuals=residuals, path=path)
 
 
+def _residuals(operator: TangentialOperator, values, vectors) -> np.ndarray:
+    """||M v - lambda v|| / ||v|| for each column v of vectors."""
+    res = _matvec(*operator.bands, vectors) - vectors * values
+    return np.linalg.norm(res, axis=0) / np.linalg.norm(vectors, axis=0)
+
+
+def _refine(operator: TangentialOperator, values, vectors) -> np.ndarray:
+    """One inverse-iteration step on M at each eigenvalue, in place on the
+    columns of vectors; returns the Rayleigh quotients with left vector
+    w conj(x).
+
+    The linear solve gets one step of iterative refinement: without it the
+    solve's rounding, not the float64 floor of x, sets the residual.  Where
+    M - lam is exactly singular, lam is exact and the pair is kept.
+    """
+    quotients = np.array(values, dtype=complex)
+    for i, lam in enumerate(values):
+        shifted = (operator.lower, operator.diag - lam, operator.upper)
+        solve = _tridiag_solver(*shifted)
+        if solve is not None:
+            v = vectors[:, i]
+            x = solve(v)
+            x += solve(v - _matvec(*shifted, x))
+            left = operator.measure_weights * x.conj()
+            quotients[i] = left @ _matvec(*operator.bands, x) / (left @ x)
+            vectors[:, i] = x
+    return quotients
+
+
 def _tridiagonal_solve(operator: TangentialOperator, k: int, shift: complex):
     """Structured case: M_w - shift is Hermitian tridiagonal.
 
     The phase gauge ph[j+1] = ph[j] conj(b_j)/|b_j| makes its off-diagonal b
     real and non-negative; the k lowest pairs of that real symmetric matrix
-    get the imaginary shift exactly.  One inverse-iteration step on M at
-    each eigenvalue, with a Rayleigh quotient whose left vector is
-    w conj(x), brings each residual down towards the float64 floor.
+    get the imaginary shift exactly, and each is refined once (_refine),
+    keeping the real part of its Rayleigh quotient.
     """
     lower, diag, upper, _, _ = _weighted(operator)
     off = 0.5 * (upper + lower.conj())
@@ -185,35 +274,65 @@ def _tridiagonal_solve(operator: TangentialOperator, k: int, shift: complex):
     phase = np.cumprod(np.append(1.0 + 0.0j, np.divide(
         off.conj(), mag, out=np.ones_like(off), where=mag > 0.0)))
     theta, y = sla.eigh_tridiagonal(diag.real, mag, select="i", select_range=(0, k - 1))
-    values = theta + shift
     vectors = phase[:, None] * y / np.sqrt(operator.measure_weights)[:, None]
-    for i, lam in enumerate(values):
-        shifted = (operator.lower, operator.diag - lam, operator.upper)
-        solve = _tridiag_solver(*shifted)
-        if solve is not None:       # else M - lam is exactly singular: lam is exact
-            v = vectors[:, i]
-            x = solve(v)
-            # one step of iterative refinement of the solve: without it the
-            # solve's rounding, not the float64 floor of x, sets the residual
-            x += solve(v - _matvec(*shifted, x))
-            left = operator.measure_weights * x.conj()
-            values[i] = (left @ _matvec(*operator.bands, x) / (left @ x)).real + shift
-            vectors[:, i] = x
-    return values, vectors
+    values = _refine(operator, theta + shift, vectors)
+    return values.real + shift, vectors
 
 
 def _sparse_solve(operator: TangentialOperator, k: int):
-    """Shift-invert iteration targeting the smallest real parts."""
-    sparse = sp.diags(operator.bands, [-1, 0, 1], format="csc")
-    # Gershgorin-style lower bound keeps the shift left of the spectrum
-    offsum = np.abs(np.append(operator.upper, 0.0)) + np.abs(np.append(0.0, operator.lower))
-    sigma = float((operator.diag.real - offsum).min()) - 1.0
+    """Non-normal case: the k + ARNOLDI_EXTRA eigenvalues nearest a shift
+    sigma left of the spectrum, by Arnoldi iteration on (M - sigma)^-1
+    applied through one tridiagonal factorization.
+
+    The k of smallest real part are refined once (_refine), keeping
+    Arnoldi's pair where the refined one misses the residual contract and
+    Arnoldi's is closer, and certified to be the k smallest of the whole
+    spectrum, or SolveError is raised.
+    Gershgorin's row discs put every eigenvalue right of sigma + 1.  The
+    diagonal similarity with off-diagonals off_j = sqrt(upper_j lower_j)
+    makes M complex symmetric, R + iJ with R and J real symmetric, so every
+    eigenvalue has |Im| <= s = ||J||_inf.  Arnoldi returns the eigenvalues
+    nearest sigma; every other one lies at least r = max |lambda_i - sigma|
+    from sigma, hence has Re >= sigma + sqrt(r^2 - s^2).
+    """
+    n, (lower, diag, upper) = operator.n, operator.bands
+    offsum = np.abs(np.append(upper, 0.0)) + np.abs(np.append(0.0, lower))
+    sigma = float((diag.real - offsum).min()) - 1.0
+    # diagonally dominant, so the factorization cannot break down
+    solve = _tridiag_solver(lower, diag - sigma, upper)
+    inverse = spla.LinearOperator((n, n), matvec=solve, dtype=complex)
+    forward = spla.LinearOperator((n, n), matvec=lambda x: _matvec(lower, diag, upper, x),
+                                  dtype=complex)
     # a fixed start vector makes the result repeatable
-    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, operator.n)
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
     try:
-        values, vectors = spla.eigs(sparse, k=k, sigma=sigma, which="LM", v0=v0)
+        with _one_blas_thread:
+            found, vectors = spla.eigs(forward, k=k + ARNOLDI_EXTRA, sigma=sigma, which="LM",
+                                       v0=v0, OPinv=inverse)
     except spla.ArpackNoConvergence as exc:
         raise SolveError(f"shift-invert iteration failed to converge: {exc}") from exc
+
+    order = np.lexsort((found.imag, found.real))[:k]
+    selected, vectors = found[order], vectors[:, order]
+    arnoldi = vectors.copy()
+    values = _refine(operator, selected, vectors)
+    # at the float64 floor (max |M| ~ 1e6 in as-written mode) refinement can
+    # lose accuracy: 1 pair in ~4000 at n = 1000 missed the contract after it
+    refined_res = _residuals(operator, values, vectors)
+    back = (refined_res >= RESIDUAL_TOL) & (_residuals(operator, selected, arnoldi) < refined_res)
+    values[back], vectors[:, back] = selected[back], arnoldi[:, back]
+
+    off = np.sqrt(upper * lower)
+    s = float((np.abs(diag.imag) + np.abs(np.append(off.imag, 0.0))
+               + np.abs(np.append(0.0, off.imag))).max())
+    r = float(np.abs(found - sigma).max())
+    bound = sigma + math.sqrt(r * r - s * s) if r > s else -math.inf
+    if not values.real.max() < bound:
+        raise SolveError(
+            f"shift-invert cannot certify the {k} smallest real parts: the "
+            f"eigenvalues not computed may have Re as low as {bound:.6g}, the "
+            f"computed ones reach Re {values.real.max():.6g} (r = {r:.6g}, |Im| <= {s:.6g})"
+        )
     return values, vectors
 
 

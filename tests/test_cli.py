@@ -255,16 +255,6 @@ def test_spectrum_output_is_byte_deterministic(tmp_path):
     assert (out1 / "run_summary.txt").read_bytes() == (out2 / "run_summary.txt").read_bytes()
 
 
-def test_parallel_channels_match_sequential(tmp_path, monkeypatch):
-    body = MINIMAL + "grid:\n  n_points: 200\nm_list: [0, 1, 2]\n"
-    _, out_seq = run_cli(tmp_path, body, "spectrum")
-    monkeypatch.setenv("CURVBAND_THREADS", "3")
-    cfg = tmp_path / "run.yaml"
-    out_par = tmp_path / "outp"
-    assert main(["spectrum", "--config", str(cfg), "--output", str(out_par)]) == 0
-    assert (out_seq / "spectrum.csv").read_bytes() == (out_par / "spectrum.csv").read_bytes()
-
-
 def test_flag_overrides_mirror_config_keys(tmp_path):
     code, out = run_cli(tmp_path, MINIMAL, "spectrum",
                         "--n-points", "150", "--mode", "as-written")

@@ -126,6 +126,12 @@ def test_corrupted_documents_raise_only_config_error(surface_kind, field_kind, d
     _parses_or_config_error(yaml.safe_dump(doc))
 
 
+@pytest.mark.parametrize("value", ["null", "[1, 2]", "12", "1.5", "true", "{a: b}"])
+def test_output_path_must_be_a_string(value):
+    with pytest.raises(ConfigError, match="output_path: must be a string"):
+        parse_config(f"surface:\n  kind: flat\noutput_path: {value}\n")
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(text=st.text("surfacekindflt:-[]{},.0123456789e\n #!&*", max_size=60))
 @example(text="surface:\n  kind: flat\ndt: 2001-13-01\n")

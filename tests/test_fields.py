@@ -9,6 +9,7 @@ from curvband import (
     EvaluationError,
     RadialGrid,
     axial_uniform,
+    build_tangential,
     cartesian_constant,
     catalog,
     coupling_profile,
@@ -112,6 +113,29 @@ def test_cartesian_constant_constructor():
     assert float(A.A1(1.0, 0.0)) == pytest.approx(1.0 / SQRT2, rel=1e-14)
     assert float(A.A3(1.0, 0.0)) == pytest.approx(1.0 / SQRT2, rel=1e-14)
     assert A.source == "cartesian-projected"
+
+
+def test_cartesian_field_is_projected_once_per_point():
+    calls = []
+    field = axial_gauge(1.0)
+
+    def counting(x, y, z):
+        calls.append(np.shape(x))
+        return field(x, y, z)
+
+    prof = paraboloid(0.5, 1.0)
+    A = from_cartesian(counting, prof, check_axisymmetry=False)
+    grid = RadialGrid(40, 1.0)
+    op = build_tangential(prof, A, 1, grid)
+    # the three components at the nodes share one projection, and A1 is
+    # also needed at the two ghost radii
+    assert calls == [(42,), (40,)]
+    ref = build_tangential(prof, axial_uniform(1.0, prof), 1, grid)
+    np.testing.assert_array_equal(op.diag, ref.diag)
+    # a new point, or a new offset q, projects again
+    for rho, q in ((0.5, 0.0), (0.5, 0.0), (0.5, 0.1), (0.25, 0.1)):
+        assert A.A2(rho, q) == project_to_frame(counting, prof, rho, 0.0, q)[1]
+    assert len(calls) == 2 + 3 + 4
 
 
 def test_non_axisymmetric_cartesian_field_rejected():

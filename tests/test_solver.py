@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-import curvband.solver as solver_mod
 from curvband import (
     InstabilityWarning,
     RadialGrid,
@@ -96,15 +95,17 @@ def test_k_out_of_range_rejected():
         eigen_solve(op, 0)
 
 
-def test_sparse_path_agrees_with_dense(monkeypatch):
+def test_sparse_path_agrees_with_dense():
     grid = RadialGrid(400, 1.0)
-    op = build_tangential(flat(1.0), zero_field(), 0, grid)
-    dense = eigen_solve(op, 4)
-    monkeypatch.setattr(solver_mod, "DENSE_LIMIT", 100)
-    sparse = eigen_solve(op, 4)
-    np.testing.assert_allclose(sparse.eigenvalues, dense.eigenvalues,
-                               rtol=1e-9, atol=1e-9)
-    assert np.all(sparse.residuals < 1e-8)
+    flat_disc = build_tangential(flat(1.0), zero_field(), 0, grid)
+    non_normal = build_tangential(paraboloid(0.5, 1.0), frame_synthetic(a3=0.3), 0, grid)
+    for op in (flat_disc, non_normal):
+        dense = np.linalg.eigvals(op.matrix)
+        dense = dense[np.lexsort((dense.imag, dense.real))][:4]
+        sparse = eigen_solve(op, 4)
+        np.testing.assert_allclose(sparse.eigenvalues, dense, rtol=1e-9, atol=1e-9)
+        assert np.all(sparse.residuals < 1e-8)
+    assert eigen_solve(non_normal, 4).path == "shift-invert"
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,9 @@
 with dense references built in the test from the materialized matrix."""
 
 import dataclasses
+import sys
+import threading
+import types
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from curvband import (
     CoarseGridWarning,
     DomainError,
     RadialGrid,
+    SolveError,
     axial_uniform,
     build_tangential,
     cartesian_constant,
@@ -30,6 +34,7 @@ from curvband import (
     zero_field,
 )
 from curvband.cli import main
+from curvband.operator import MODES
 
 CAP_YAML = """surface:
   kind: sphere-cap
@@ -115,40 +120,174 @@ def test_tridiagonal_route_matches_dense_eigh():
         assert np.all(spec.residuals < 1e-8)
 
 
-def test_non_normal_operators_take_the_general_solvers(monkeypatch):
+def smallest_real_parts(mat, k):
+    """The k eigenvalues of smallest real part of a full dense eig."""
+    ref = np.linalg.eigvals(mat)
+    return ref[np.lexsort((ref.imag, ref.real))][:k]
+
+
+def non_normal_cases(n, ms=(0, 1)):
+    """Every catalog profile with uniform a3 (except the umbilic cap, where
+    it is structured), a3 on a gamma_interval and a cartesian-constant
+    field, in both modes, at each m in ms.  On the flat disc H = 0, so its
+    channels are structured."""
+    grid = RadialGrid(n, 1.0)
+    for name, prof in catalog(1.0).items():
+        fields = [("gamma", frame_synthetic(a3=0.4, gamma_interval=(0.2, 0.6))),
+                  ("cartesian", cartesian_constant(0.7, prof))]
+        if name != "sphere-cap":
+            fields.append(("a3", frame_synthetic(a3=0.4)))
+        for kind, field in fields:
+            for mode in MODES:
+                for m in ms:
+                    yield (name, kind, mode, m), build_tangential(prof, field, m, grid,
+                                                                  mode=mode)
+
+
+def test_non_normal_operators_take_the_general_solvers():
     grid = RadialGrid(400, 1.0)
     prof = paraboloid(0.5, 1.0)
     nonuniform = build_tangential(prof, frame_synthetic(a3=0.3), 0, grid)
     as_written = build_tangential(prof, zero_field(), 1, grid, mode="as-written")
     for op in (nonuniform, as_written):
-        assert eigen_solve(op, 3).path == "dense"
-    monkeypatch.setattr(solver_mod, "DENSE_LIMIT", 100)
-    for op in (nonuniform, as_written):
-        assert eigen_solve(op, 3).path == "shift-invert"
+        spec = eigen_solve(op, 3)
+        assert spec.path == "shift-invert"
+        np.testing.assert_allclose(spec.eigenvalues, smallest_real_parts(op.matrix, 3),
+                                   rtol=1e-9, atol=1e-9)
     # structured operators never reach the general solvers
     cap = build_tangential(sphere_cap(2.0, 1.0), frame_synthetic(a3=0.4), 0, grid)
     assert eigen_solve(cap, 3).path == "tridiagonal"
 
 
-def test_shift_invert_agrees_with_dense_on_non_normal_operator(monkeypatch):
+def test_shift_invert_agrees_with_dense_on_non_normal_operator():
     op = build_tangential(paraboloid(0.5, 1.0), zero_field(), 0, RadialGrid(400, 1.0),
                           mode="as-written")
-    dense = eigen_solve(op, 4)
-    monkeypatch.setattr(solver_mod, "DENSE_LIMIT", 100)
-    sparse = eigen_solve(op, 4)
-    assert (dense.path, sparse.path) == ("dense", "shift-invert")
-    np.testing.assert_allclose(sparse.eigenvalues, dense.eigenvalues, rtol=1e-9, atol=1e-9)
-    assert np.all(sparse.residuals < 1e-8)
+    spec = eigen_solve(op, 4)
+    assert spec.path == "shift-invert"
+    np.testing.assert_allclose(spec.eigenvalues, smallest_real_parts(op.matrix, 4),
+                               rtol=1e-9, atol=1e-9)
+    assert np.all(spec.residuals < 1e-8)
 
 
-def test_shift_invert_is_deterministic(monkeypatch):
-    monkeypatch.setattr(solver_mod, "DENSE_LIMIT", 100)
+def test_shift_invert_is_deterministic():
     op = build_tangential(paraboloid(0.5, 1.0), zero_field(), 0, RadialGrid(400, 1.0),
                           mode="as-written")
     first = eigen_solve(op, 4)
     second = eigen_solve(op, 4)
     assert first.path == "shift-invert"
     np.testing.assert_array_equal(first.eigenvalues, second.eigenvalues)
+
+
+def test_arnoldi_runs_on_one_blas_thread(monkeypatch):
+    threads = solver_mod._scipy_blas_threads()
+    if threads is None:
+        pytest.skip("scipy's BLAS exposes no OpenBLAS thread count")
+    get, put = threads
+    spla, seen = solver_mod.spla, []
+
+    def eigs(*args, **kwargs):
+        seen.append(get())
+        return spla.eigs(*args, **kwargs)
+    monkeypatch.setattr(solver_mod, "spla", types.SimpleNamespace(
+        LinearOperator=spla.LinearOperator, ArpackNoConvergence=spla.ArpackNoConvergence,
+        eigs=eigs))
+    op = build_tangential(paraboloid(0.5, 1.0), zero_field(), 0, RadialGrid(400, 1.0),
+                          mode="as-written")
+    before = get()
+    put(2)
+    try:
+        assert eigen_solve(op, 4).path == "shift-invert"
+        assert seen == [1]
+        assert get() == 2
+    finally:
+        put(before)
+
+
+def test_concurrent_solves_restore_blas_threads():
+    threads = solver_mod._scipy_blas_threads()
+    if threads is None:
+        pytest.skip("scipy's BLAS exposes no OpenBLAS thread count")
+    get, put = threads
+    op = build_tangential(paraboloid(0.5, 1.0), zero_field(), 0, RadialGrid(100, 1.0),
+                          mode="as-written")
+    errors = []
+
+    def work():
+        try:
+            for _ in range(25):
+                eigen_solve(op, 4)
+        except Exception as exc:
+            errors.append(exc)
+    workers = [threading.Thread(target=work) for _ in range(4)]
+    before, interval = get(), sys.getswitchinterval()
+    put(2)
+    sys.setswitchinterval(1e-6)
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+        assert not any(w.is_alive() for w in workers)
+        assert errors == []
+        assert get() == 2
+    finally:
+        sys.setswitchinterval(interval)
+        put(before)
+
+
+def test_shift_invert_returns_smallest_real_parts_of_full_spectrum():
+    for key, op in non_normal_cases(300, ms=(0,)):
+        if key[0] == "flat":
+            continue
+        spec = eigen_solve(op, 6)
+        assert spec.path == "shift-invert"
+        np.testing.assert_allclose(spec.eigenvalues, smallest_real_parts(op.matrix, 6),
+                                   rtol=1e-9, atol=1e-9, err_msg=str(key))
+
+
+@pytest.mark.parametrize("n", [2000, 4000])
+def test_non_normal_channels_meet_contract(n):
+    for key, op in non_normal_cases(n):
+        spec = eigen_solve(op, 6)
+        assert spec.path == ("tridiagonal" if key[0] == "flat" else "shift-invert"), key
+        assert spec.residuals.max() < 1e-8, key
+
+
+def test_refinement_keeps_arnoldis_pair_where_it_alone_meets_contract():
+    # here the refined 4th pair leaves a residual of 2.4e-8, Arnoldi's 7e-10
+    op = build_tangential(sphere_cap(2.706451214352734, 1.0), zero_field(), 0,
+                          RadialGrid(1000, 1.0), mode="as-written")
+    spec = eigen_solve(op, 6)
+    assert spec.path == "shift-invert"
+    assert spec.residuals.max() < 1e-8
+
+
+def test_uncertified_selection_raises():
+    # a wide imaginary diagonal spread, or one off-diagonal pair of opposite
+    # signs (an imaginary off_j = sqrt(upper_j lower_j)), bounds |Im lambda|
+    # only by more than the distance Arnoldi covers, so the selection is
+    # not certain
+    op = build_tangential(paraboloid(0.5, 1.0), frame_synthetic(a3=0.3), 0,
+                          RadialGrid(300, 1.0))
+    spread = 1e4j * np.diag(np.linspace(-1.0, 1.0, op.n))
+    flip = np.zeros_like(spread)
+    flip[150, 151] = -2.0 * op.upper[150]
+    for change in (spread, flip):
+        with pytest.raises(SolveError, match="cannot certify"):
+            eigen_solve(dataclasses.replace(op, matrix=op.matrix + change), 6)
+
+
+def test_small_non_normal_problems_take_the_dense_path():
+    op = build_tangential(paraboloid(0.5, 1.0), zero_field(), 0, RadialGrid(48, 1.0),
+                          mode="as-written")
+    spec = eigen_solve(op, 48)
+    assert spec.path == "dense"
+    np.testing.assert_allclose(spec.eigenvalues, smallest_real_parts(op.matrix, 48),
+                               rtol=1e-9, atol=1e-9)
+    # Arnoldi needs k + ARNOLDI_EXTRA < n - 1
+    k = op.n - 2 - solver_mod.ARNOLDI_EXTRA
+    assert eigen_solve(op, k).path == "shift-invert"
+    assert eigen_solve(op, k + 1).path == "dense"
 
 
 def test_structured_channels_meet_contract_at_n2500():
