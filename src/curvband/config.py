@@ -1,9 +1,15 @@
 """Run configuration: strict YAML schema, defaults, and factories.
 
-A run is described by one YAML document.  Unknown keys are rejected by
-name, every numeric field is validated, and serialize_config/parse_config
-round-trip exactly.  The dataclasses below are the schema: accepted keys,
-defaults and the serialized document all come from their fields.
+A run is described by one YAML document; the dataclasses below are its
+schema.  Each field states its rule once: the annotation gives the type, the
+default the value of an absent key (no default: required), and the metadata
+any bound (choices, positive, minimum).  One validator, _section, enforces
+them, rejects unknown keys by name and names `section.key` in every error
+(`config.key` at the top level).  `null` reads as absent exactly for
+Optional keys and is a wrong type anywhere else.  Rules that tie keys
+together stay explicit: REQUIRED_KEYS per kind, gaussian-bump sigma > 0,
+sphere-cap radius > rho_max, gamma_interval a [lo, hi] pair within
+[0, rho_max].  serialize_config/parse_config round-trip exactly.
 
     surface:
       kind: flat | paraboloid | gaussian-bump | sphere-cap
@@ -33,29 +39,39 @@ defaults and the serialized document all come from their fields.
     output_path: .
 """
 
-from __future__ import annotations
-
+# no `from __future__ import annotations`: resolving string annotations would
+# cost a CLI run ~0.7 ms on its one parse, real ones ~0.15 ms
+import functools
 import sys
-from dataclasses import asdict, dataclass, field as dc_field, fields as dataclass_fields
-from typing import List, Optional
+from dataclasses import MISSING, asdict, dataclass, field as dc_field, fields as dataclass_fields
+from dataclasses import is_dataclass
+from typing import List, Optional, Union, get_args, get_origin, get_type_hints
 
 import yaml
 
 from . import fields, geometry
 from .errors import ConfigError
-from .operator import MODES, RadialGrid
+from .operator import MODES, RECOMMENDED_MIN_POINTS, RadialGrid
 
 SURFACE_KINDS = ("flat", "paraboloid", "gaussian-bump", "sphere-cap")
 FIELD_KINDS = ("axial-uniform", "cartesian-constant", "frame-synthetic")
 
-DEFAULT_M_LIST = [0]
-MIN_N_POINTS = 16
+MIN_N_POINTS = RECOMMENDED_MIN_POINTS
+
+# the keys a kind needs; each is Optional in its section, so null reads as absent
+REQUIRED_KEYS = {
+    "paraboloid": ("a",),
+    "gaussian-bump": ("amplitude", "sigma"),
+    "sphere-cap": ("radius",),
+    "axial-uniform": ("b",),
+    "cartesian-constant": ("c",),
+}
 
 
 @dataclass
 class SurfaceConfig:
-    kind: str
-    rho_max: float = 1.0
+    kind: str = dc_field(metadata={"choices": SURFACE_KINDS})
+    rho_max: float = dc_field(default=1.0, metadata={"positive": True})
     a: Optional[float] = None
     amplitude: Optional[float] = None
     sigma: Optional[float] = None
@@ -64,7 +80,7 @@ class SurfaceConfig:
 
 @dataclass
 class FieldConfig:
-    kind: str = "frame-synthetic"
+    kind: str = dc_field(default="frame-synthetic", metadata={"choices": FIELD_KINDS})
     b: Optional[float] = None
     c: Optional[float] = None
     a1: float = 0.0
@@ -75,7 +91,7 @@ class FieldConfig:
 
 @dataclass
 class GridConfig:
-    n_points: int = 1000
+    n_points: int = dc_field(default=1000, metadata={"minimum": MIN_N_POINTS})
 
 
 @dataclass
@@ -83,117 +99,88 @@ class RunConfig:
     surface: SurfaceConfig
     field: FieldConfig = dc_field(default_factory=FieldConfig)
     grid: GridConfig = dc_field(default_factory=GridConfig)
-    mode: str = "hermitian-corrected"
+    mode: str = dc_field(default="hermitian-corrected", metadata={"choices": MODES})
     charge_e: float = 1.0
-    m_list: List[int] = dc_field(default_factory=lambda: list(DEFAULT_M_LIST))
-    k_eigen: int = 6
-    omega: float = 1e6
-    n_normal: int = 0
-    dt: float = 1e-3
-    steps: int = 1000
+    m_list: List[int] = dc_field(default_factory=lambda: [0])
+    k_eigen: int = dc_field(default=6, metadata={"minimum": 1})
+    omega: float = dc_field(default=1e6, metadata={"positive": True})
+    n_normal: int = dc_field(default=0, metadata={"minimum": 0})
+    dt: float = dc_field(default=1e-3, metadata={"positive": True})
+    steps: int = dc_field(default=1000, metadata={"minimum": 1})
     output_path: str = "."
 
 
-def _require_mapping(obj, where: str) -> dict:
-    if obj is None:
-        return {}
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: expected a mapping, got {type(obj).__name__}")
-    return obj
+# resolving a schema's annotations takes longer than checking its values
+_type_hints = functools.cache(get_type_hints)
 
 
-def _reject_unknown(mapping: dict, schema, where: str) -> None:
-    allowed = [f.name for f in dataclass_fields(schema)]
-    for key in mapping:
-        if key not in allowed:
+def _value(value, typ, rule, key: str):
+    """value checked against the type typ and the field's rule; key names it in errors."""
+    if get_origin(typ) is Union:  # Optional[X]: null reads as absent
+        return None if value is None else _value(value, get_args(typ)[0], rule, key)
+    if get_origin(typ) is list:
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{key}: must be a non-empty list, got {value!r}")
+        return [_value(item, get_args(typ)[0], rule, key) for item in value]
+    if typ is str:
+        if "choices" in rule and value not in rule["choices"]:
+            raise ConfigError(f"{key}: must be one of {rule['choices']}, got {value!r}")
+        if not isinstance(value, str):
+            raise ConfigError(f"{key}: must be a string, got {value!r}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float) if typ is float else int):
+        raise ConfigError(f"{key}: must be {'a number' if typ is float else 'an integer'}, "
+                          f"got {value!r}")
+    if typ is float:
+        if not -sys.float_info.max <= value <= sys.float_info.max:  # also ints past float range
+            raise ConfigError(f"{key}: must be finite, got {value}")
+        value = float(value)
+    if rule.get("positive") and value <= 0:
+        raise ConfigError(f"{key}: must be > 0, got {value}")
+    if "minimum" in rule and value < rule["minimum"]:
+        raise ConfigError(f"{key}: must be >= {rule['minimum']}, got {value}")
+    return value
+
+
+def _section(raw, schema, where: str):
+    """An instance of the schema dataclass from the mapping raw, each key
+    checked by its field's rule; a dataclass field is a section of its own."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where}: expected a mapping, got {type(raw).__name__}")
+    schema_fields = {f.name: f for f in dataclass_fields(schema)}
+    for key in raw:
+        if key not in schema_fields:
             raise ConfigError(f"{where}: unknown key {key!r}")
+    types = _type_hints(schema)
+    values = {}
+    for name, f in schema_fields.items():
+        if name in raw:
+            values[name] = (_section(raw[name], types[name], name) if is_dataclass(types[name])
+                            else _value(raw[name], types[name], f.metadata, f"{where}.{name}"))
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{where}.{name}: required")
+    return schema(**values)
 
 
-def _number(mapping: dict, key: str, where: str, default=None, positive: bool = False):
-    if key not in mapping or mapping[key] is None:
-        return default
-    value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key}: must be a number, got {value!r}")
-    if not -sys.float_info.max <= value <= sys.float_info.max:  # also ints past float range
-        raise ConfigError(f"{where}.{key}: must be finite, got {value}")
-    value = float(value)
-    if positive and value <= 0:
-        raise ConfigError(f"{where}.{key}: must be > 0, got {value}")
-    return value
-
-
-def _integer(mapping: dict, key: str, where: str, default=None, minimum=None):
-    if key not in mapping or mapping[key] is None:
-        return default
-    value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}.{key}: must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{where}.{key}: must be >= {minimum}, got {value}")
-    return value
-
-
-def _parse_surface(raw) -> SurfaceConfig:
-    raw = _require_mapping(raw, "surface")
-    _reject_unknown(raw, SurfaceConfig, "surface")
-    kind = raw.get("kind")
-    if kind not in SURFACE_KINDS:
-        raise ConfigError(f"surface.kind: must be one of {SURFACE_KINDS}, got {kind!r}")
-    cfg = SurfaceConfig(
-        kind=kind,
-        rho_max=_number(raw, "rho_max", "surface", default=SurfaceConfig.rho_max, positive=True),
-        a=_number(raw, "a", "surface"),
-        amplitude=_number(raw, "amplitude", "surface"),
-        sigma=_number(raw, "sigma", "surface"),
-        radius=_number(raw, "radius", "surface"),
-    )
-    if kind == "paraboloid" and cfg.a is None:
-        raise ConfigError("surface.a: required for kind 'paraboloid'")
-    if kind == "gaussian-bump" and (cfg.amplitude is None or cfg.sigma is None):
-        raise ConfigError("surface.amplitude and surface.sigma: required for kind 'gaussian-bump'")
-    if kind == "gaussian-bump" and cfg.sigma <= 0:
-        raise ConfigError(f"surface.sigma: must be > 0, got {cfg.sigma}")
-    if kind == "sphere-cap":
-        if cfg.radius is None:
-            raise ConfigError("surface.radius: required for kind 'sphere-cap'")
-        if not cfg.radius > cfg.rho_max:
-            raise ConfigError(
-                f"surface.radius: must exceed rho_max = {cfg.rho_max}, got {cfg.radius}"
-            )
-    return cfg
-
-
-def _parse_field(raw, rho_max: float) -> FieldConfig:
-    raw = _require_mapping(raw, "field")
-    _reject_unknown(raw, FieldConfig, "field")
-    kind = raw.get("kind", FieldConfig.kind)
-    if kind not in FIELD_KINDS:
-        raise ConfigError(f"field.kind: must be one of {FIELD_KINDS}, got {kind!r}")
-    gamma = raw.get("gamma_interval")
+def _check_across_keys(config: RunConfig) -> None:
+    """The rules that tie one key to another."""
+    for where, section in (("surface", config.surface), ("field", config.field)):
+        for key in REQUIRED_KEYS.get(section.kind, ()):
+            if getattr(section, key) is None:
+                raise ConfigError(f"{where}.{key}: required for kind {section.kind!r}")
+    s = config.surface
+    if s.kind == "gaussian-bump" and s.sigma <= 0:
+        raise ConfigError(f"surface.sigma: must be > 0, got {s.sigma}")
+    if s.kind == "sphere-cap" and not s.radius > s.rho_max:
+        raise ConfigError(f"surface.radius: must exceed rho_max = {s.rho_max}, got {s.radius}")
+    gamma = config.field.gamma_interval
     if gamma is not None:
-        if (not isinstance(gamma, list) or len(gamma) != 2
-                or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in gamma)):
+        if len(gamma) != 2:
             raise ConfigError(f"field.gamma_interval: must be a [lo, hi] pair, got {gamma!r}")
-        if not (0.0 <= gamma[0] <= gamma[1] <= rho_max):
+        if not 0.0 <= gamma[0] <= gamma[1] <= s.rho_max:
             raise ConfigError(
-                f"field.gamma_interval: need 0 <= lo <= hi <= rho_max = {rho_max}, got {gamma}"
+                f"field.gamma_interval: need 0 <= lo <= hi <= rho_max = {s.rho_max}, got {gamma}"
             )
-        gamma = [float(gamma[0]), float(gamma[1])]
-    cfg = FieldConfig(
-        kind=kind,
-        b=_number(raw, "b", "field"),
-        c=_number(raw, "c", "field"),
-        a1=_number(raw, "a1", "field", default=FieldConfig.a1),
-        a2=_number(raw, "a2", "field", default=FieldConfig.a2),
-        a3=_number(raw, "a3", "field", default=FieldConfig.a3),
-        gamma_interval=gamma,
-    )
-    if kind == "axial-uniform" and cfg.b is None:
-        raise ConfigError("field.b: required for kind 'axial-uniform'")
-    if kind == "cartesian-constant" and cfg.c is None:
-        raise ConfigError("field.c: required for kind 'cartesian-constant'")
-    return cfg
 
 
 def parse_config(text: str, overrides: Optional[dict] = None) -> RunConfig:
@@ -209,51 +196,15 @@ def parse_config(text: str, overrides: Optional[dict] = None) -> RunConfig:
         line = f" at line {mark.line + 1}" if mark is not None else ""
         raise ConfigError(f"config parse error{line}: {exc}") from exc
 
-    raw = _require_mapping(raw, "config")
-    for key, value in (overrides or {}).items():
-        if isinstance(value, dict):
-            value = {**_require_mapping(raw.get(key), key), **value}
-        raw[key] = value
-    _reject_unknown(raw, RunConfig, "config")
-    if "surface" not in raw:
-        raise ConfigError("surface: required")
-    surface = _parse_surface(raw["surface"])
-    field_cfg = _parse_field(raw.get("field"), surface.rho_max)
-
-    grid_raw = _require_mapping(raw.get("grid"), "grid")
-    _reject_unknown(grid_raw, GridConfig, "grid")
-    grid = GridConfig(
-        n_points=_integer(grid_raw, "n_points", "grid",
-                          default=GridConfig.n_points, minimum=MIN_N_POINTS)
-    )
-
-    mode = raw.get("mode", RunConfig.mode)
-    if mode not in MODES:
-        raise ConfigError(f"mode: must be one of {MODES}, got {mode!r}")
-
-    output_path = raw.get("output_path", RunConfig.output_path)
-    if not isinstance(output_path, str):
-        raise ConfigError(f"output_path: must be a string, got {output_path!r}")
-
-    m_list = raw.get("m_list", list(DEFAULT_M_LIST))
-    if (not isinstance(m_list, list) or not m_list
-            or any(isinstance(v, bool) or not isinstance(v, int) for v in m_list)):
-        raise ConfigError(f"m_list: must be a non-empty list of integers, got {m_list!r}")
-
-    return RunConfig(
-        surface=surface,
-        field=field_cfg,
-        grid=grid,
-        mode=mode,
-        charge_e=_number(raw, "charge_e", "config", default=RunConfig.charge_e),
-        m_list=list(m_list),
-        k_eigen=_integer(raw, "k_eigen", "config", default=RunConfig.k_eigen, minimum=1),
-        omega=_number(raw, "omega", "config", default=RunConfig.omega, positive=True),
-        n_normal=_integer(raw, "n_normal", "config", default=RunConfig.n_normal, minimum=0),
-        dt=_number(raw, "dt", "config", default=RunConfig.dt, positive=True),
-        steps=_integer(raw, "steps", "config", default=RunConfig.steps, minimum=1),
-        output_path=output_path,
-    )
+    if isinstance(raw, dict):  # anything else fails in _section below
+        for key, value in (overrides or {}).items():
+            if not isinstance(value, dict):
+                raw[key] = value
+            elif isinstance(raw.setdefault(key, {}), dict):  # else _section names the bad value
+                raw[key] = {**raw[key], **value}
+    config = _section(raw, RunConfig, "config")
+    _check_across_keys(config)
+    return config
 
 
 def serialize_config(config: RunConfig) -> str:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,13 +67,12 @@ class RadialGrid:
         return self.spacing * np.arange(1, self.n_points + 1)
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class TangentialOperator:
     """Discretized tangential operator for one azimuthal channel.
 
-    The operator is tridiagonal and kept as its bands: lower[j] = M[j+1, j],
-    diag[j] = M[j, j], upper[j] = M[j, j+1].  A dense tridiagonal matrix=
-    may be given instead, so dataclasses.replace(op, matrix=M) works.
+    The operator is tridiagonal and kept as its complex bands:
+    lower[j] = M[j+1, j], diag[j] = M[j, j], upper[j] = M[j, j+1].
     measure_weights are the surface-measure quadrature weights rho Z drho;
     the corrected operator with no field is self-adjoint under them.
     coupling_diag holds e * A3 * H per node, the coefficient of the
@@ -89,17 +88,6 @@ class TangentialOperator:
     lower: np.ndarray
     diag: np.ndarray
     upper: np.ndarray
-
-    def __init__(self, m, mode, charge_e, measure_weights, grid, coupling_diag,
-                 lower=None, diag=None, upper=None, matrix=None):
-        if matrix is not None:
-            lower, diag, upper = (np.diagonal(matrix, k) for k in (-1, 0, 1))
-            if np.count_nonzero(matrix) != sum(map(np.count_nonzero, (lower, diag, upper))):
-                raise DomainError("operator matrix must be tridiagonal")
-        lower, diag, upper = (np.array(b, dtype=complex) for b in (lower, diag, upper))
-        values = (m, mode, charge_e, measure_weights, grid, coupling_diag, lower, diag, upper)
-        for f, value in zip(dataclass_fields(self), values):
-            object.__setattr__(self, f.name, value)
 
     @property
     def n(self) -> int:

@@ -161,7 +161,7 @@ def test_criterion_7_spectral_shift_covariance():
         op = build_tangential(paraboloid(0.5, 1.0), zero_field(), 0,
                               RadialGrid(100, 1.0))
         shift = 0.125 - 0.375j
-        moved = dataclasses.replace(op, matrix=op.matrix + shift * np.eye(op.n))
+        moved = dataclasses.replace(op, diag=op.diag + shift)
         base = eigen_solve(op, op.n).eigenvalues
         shifted = eigen_solve(moved, op.n).eigenvalues
         assert np.abs(shifted - shift - base).max() < 1e-10

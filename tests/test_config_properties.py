@@ -3,8 +3,15 @@
 Valid documents are drawn for every surface x field kind, each optional
 key present or absent.  Invalid ones are valid documents with one value
 replaced by junk or an unknown key added, and raw text.  Examples are
-derandomized, so every run checks the same cases.
+derandomized, so every run checks the same cases.  Every schema key is
+also checked against its declared type and rule, and each required key
+for an error that names it.
 """
+
+import copy
+import dataclasses
+import re
+import typing
 
 import pytest
 import yaml
@@ -130,6 +137,72 @@ def test_corrupted_documents_raise_only_config_error(surface_kind, field_kind, d
 def test_output_path_must_be_a_string(value):
     with pytest.raises(ConfigError, match="output_path: must be a string"):
         parse_config(f"surface:\n  kind: flat\noutput_path: {value}\n")
+
+
+# every key a kind requires, set, so that one can be taken out
+COMPLETE = {"surface": {"kind": "flat", "a": 0.5, "amplitude": 0.3, "sigma": 0.5, "radius": 2.0},
+            "field": {"kind": "frame-synthetic", "b": 1.0, "c": 0.7}}
+
+
+REQUIRED_BY_KIND = [("paraboloid", "a"), ("gaussian-bump", "amplitude"),
+                    ("gaussian-bump", "sigma"), ("sphere-cap", "radius"),
+                    ("axial-uniform", "b"), ("cartesian-constant", "c")]
+
+
+@pytest.mark.parametrize("kind, key, removal", [
+    *[(kind, key, removal) for kind, key in REQUIRED_BY_KIND for removal in ("absent", "null")],
+    (None, "kind", "absent"),
+])
+def test_a_missing_required_key_is_named(kind, key, removal):
+    doc = copy.deepcopy(COMPLETE)
+    section = "field" if kind in FIELD_KINDS else "surface"
+    doc[section]["kind"] = kind
+    if removal == "null":
+        doc[section][key] = None
+    else:
+        del doc[section][key]
+    with pytest.raises(ConfigError, match=rf"^{section}\.{key}: required"):
+        parse_config(yaml.safe_dump(doc))
+
+
+SECTIONS = {SurfaceConfig: "surface", FieldConfig: "field", GridConfig: "grid", RunConfig: "config"}
+SCHEMA_FIELDS = [(schema, f) for schema in SECTIONS for f in dataclasses.fields(schema)]
+
+
+def _with_value(schema, key, value):
+    """A flat-surface document with the key of schema's section set to value."""
+    doc = {"surface": {"kind": "flat"}}
+    section = doc if schema is RunConfig else doc.setdefault(SECTIONS[schema], {})
+    section[key] = value
+    return yaml.safe_dump(doc)
+
+
+def _breaches(rule):
+    """One well-typed value for each bound in a field's rule, each out of bounds."""
+    return ((["not-a-choice"] if "choices" in rule else [])
+            + ([0.0] if rule.get("positive") else [])
+            + ([rule["minimum"] - 1] if "minimum" in rule else []))
+
+
+@pytest.mark.parametrize("schema, f", SCHEMA_FIELDS,
+                         ids=[f"{SECTIONS[s]}.{f.name}" for s, f in SCHEMA_FIELDS])
+def test_every_schema_key_follows_its_declared_rule(schema, f):
+    annotation = typing.get_type_hints(schema)[f.name]
+    # a section is named by its own key, every other key by section.key
+    name = f.name if dataclasses.is_dataclass(annotation) else f"{SECTIONS[schema]}.{f.name}"
+    wrong = [1] if dataclasses.is_dataclass(annotation) else {"junk": 1}
+    for value in [wrong, *_breaches(f.metadata)]:
+        with pytest.raises(ConfigError, match=rf"^{re.escape(name)}: "):
+            parse_config(_with_value(schema, f.name, value))
+
+    # null reads as absent exactly for Optional keys
+    if type(None) in typing.get_args(annotation):
+        cfg = parse_config(_with_value(schema, f.name, None))
+        section = cfg if schema is RunConfig else getattr(cfg, SECTIONS[schema])
+        assert getattr(section, f.name) is None
+    else:
+        with pytest.raises(ConfigError, match=rf"^{re.escape(name)}: "):
+            parse_config(_with_value(schema, f.name, None))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

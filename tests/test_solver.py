@@ -28,7 +28,7 @@ from oracles import disc_dirichlet_energy
 
 
 def shifted_copy(op, shift):
-    return dataclasses.replace(op, matrix=op.matrix + shift * np.eye(op.n))
+    return dataclasses.replace(op, diag=op.diag + shift)
 
 
 # ----------------------------------------------------------------------
