@@ -7,9 +7,11 @@ any bound (choices, positive, minimum).  One validator, _section, enforces
 them, rejects unknown keys by name and names `section.key` in every error
 (`config.key` at the top level).  `null` reads as absent exactly for
 Optional keys and is a wrong type anywhere else.  Rules that tie keys
-together stay explicit: REQUIRED_KEYS per kind, gaussian-bump sigma > 0,
+together stay explicit: KIND_KEYS, the keys each kind requires and reads (a
+key only other kinds read must keep its default), gaussian-bump sigma > 0,
 sphere-cap radius > rho_max, gamma_interval a [lo, hi] pair within
-[0, rho_max].  serialize_config/parse_config round-trip exactly.
+[0, rho_max], k_eigen <= n_points.  serialize_config/parse_config
+round-trip exactly.
 
     surface:
       kind: flat | paraboloid | gaussian-bump | sphere-cap
@@ -58,14 +60,19 @@ FIELD_KINDS = ("axial-uniform", "cartesian-constant", "frame-synthetic")
 
 MIN_N_POINTS = RECOMMENDED_MIN_POINTS
 
-# the keys a kind needs; each is Optional in its section, so null reads as absent
-REQUIRED_KEYS = {
-    "paraboloid": ("a",),
-    "gaussian-bump": ("amplitude", "sigma"),
-    "sphere-cap": ("radius",),
-    "axial-uniform": ("b",),
-    "cartesian-constant": ("c",),
+# the keys each kind reads besides kind and rho_max: (required, optional).
+# Required keys are Optional in their section, so null reads as absent; a key
+# that only other kinds read must hold its default.
+KIND_KEYS = {
+    "flat": ((), ()),
+    "paraboloid": (("a",), ()),
+    "gaussian-bump": (("amplitude", "sigma"), ()),
+    "sphere-cap": (("radius",), ()),
+    "axial-uniform": (("b",), ()),
+    "cartesian-constant": (("c",), ()),
+    "frame-synthetic": ((), ("a1", "a2", "a3", "gamma_interval")),
 }
+_KIND_SPECIFIC = {key for keys in KIND_KEYS.values() for key in keys[0] + keys[1]}
 
 
 @dataclass
@@ -164,10 +171,20 @@ def _section(raw, schema, where: str):
 
 def _check_across_keys(config: RunConfig) -> None:
     """The rules that tie one key to another."""
-    for where, section in (("surface", config.surface), ("field", config.field)):
-        for key in REQUIRED_KEYS.get(section.kind, ()):
+    sections = (("surface", config.surface), ("field", config.field))
+    for where, section in sections:
+        for key in KIND_KEYS[section.kind][0]:
             if getattr(section, key) is None:
                 raise ConfigError(f"{where}.{key}: required for kind {section.kind!r}")
+    for where, section in sections:  # after the required keys of both sections
+        required, optional = KIND_KEYS[section.kind]
+        for f in dataclass_fields(section):
+            foreign = f.name in _KIND_SPECIFIC and f.name not in required + optional
+            if foreign and getattr(section, f.name) != f.default:
+                raise ConfigError(f"{where}.{f.name}: not read by kind {section.kind!r}")
+    if config.k_eigen > config.grid.n_points:
+        raise ConfigError(f"config.k_eigen: must be <= grid.n_points = {config.grid.n_points}, "
+                          f"got {config.k_eigen}")
     s = config.surface
     if s.kind == "gaussian-bump" and s.sigma <= 0:
         raise ConfigError(f"surface.sigma: must be > 0, got {s.sigma}")

@@ -1,37 +1,44 @@
 """Independent numerical oracles used by the test suite.
 
 These deliberately avoid the library under test (and scipy.special): Bessel
-functions come from the defining power series, their zeros from bracketing
-plus bisection, and curvatures from fresh central differences of the
+functions come from the defining power series, summed in decimal arithmetic
+with the digits its cancellation needs, their zeros from bracketing plus bisection, and curvatures from fresh central differences of the
 generator.  Reference constants derived from them are frozen in the tests.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 
 import numpy as np
 
 
 def bessel_j(m: int, x: float) -> float:
-    """J_m(x) by power series: sum_k (-1)^k (x/2)^(m+2k) / (k! (m+k)!)."""
+    """J_m(x) by power series: sum_k (-1)^k (x/2)^(m+2k) / (k! (m+k)!).
+
+    The terms grow to ~e^x before they cancel, so the series is summed in
+    decimal arithmetic with 40 + x/2 digits, which keeps every digit that
+    float64 can hold of the result.
+    """
     if x == 0.0:
         return 1.0 if m == 0 else 0.0
-    total = 0.0
-    log_half_x = math.log(x / 2.0)
-    for k in range(250):
-        term = math.exp((m + 2 * k) * log_half_x
-                        - math.lgamma(k + 1) - math.lgamma(m + k + 1))
-        if k % 2:
-            term = -term
-        total += term
-        if abs(term) < 1e-18 * max(1.0, abs(total)) and 2 * k > x:
-            break
-    return total
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40 + math.ceil(0.5 * x)
+        tiny = decimal.Decimal(10) ** -(ctx.prec - 5)
+        sq = (decimal.Decimal(x) / 2) ** 2       # Decimal(float) is exact
+        term = (decimal.Decimal(x) / 2) ** m / math.factorial(m)
+        total, k = term, 0
+        while 2 * k <= x or abs(term) >= tiny:
+            k += 1
+            term = -term * sq / (k * (m + k))
+            total += term
+        return float(total)
 
 
 def bessel_zero(m: int, k: int) -> float:
-    """k-th positive zero of J_m by scan-and-bisect (no library calls)."""
+    """k-th positive zero of J_m by scan-and-bisect (no library calls),
+    bisected until the bracket is two adjacent floats."""
     x, step = 1e-6, 0.05
     found = 0
     f0 = bessel_j(m, x)
@@ -42,7 +49,7 @@ def bessel_zero(m: int, k: int) -> float:
             found += 1
             if found == k:
                 lo, hi, flo = x, x1, f0
-                while hi - lo > 1e-14 * max(1.0, lo):
+                while lo < 0.5 * (lo + hi) < hi:
                     mid = 0.5 * (lo + hi)
                     fm = bessel_j(m, mid)
                     if flo * fm <= 0.0:

@@ -1,6 +1,7 @@
 """Config schema, CLI subcommands, CSV determinism."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,29 @@ def test_missing_required_parameters_rejected():
         parse_config("surface:\n  kind: sphere-cap\n")
     with pytest.raises(ConfigError, match="field.b"):
         parse_config(MINIMAL + "field:\n  kind: axial-uniform\n")
+
+
+def test_keys_the_kind_does_not_read_rejected_unless_default():
+    with pytest.raises(ConfigError, match=r"^field\.a3: not read by kind 'axial-uniform'$"):
+        parse_config(MINIMAL + "field:\n  kind: axial-uniform\n  b: 1.0\n  a3: 5.0\n")
+    with pytest.raises(ConfigError, match=r"^surface\.a: not read by kind 'sphere-cap'$"):
+        parse_config("surface:\n  kind: sphere-cap\n  radius: 2.0\n  a: 0.7\n")
+    # at their defaults they are accepted, and the echo stays as before
+    cfg = parse_config("surface:\n  kind: sphere-cap\n  radius: 2.0\n  a: null\n"
+                       "field:\n  kind: axial-uniform\n  b: 1.0\n  a1: 0\n  a3: 0.0\n")
+    assert serialize_config(cfg) == serialize_config(parse_config(
+        "surface:\n  kind: sphere-cap\n  radius: 2.0\nfield:\n  kind: axial-uniform\n  b: 1.0\n"))
+
+
+def test_k_eigen_bounded_by_the_grid(tmp_path, capsys):
+    message = "config.k_eigen: must be <= grid.n_points = 20, got 50"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(MINIMAL + "grid:\n  n_points: 20\nk_eigen: 50\n")
+    assert parse_config(MINIMAL + "grid:\n  n_points: 20\nk_eigen: 20\n").k_eigen == 20
+    # checked after the flags replace the document's keys
+    code, _ = run_cli(tmp_path, MINIMAL + "k_eigen: 50\n", "spectrum", "--n-points", "20")
+    assert code == 1
+    assert message in capsys.readouterr().err
 
 
 def test_malformed_yaml_reports_line():

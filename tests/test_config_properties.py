@@ -1,8 +1,9 @@
 """Property tests of the run-configuration schema (Hypothesis).
 
 Valid documents are drawn for every surface x field kind, each optional
-key present or absent.  Invalid ones are valid documents with one value
-replaced by junk or an unknown key added, and raw text.  Examples are
+key present or absent, and a key another kind reads only at its default.
+Invalid ones are valid documents with one value replaced or added as junk,
+or a key another kind reads set off its default, and raw text.  Examples are
 derandomized, so every run checks the same cases.  Every schema key is
 also checked against its declared type and rule, and each required key
 for an error that names it.
@@ -39,6 +40,10 @@ REQUIRED = {"flat": {}, "paraboloid": {"a": finite},
             "gaussian-bump": {"amplitude": finite, "sigma": positive},
             "sphere-cap": {}, "frame-synthetic": {},
             "axial-uniform": {"b": finite}, "cartesian-constant": {"c": finite}}
+# keys that only some kinds read; any other kind takes them only at their defaults
+READ_BY = {"a": "paraboloid", "amplitude": "gaussian-bump", "sigma": "gaussian-bump",
+           "radius": "sphere-cap", "b": "axial-uniform", "c": "cartesian-constant",
+           **dict.fromkeys(("a1", "a2", "a3", "gamma_interval"), "frame-synthetic")}
 
 
 def _some(draw, target, options):
@@ -57,7 +62,7 @@ def documents(draw, surface_kind, field_kind):
     if surface_kind == "sphere-cap":
         surface["radius"] = limit + draw(st.floats(min_value=1e-2, max_value=1e2))
     surface.update({k: draw(s) for k, s in REQUIRED[surface_kind].items()})
-    _some(draw, surface, {k: maybe(finite) for k in ("a", "amplitude", "sigma", "radius")})
+    _some(draw, surface, {k: st.none() for k in ("a", "amplitude", "sigma", "radius")})
 
     field = {"kind": field_kind}
     field.update({k: draw(s) for k, s in REQUIRED[field_kind].items()})
@@ -65,19 +70,22 @@ def documents(draw, surface_kind, field_kind):
         del field["kind"]
     gamma = st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2).map(
         lambda pair: sorted(v * limit for v in pair))
-    _some(draw, field, {"b": maybe(finite), "c": maybe(finite), "a1": finite,
-                        "a2": finite, "a3": finite, "gamma_interval": maybe(gamma)})
+    synthetic = field_kind == "frame-synthetic"
+    _some(draw, field, {"b": st.none(), "c": st.none(),
+                        **{k: finite if synthetic else st.just(0.0) for k in ("a1", "a2", "a3")},
+                        "gamma_interval": maybe(gamma) if synthetic else st.none()})
 
     doc = {"surface": surface}
     if field_kind != FieldConfig.kind:
         doc["field"] = field
+    n_points = draw(st.integers(MIN_N_POINTS, 10 ** 6))
     _some(draw, doc, {
         "field": st.just(field),
-        "grid": st.just({}) | st.builds(dict, n_points=st.integers(MIN_N_POINTS, 10 ** 6)),
+        "grid": st.just({}) | st.just({"n_points": n_points}),
         "mode": st.sampled_from(MODES),
         "charge_e": finite,
         "m_list": st.lists(st.integers(-50, 50), min_size=1, max_size=4),
-        "k_eigen": st.integers(1, 10 ** 4),
+        "k_eigen": st.integers(1, min(n_points, GridConfig.n_points, 10 ** 4)),
         "omega": positive,
         "n_normal": st.integers(0, 100),
         "dt": positive,
@@ -126,11 +134,31 @@ def _parses_or_config_error(text):
 @given(data=st.data())
 def test_corrupted_documents_raise_only_config_error(surface_kind, field_kind, data):
     doc = data.draw(documents(surface_kind, field_kind))
-    section = data.draw(st.sampled_from([None, "surface", "field", "grid"]))
+    section, schema = data.draw(st.sampled_from(
+        [(None, RunConfig), ("surface", SurfaceConfig), ("field", FieldConfig),
+         ("grid", GridConfig)]))
     target = doc if section is None else doc.setdefault(section, {})
-    key = data.draw(st.sampled_from(sorted(target) + ["unknown_key"]))
+    # any key of the section, a key of another kind included, or an unknown one
+    keys = {f.name for f in dataclasses.fields(schema)} | set(target)
+    key = data.draw(st.sampled_from(sorted(keys) + ["unknown_key"]))
     target[key] = data.draw(junk)
     _parses_or_config_error(yaml.safe_dump(doc))
+
+
+@kinds
+@PROPERTY
+@given(data=st.data())
+def test_a_key_the_kind_does_not_read_is_named(surface_kind, field_kind, data):
+    doc = data.draw(documents(surface_kind, field_kind))
+    section, kind = data.draw(st.sampled_from([("surface", surface_kind), ("field", field_kind)]))
+    schema = SurfaceConfig if section == "surface" else FieldConfig
+    key = data.draw(st.sampled_from(
+        [f.name for f in dataclasses.fields(schema) if READ_BY.get(f.name, kind) != kind]))
+    limit = doc["surface"].get("rho_max", SurfaceConfig.rho_max)
+    doc.setdefault(section, {})[key] = ([0.0, limit] if key == "gamma_interval"
+                                        else data.draw(finite.filter(bool)))
+    with pytest.raises(ConfigError, match=rf"^{section}\.{key}: not read by kind {kind!r}$"):
+        parse_config(yaml.safe_dump(doc))
 
 
 @pytest.mark.parametrize("value", ["null", "[1, 2]", "12", "1.5", "true", "{a: b}"])

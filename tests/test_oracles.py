@@ -13,10 +13,25 @@ FROZEN_ZEROS = {
 }
 
 
+# zeros 4-6 of J_0, J_1, J_2, taken once from scipy.special.jn_zeros; the
+# float64 sum of the series missed the 6th by up to 8.3e-7 (m = 2)
+FROZEN_HIGHER_ZEROS = {
+    0: (11.791534439014281, 14.930917708487787, 18.071063967910924),
+    1: (13.323691936314223, 16.470630050877634, 19.615858510468243),
+    2: (14.795951782351262, 17.959819494987826, 21.116997053021844),
+}
+
+
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_bessel_zeros_match_frozen_values(m):
     for k, ref in enumerate(FROZEN_ZEROS[m], start=1):
         assert abs(bessel_zero(m, k) - ref) < 1e-9
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_higher_bessel_zeros_match_frozen_values(m):
+    for k, ref in enumerate(FROZEN_HIGHER_ZEROS[m], start=4):
+        assert abs(bessel_zero(m, k) - ref) < 1e-12
 
 
 def test_bessel_series_small_argument():
