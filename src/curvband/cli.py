@@ -194,6 +194,9 @@ def main(argv=None) -> int:
     except CurvbandError as exc:
         print(f"error: {args.command}: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        print(f"error: {args.command}: cannot write output: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Static vector potentials in the surface-adapted frame.
 
-A field is carried as its three physical components (A1, A2, A3) along the
-adapted frame (e1, e2, e3), each a vectorized map of (rho, q).  Components
-must be axisymmetric; Cartesian fields are admitted through projection and
+A field is carried as one vectorized map (rho, q) -> (A1, A2, A3) of its
+physical components along the adapted frame (e1, e2, e3).  Components must
+be axisymmetric; Cartesian fields are admitted through projection and
 checked for axisymmetry at construction.
 
 The divergence in the offset chart,
@@ -32,29 +32,11 @@ Q_STEP = 1e-5
 class VectorPotentialSpec:
     """Axisymmetric vector potential by frame components.
 
-    A1, A2, A3 map (rho, q) to the physical component along e1, e2, e3.
-    region_mask, when present, is the indicator of the support region
-    applied at construction time.
+    components maps (rho, q) to the arrays (A1, A2, A3), the physical
+    components along e1, e2, e3 at those points.
     """
 
-    A1: Callable
-    A2: Callable
-    A3: Callable
-    source: str  # "frame-given" | "cartesian-projected"
-    region_mask: Optional[Callable] = None
-
-
-def _component(value, mask) -> Callable:
-    """Lift a constant or (rho, q) callable to a masked vectorized map."""
-    def comp(rho, q):
-        r = _farr(rho)
-        raw = value(r, q) if callable(value) else float(value)
-        out = np.broadcast_to(_farr(raw), r.shape).astype(float)
-        if mask is not None:
-            out *= mask(r)
-        return out
-
-    return comp
+    components: Callable
 
 
 def frame_synthetic(a1=0.0, a2=0.0, a3=0.0,
@@ -64,22 +46,22 @@ def frame_synthetic(a1=0.0, a2=0.0, a3=0.0,
     gamma_interval = (lo, hi) restricts the support to lo <= rho <= hi with
     hard edges; outside, all components vanish.
     """
-    mask = None
     if gamma_interval is not None:
         lo, hi = float(gamma_interval[0]), float(gamma_interval[1])
         if not lo <= hi:
             raise DomainError(f"gamma_interval must be ordered, got {gamma_interval}")
 
-        def mask(r):
-            return ((r >= lo) & (r <= hi)).astype(float)
+    def components(rho, q):
+        r = _farr(rho)
+        out = tuple(np.broadcast_to(_farr(v(r, q) if callable(v) else float(v)),
+                                    r.shape).astype(float) for v in (a1, a2, a3))
+        if gamma_interval is not None:
+            mask = ((r >= lo) & (r <= hi)).astype(float)
+            for value in out:
+                value *= mask
+        return out
 
-    return VectorPotentialSpec(
-        A1=_component(a1, mask),
-        A2=_component(a2, mask),
-        A3=_component(a3, mask),
-        source="frame-given",
-        region_mask=mask,
-    )
+    return VectorPotentialSpec(components)
 
 
 def zero_field() -> VectorPotentialSpec:
@@ -120,45 +102,31 @@ def project_to_frame(cartesian_field: Callable, profile: SurfaceProfile,
     return float(a1), float(a2), float(a3)
 
 
-def from_cartesian(cartesian_field: Callable, profile: SurfaceProfile,
-                   check_axisymmetry: bool = True) -> VectorPotentialSpec:
+def _projected(cartesian_field: Callable, profile: SurfaceProfile) -> VectorPotentialSpec:
+    """Spec sampling an axisymmetric Cartesian field at phi = 0, one
+    projection per components call."""
+    return VectorPotentialSpec(
+        lambda rho, q: _frame_components(cartesian_field, profile, rho, 0.0, q))
+
+
+def from_cartesian(cartesian_field: Callable, profile: SurfaceProfile) -> VectorPotentialSpec:
     """Field spec from a Cartesian field (x, y, z) -> (fx, fy, fz).
 
     Components are sampled at phi = 0, which is exact only when the frame
     components carry no phi dependence; a spot check at several angles
-    enforces this unless disabled.
+    enforces this.
     """
-    if check_axisymmetry:
-        probes = np.array([0.25, 0.55, 0.9]) * profile.rho_max
-        base = np.array(_frame_components(cartesian_field, profile, probes, 0.0, 0.0))
-        scale = max(1.0, np.abs(base).max())
-        for phi in (1.1, 2.7, 4.3):
-            other = np.array(_frame_components(cartesian_field, profile, probes, phi, 0.0))
-            if np.abs(other - base).max() > 1e-10 * scale:
-                raise EvaluationError(
-                    "cartesian field has phi-dependent frame components; "
-                    "only axisymmetric fields are supported"
-                )
-
-    # the (rho, q) of the last projection and its three components: the
-    # components are asked for one after another at the same points
-    last = None
-
-    def make(i):
-        def comp(rho, q):
-            nonlocal last
-            r, qq = _farr(rho), _farr(q)
-            key = (r.shape, r.tobytes(), qq.shape, qq.tobytes())
-            cached = last
-            if cached is None or cached[0] != key:
-                cached = last = (key, _frame_components(cartesian_field, profile, rho, 0.0, q))
-            return cached[1][i]
-        return comp
-
-    return VectorPotentialSpec(
-        A1=make(0), A2=make(1), A3=make(2),
-        source="cartesian-projected", region_mask=None,
-    )
+    probes = np.array([0.25, 0.55, 0.9]) * profile.rho_max
+    base = np.array(_frame_components(cartesian_field, profile, probes, 0.0, 0.0))
+    scale = max(1.0, np.abs(base).max())
+    for phi in (1.1, 2.7, 4.3):
+        other = np.array(_frame_components(cartesian_field, profile, probes, phi, 0.0))
+        if np.abs(other - base).max() > 1e-10 * scale:
+            raise EvaluationError(
+                "cartesian field has phi-dependent frame components; "
+                "only axisymmetric fields are supported"
+            )
+    return _projected(cartesian_field, profile)
 
 
 def axial_uniform(b: float, profile: SurfaceProfile) -> VectorPotentialSpec:
@@ -170,7 +138,7 @@ def axial_uniform(b: float, profile: SurfaceProfile) -> VectorPotentialSpec:
     def field(x, y, z):
         return -0.5 * b * y, 0.5 * b * x, np.zeros_like(_farr(z))
 
-    return from_cartesian(field, profile, check_axisymmetry=False)
+    return _projected(field, profile)
 
 
 def cartesian_constant(c: float, profile: SurfaceProfile) -> VectorPotentialSpec:
@@ -179,7 +147,7 @@ def cartesian_constant(c: float, profile: SurfaceProfile) -> VectorPotentialSpec
         zz = _farr(z)
         return np.zeros_like(zz), np.zeros_like(zz), np.full_like(zz, float(c))
 
-    return from_cartesian(field, profile, check_axisymmetry=False)
+    return _projected(field, profile)
 
 
 # ----------------------------------------------------------------------
@@ -188,7 +156,7 @@ def cartesian_constant(c: float, profile: SurfaceProfile) -> VectorPotentialSpec
 
 def divergence(A: VectorPotentialSpec, profile: SurfaceProfile,
                rho, q: float = 0.0,
-               step_rho: Optional[float] = None, step_q: float = Q_STEP):
+               step_rho: Optional[float] = None):
     """Numeric divergence of A at (rho, q) by central differences.
 
     rho is a scalar (a float is returned) or an array of radii.  The
@@ -203,14 +171,14 @@ def divergence(A: VectorPotentialSpec, profile: SurfaceProfile,
 
     def radial_flux(rr):
         _, h2 = offset_scale_factors(profile, rr, q)
-        return h2 * A.A1(rr, q)
+        return h2 * A.components(rr, q)[0]
 
     def normal_flux(qq):
         h1, h2 = offset_scale_factors(profile, r, qq)
-        return h1 * h2 * A.A3(r, qq)
+        return h1 * h2 * A.components(r, qq)[2]
 
     d_rho = (radial_flux(r + h) - radial_flux(r - h)) / (2.0 * h)
-    d_q = (normal_flux(q + step_q) - normal_flux(q - step_q)) / (2.0 * step_q)
+    d_q = (normal_flux(q + Q_STEP) - normal_flux(q - Q_STEP)) / (2.0 * Q_STEP)
     h1, h2 = offset_scale_factors(profile, r, q)
     denom = h1 * h2
     folded = denom <= 0.0
@@ -266,4 +234,4 @@ def coupling_profile(A: VectorPotentialSpec, profile: SurfaceProfile, grid) -> n
     """Per-node product A3(rho, 0) * H(rho), the imaginary-potential source."""
     nodes = grid.nodes
     _, H, _ = curvatures(profile, nodes)
-    return np.asarray(A.A3(nodes, 0.0), dtype=float) * H
+    return np.asarray(A.components(nodes, 0.0)[2], dtype=float) * H

@@ -43,7 +43,7 @@ class SurfaceProfile:
 
     S, S_rho and S_rhorho are vectorized callables of rho.  For a smooth
     axisymmetric surface the generator is even in rho, so S_rho(0) = 0;
-    analytic profiles are checked for this at construction.
+    every profile is checked for this at construction.
     """
 
     name: str
@@ -51,22 +51,15 @@ class SurfaceProfile:
     S_rho: Callable
     S_rhorho: Callable
     rho_max: float
-    derivative_source: str = "analytic"
 
     def __post_init__(self):
         if self.rho_max <= 0 or not math.isfinite(self.rho_max):
             raise DomainError(f"rho_max must be positive and finite, got {self.rho_max}")
-        if self.derivative_source not in ("analytic", "finite-difference"):
-            raise DomainError(
-                f"derivative_source must be 'analytic' or 'finite-difference', "
-                f"got {self.derivative_source!r}"
+        slope0 = float(self.S_rho(0.0))
+        if not math.isfinite(slope0) or abs(slope0) > 1e-10:
+            raise EvaluationError(
+                f"profile {self.name!r}: S_rho(0) = {slope0} violates axis smoothness"
             )
-        if self.derivative_source == "analytic":
-            slope0 = float(self.S_rho(0.0))
-            if not math.isfinite(slope0) or abs(slope0) > 1e-10:
-                raise EvaluationError(
-                    f"profile {self.name!r}: S_rho(0) = {slope0} violates axis smoothness"
-                )
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,8 +183,7 @@ def from_height_function(name: str, S: Callable, rho_max: float) -> SurfaceProfi
         r = _farr(r)
         return (S_even(r + h) - 2.0 * S_even(r) + S_even(r - h)) / (h * h)
 
-    return SurfaceProfile(name, S_even, S_rho, S_rhorho, rho_max,
-                          derivative_source="finite-difference")
+    return SurfaceProfile(name, S_even, S_rho, S_rhorho, rho_max)
 
 
 def catalog(rho_max: float = 1.0) -> dict:

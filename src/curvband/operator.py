@@ -28,6 +28,7 @@ and preserves second-order eigenvalue convergence.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -53,8 +54,8 @@ class RadialGrid:
     rho_max: float
 
     def __post_init__(self):
-        if self.n_points < 1:
-            raise DomainError(f"n_points must be >= 1, got {self.n_points}")
+        if not isinstance(self.n_points, numbers.Integral) or self.n_points < 1:
+            raise DomainError(f"n_points must be an integer >= 1, got {self.n_points!r}")
         if not (self.rho_max > 0 and math.isfinite(self.rho_max)):
             raise DomainError(f"rho_max must be positive and finite, got {self.rho_max}")
 
@@ -116,12 +117,19 @@ class NormalChannel:
     energy: float
 
 
+def _whole(name: str, value) -> int:
+    """value as an int; DomainError naming the argument unless finite and whole."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and int(value) == value):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def normal_energy(omega: float, n: int) -> float:
     """Analytic confinement ladder omega (n + 1/2); no discretization."""
     if omega <= 0 or not math.isfinite(omega):
         raise DomainError(f"omega must be positive, got {omega}")
-    if n < 0 or int(n) != n:
-        raise DomainError(f"level index must be a non-negative integer, got {n}")
+    if _whole("level index n", n) < 0:
+        raise DomainError(f"level index n must be non-negative, got {n}")
     return omega * (n + 0.5)
 
 
@@ -135,8 +143,7 @@ def build_tangential(profile: SurfaceProfile, A: VectorPotentialSpec, m: int,
     """Assemble the three bands of the complex tangential operator at q = 0."""
     if mode not in MODES:
         raise DomainError(f"mode must be one of {MODES}, got {mode!r}")
-    if int(m) != m:
-        raise DomainError(f"azimuthal index must be an integer, got {m}")
+    m = _whole("azimuthal index m", m)
     if grid.n_points < RECOMMENDED_MIN_POINTS:
         warnings.warn(
             f"n_points = {grid.n_points} < {RECOMMENDED_MIN_POINTS}; "
@@ -144,7 +151,6 @@ def build_tangential(profile: SurfaceProfile, A: VectorPotentialSpec, m: int,
             CoarseGridWarning, stacklevel=2,
         )
 
-    m = int(m)
     n = grid.n_points
     dr = grid.spacing
     rho = grid.nodes
@@ -181,8 +187,9 @@ def build_tangential(profile: SurfaceProfile, A: VectorPotentialSpec, m: int,
 
     # radial field term -i e (A1/Z) d/drho, written in the skew form
     # whose midpoint coefficients are means of rho*A1; exactly
-    # anti-self-adjoint under the surface measure
-    a1_ext = np.asarray(A.A1(rho_ext, 0.0), dtype=float)
+    # anti-self-adjoint under the surface measure, except at m = 0, where
+    # the axis fold below moves i e sbar_lo[0]/(2 drho w_0) onto diag[0]
+    a1_ext = np.asarray(A.components(rho_ext, 0.0)[0], dtype=float)
     s_ext = rho_ext * a1_ext
     sbar_up = 0.5 * (s_ext[1:n + 1] + s_ext[2:n + 2])
     sbar_lo = 0.5 * (s_ext[0:n] + s_ext[1:n + 1])
@@ -190,8 +197,7 @@ def build_tangential(profile: SurfaceProfile, A: VectorPotentialSpec, m: int,
     lo = lo + 1j * e * sbar_lo / (2.0 * dr * wt)
 
     a1 = a1_ext[inner]
-    a2 = np.asarray(A.A2(rho, 0.0), dtype=float)
-    a3 = np.asarray(A.A3(rho, 0.0), dtype=float)
+    _, a2, a3 = (np.asarray(v, dtype=float) for v in A.components(rho, 0.0))
     if not (np.all(np.isfinite(a1_ext)) and np.all(np.isfinite(a2))
             and np.all(np.isfinite(a3))):
         raise EvaluationError("vector potential components non-finite on the grid")
@@ -239,7 +245,7 @@ def decoupling_check(omega: float, A: VectorPotentialSpec,
         raise DomainError(f"omega must be positive, got {omega}")
     q_star = omega ** -0.5
     v_n = 0.5 * omega ** 2 * q_star ** 2
-    a3 = np.abs(np.asarray(A.A3(grid.nodes, 0.0), dtype=float))
+    a3 = np.abs(np.asarray(A.components(grid.nodes, 0.0)[2], dtype=float))
     worst = int(np.argmax(a3))
     max_a3 = float(a3[worst])
     drive = max_a3 * omega * q_star

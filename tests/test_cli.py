@@ -338,3 +338,17 @@ def test_failed_run_leaves_no_summary(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="serializer lost"):
         run_cli(tmp_path, MINIMAL + "grid:\n  n_points: 32\n", "geometry")
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["geometry.csv"]
+
+
+def test_unwritable_output_is_a_named_error(tmp_path, capsys):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(MINIMAL + "grid:\n  n_points: 32\n", encoding="utf-8")
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file\n", encoding="utf-8")
+    code = main(["geometry", "--config", str(cfg), "--output", str(blocker / "sub")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: geometry: cannot write output: ")
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "run.yaml"]
+    assert blocker.read_text(encoding="utf-8") == "a regular file\n"

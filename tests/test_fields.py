@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from curvband import fields
 from curvband import (
     EvaluationError,
     RadialGrid,
@@ -102,17 +103,18 @@ def test_projection_preserves_magnitude():
 def test_axial_uniform_constructor_matches_projection():
     for prof in catalog(1.0).values():
         A = axial_uniform(2.0, prof)
-        assert float(A.A2(0.5, 0.0)) == pytest.approx(0.5, rel=1e-14)
-        assert float(A.A1(0.5, 0.0)) == 0.0
-        assert float(A.A3(0.5, 0.0)) == 0.0
+        a1, a2, a3 = A.components(0.5, 0.0)
+        assert float(a2) == pytest.approx(0.5, rel=1e-14)
+        assert float(a1) == 0.0
+        assert float(a3) == 0.0
 
 
 def test_cartesian_constant_constructor():
     prof = paraboloid(0.5, 2.0)
     A = cartesian_constant(1.0, prof)
-    assert float(A.A1(1.0, 0.0)) == pytest.approx(1.0 / SQRT2, rel=1e-14)
-    assert float(A.A3(1.0, 0.0)) == pytest.approx(1.0 / SQRT2, rel=1e-14)
-    assert A.source == "cartesian-projected"
+    a1, _, a3 = A.components(1.0, 0.0)
+    assert float(a1) == pytest.approx(1.0 / SQRT2, rel=1e-14)
+    assert float(a3) == pytest.approx(1.0 / SQRT2, rel=1e-14)
 
 
 def test_cartesian_field_is_projected_once_per_point():
@@ -124,18 +126,35 @@ def test_cartesian_field_is_projected_once_per_point():
         return field(x, y, z)
 
     prof = paraboloid(0.5, 1.0)
-    A = from_cartesian(counting, prof, check_axisymmetry=False)
+    A = from_cartesian(counting, prof)
+    calls.clear()                     # the axisymmetry spot check
     grid = RadialGrid(40, 1.0)
     op = build_tangential(prof, A, 1, grid)
-    # the three components at the nodes share one projection, and A1 is
-    # also needed at the two ghost radii
+    # A1 at the nodes and the two ghost radii, then A2 and A3 at the nodes
     assert calls == [(42,), (40,)]
     ref = build_tangential(prof, axial_uniform(1.0, prof), 1, grid)
     np.testing.assert_array_equal(op.diag, ref.diag)
-    # a new point, or a new offset q, projects again
+    # every components call projects once
     for rho, q in ((0.5, 0.0), (0.5, 0.0), (0.5, 0.1), (0.25, 0.1)):
-        assert A.A2(rho, q) == project_to_frame(counting, prof, rho, 0.0, q)[1]
-    assert len(calls) == 2 + 3 + 4
+        assert A.components(rho, q)[1] == project_to_frame(counting, prof, rho, 0.0, q)[1]
+    assert len(calls) == 2 + 4 + 4
+
+
+def test_fields_axisymmetric_by_construction_project_lazily(monkeypatch):
+    calls = []
+    project = fields._frame_components
+
+    def counting(*args):
+        calls.append(np.shape(args[2]))
+        return project(*args)
+
+    monkeypatch.setattr(fields, "_frame_components", counting)
+    prof = paraboloid(0.5, 1.0)
+    specs = [axial_uniform(1.0, prof), cartesian_constant(0.7, prof)]
+    assert calls == []
+    for A in specs:
+        build_tangential(prof, A, 1, RadialGrid(40, 1.0))
+    assert calls == [(42,), (40,)] * 2
 
 
 def test_non_axisymmetric_cartesian_field_rejected():
@@ -150,7 +169,7 @@ def test_non_axisymmetric_cartesian_field_rejected():
 def test_gamma_interval_masks_support():
     A = frame_synthetic(a3=1.5, gamma_interval=(0.3, 0.6))
     rho = np.array([0.1, 0.3, 0.45, 0.6, 0.8])
-    np.testing.assert_array_equal(A.A3(rho, 0.0), [0.0, 1.5, 1.5, 1.5, 0.0])
+    np.testing.assert_array_equal(A.components(rho, 0.0)[2], [0.0, 1.5, 1.5, 1.5, 0.0])
 
 
 # ----------------------------------------------------------------------

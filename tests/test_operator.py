@@ -49,6 +49,8 @@ def test_grid_rejects_bad_parameters():
         RadialGrid(0, 1.0)
     with pytest.raises(DomainError):
         RadialGrid(100, -1.0)
+    with pytest.raises(DomainError, match="n_points"):
+        RadialGrid(10.5, 1.0)
 
 
 def test_coarse_grid_warns():
@@ -226,6 +228,9 @@ def test_centrifugal_raises_ground_state():
 def test_non_integer_m_rejected():
     with pytest.raises(DomainError):
         build_tangential(flat(1.0), zero_field(), 0.5, RadialGrid(32, 1.0))
+    for m in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="index m"):
+            build_tangential(flat(1.0), zero_field(), m, RadialGrid(32, 1.0))
 
 
 def test_non_finite_field_rejected():
@@ -262,6 +267,9 @@ def test_normal_energy_domain_errors():
         normal_energy(1.0, -2)
     with pytest.raises(DomainError):
         normal_energy(0.0, 1)
+    for n in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="level index n"):
+            normal_energy(1.0, n)
 
 
 # ----------------------------------------------------------------------

@@ -1,0 +1,113 @@
+"""Property tests of the assembled tangential operator (Hypothesis).
+
+Channels are drawn over the catalog profiles (parameter ranges as in the
+benchmark's workloads), the field kinds, m in 0..2, charge e in [0.5, 2]
+and n in [32, 160].  Examples are derandomized, so every run checks the
+same cases.
+
+The measure-symmetry properties exclude m = 0 with a radial component A1:
+there the axis fold puts i e sbar_lo[0]/(2 drho w_0) on the first diagonal
+entry, which is not part of e A3 H.
+"""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from curvband import (RadialGrid, axial_uniform, build_tangential, cartesian_constant,
+                      evolve, flat, frame_synthetic, gaussian_bump, hermiticity_report,
+                      paraboloid, sphere_cap, zero_field)
+from curvband.operator import MODES
+
+PROPERTY = settings(derandomize=True, max_examples=50, deadline=None)
+RHO_MAX = 1.0
+
+
+def signed(lo, hi):
+    return st.floats(lo, hi) | st.floats(-hi, -lo)
+
+
+profiles = st.one_of(
+    st.just(flat(RHO_MAX)),
+    st.floats(0.3, 0.8).map(lambda a: paraboloid(a, RHO_MAX)),
+    st.builds(lambda amp, sigma: gaussian_bump(amp, sigma, RHO_MAX),
+              st.floats(0.2, 0.4), st.floats(0.4, 0.6)),
+    st.floats(1.5, 3.0).map(lambda radius: sphere_cap(radius, RHO_MAX)),
+)
+
+
+@st.composite
+def fields_on(draw, profile, normal=True):
+    """A field on profile and its A3 on the surface as a map of (rho, Z);
+    with normal=False every field drawn has A3 = 0."""
+    kinds = ("zero", "axial", "cartesian", "frame") if normal else ("zero", "axial", "frame")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "zero":
+        return zero_field(), lambda rho, Z: 0.0 * rho
+    if kind == "axial":
+        return axial_uniform(draw(signed(0.5, 2.0)), profile), lambda rho, Z: 0.0 * rho
+    if kind == "cartesian":
+        c = draw(signed(0.5, 1.0))
+        return cartesian_constant(c, profile), lambda rho, Z: c / Z
+    component = st.just(0.0) | signed(0.1, 1.0)
+    a1, a2 = draw(component), draw(component)
+    a3 = draw(component) if normal else 0.0
+    interval = draw(st.none() | st.tuples(st.floats(0.1, 0.4), st.floats(0.5, 0.9)))
+    field = frame_synthetic(a1, a2, a3, gamma_interval=interval)
+    if interval is None:
+        return field, lambda rho, Z: a3 + 0.0 * rho
+    lo, hi = interval
+    return field, lambda rho, Z: np.where((rho >= lo) & (rho <= hi), a3, 0.0)
+
+
+@st.composite
+def channels(draw, mode=None, normal=True):
+    """(profile, field, A3 map, m, e, grid) of one drawn channel."""
+    profile = draw(profiles)
+    field, a3 = draw(fields_on(profile, normal))
+    m = draw(st.integers(0, 2))
+    e = draw(st.floats(0.5, 2.0))
+    grid = RadialGrid(draw(st.integers(32, 160)), RHO_MAX)
+    return profile, field, a3, m, e, grid, mode or draw(st.sampled_from(MODES))
+
+
+def radial_free(field, m, grid) -> bool:
+    """True where the axis fold adds nothing: m != 0 or A1 = 0 on the grid."""
+    rho_ext = np.concatenate(([0.0], grid.nodes, [grid.rho_max]))
+    return m != 0 or not np.any(field.components(rho_ext, 0.0)[0])
+
+
+@PROPERTY
+@given(channels())
+def test_coupling_diag_is_e_a3_h(channel):
+    profile, field, a3, m, e, grid, mode = channel
+    op = build_tangential(profile, field, m, grid, mode=mode, e=e)
+    rho = grid.nodes
+    sr, srr = profile.S_rho(rho), profile.S_rhorho(rho)
+    Z = np.sqrt(1.0 + sr * sr)
+    H = -0.5 * (sr / (rho * Z) + srr / Z ** 3)
+    np.testing.assert_allclose(op.coupling_diag, e * a3(rho, Z) * H,
+                               rtol=1e-12, atol=1e-15)
+
+
+@PROPERTY
+@given(channels(mode="hermitian-corrected"))
+def test_corrected_anti_hermitian_part_is_the_coupling(channel):
+    profile, field, _, m, e, grid, mode = channel
+    assume(radial_free(field, m, grid))
+    op = build_tangential(profile, field, m, grid, mode=mode, e=e)
+    report = hermiticity_report(op)
+    assert report.coupling_equality, report.coupling_equality_gap
+
+
+@PROPERTY
+@given(channels(mode="hermitian-corrected", normal=False), st.integers(0, 2 ** 32 - 1))
+def test_corrected_evolution_without_a3_conserves_the_norm(channel, seed):
+    profile, field, _, m, e, grid, mode = channel
+    assume(radial_free(field, m, grid))
+    op = build_tangential(profile, field, m, grid, mode=mode, e=e)
+    rng = np.random.default_rng(seed)
+    initial = rng.standard_normal(grid.n_points) + 1j * rng.standard_normal(grid.n_points)
+    trace = evolve(op, initial, dt=1e-3, steps=200, record_states=False)
+    drift = np.abs(trace.norms / trace.norms[0] - 1.0).max()
+    assert drift < 1e-10, drift
