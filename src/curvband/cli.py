@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from .errors import CurvbandError
 
 COMMANDS = ("geometry", "gauge-check", "spectrum", "evolve")
 GAUGE_TOL = 1e-10
+BLOCK_ROWS = 4096
 
 
 def _fmt(x) -> str:
@@ -46,11 +48,14 @@ def _replacing(path: Path):
 
 
 def write_csv(path: Path, header, rows) -> None:
-    """Write rows of numbers; a failure leaves no partial file behind."""
+    """Write a 2-D array or iterable of rows, each number as _fmt does, with one % per
+    BLOCK_ROWS rows (bounded memory); a failure leaves no partial file behind."""
+    template = ",".join(["%.17g"] * len(header)) + "\n"
+    rows = iter(rows)
     with _replacing(path) as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        while block := list(islice(rows, BLOCK_ROWS)):
+            fh.write(template * len(block) % tuple(np.ravel(block).tolist()))
 
 
 def _summary_lines(config, profile, field, grid):
@@ -87,10 +92,10 @@ def run_command(config: cfgmod.RunConfig, command: str, output_dir=None) -> int:
     if command == "geometry":
         nodes = grid.nodes
         Z, H, K = geometry.curvatures(profile, nodes)
-        rows = ((nodes[j], Z[j], H[j], K[j], H[j] ** 2 - K[j], 1.0)
-                for j in range(len(nodes)))
-        write_csv(out / "geometry.csv",
-                  ["rho", "Z", "H", "K", "Hsq_minus_K", "F_at_q0"], rows)
+        # scalar h ** 2 is libm pow; an array H ** 2 (np.square) moves a few last digits
+        hsq_minus_k = [h ** 2 - k for h, k in zip(H.tolist(), K.tolist())]
+        write_csv(out / "geometry.csv", ["rho", "Z", "H", "K", "Hsq_minus_K", "F_at_q0"],
+                  np.column_stack([nodes, Z, H, K, hsq_minus_k, np.ones_like(nodes)]))
         extra.append(f"geometry.csv: {len(nodes)} nodes")
 
     elif command == "gauge-check":
@@ -98,7 +103,7 @@ def run_command(config: cfgmod.RunConfig, command: str, output_dir=None) -> int:
         if report.values is None:
             raise CurvbandError(f"gauge check: {report.note}")
         write_csv(out / "gauge_check.csv", ["rho", "divergence"],
-                  zip(grid.nodes, report.values))
+                  np.column_stack([grid.nodes, report.values]))
         extra.append(
             f"gauge-check: passed={report.passed} "
             f"max_violation={_fmt(report.max_violation)} "
@@ -110,15 +115,9 @@ def run_command(config: cfgmod.RunConfig, command: str, output_dir=None) -> int:
                                                  mode=config.mode, e=config.charge_e)
                        for m in config.m_list[1:]]
         results = [(op, solver.eigen_solve(op, config.k_eigen)) for op in ops]
-
-        def rows():
-            for op, spec in results:
-                for idx, (val, res) in enumerate(
-                        zip(spec.eigenvalues, spec.residuals)):
-                    yield (op.m, idx, val.real, val.imag, res)
-
-        write_csv(out / "spectrum.csv",
-                  ["m", "index", "re_E", "im_E", "residual"], rows())
+        write_csv(out / "spectrum.csv", ["m", "index", "re_E", "im_E", "residual"],
+                  [(op.m, idx, val.real, val.imag, res) for op, spec in results
+                   for idx, (val, res) in enumerate(zip(spec.eigenvalues, spec.residuals))])
         channel = operator.normal_channel(config.omega, config.n_normal)
         ground = results[0][1].eigenvalues[0]
         combined = solver.total_energy(results[0][1], channel)[0]
@@ -133,20 +132,15 @@ def run_command(config: cfgmod.RunConfig, command: str, output_dir=None) -> int:
         trace = solver.evolve(op0, initial, config.dt, config.steps,
                               record_states=False)
         write_csv(out / "trace.csv", ["t", "norm", "log_norm"],
-                  ((trace.times[j], trace.norms[j], float(np.log(trace.norms[j])))
-                   for j in range(len(trace.times))))
+                  np.column_stack([trace.times, trace.norms, np.log(trace.norms)]))
         avg = solver.weighted_coupling(op0, initial)
         extra.append(f"log-norm slope: {_fmt(trace.log_norm_slope)}")
         extra.append(f"weighted coupling <e A3 H>: {_fmt(avg)}")
         extra.append(f"norm ratio: {_fmt(trace.norms[-1] / trace.norms[0])}")
 
+    echo = ["config:"] + ["  " + line for line in cfgmod.serialize_config(config).splitlines()]
     with _replacing(out / "run_summary.txt") as fh:
-        fh.write(f"command: {command}\n")
-        for line in summary + extra:
-            fh.write(line + "\n")
-        fh.write("config:\n")
-        for line in cfgmod.serialize_config(config).splitlines():
-            fh.write("  " + line + "\n")
+        fh.write("\n".join([f"command: {command}", *summary, *extra, *echo]) + "\n")
     return 0
 
 
@@ -185,7 +179,7 @@ def main(argv=None) -> int:
 
     try:
         text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
     try:

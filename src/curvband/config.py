@@ -55,6 +55,10 @@ from . import fields, geometry
 from .errors import ConfigError
 from .operator import MODES, RECOMMENDED_MIN_POINTS, RadialGrid
 
+# libyaml's classes where PyYAML has them: ~0.3 ms per parse or echo, not ~2 and ~1.3 ms
+_Loader, _Dumper = ((yaml.CSafeLoader, yaml.CSafeDumper) if yaml.__with_libyaml__
+                    else (yaml.SafeLoader, yaml.SafeDumper))
+
 SURFACE_KINDS = ("flat", "paraboloid", "gaussian-bump", "sphere-cap")
 FIELD_KINDS = ("axial-uniform", "cartesian-constant", "frame-synthetic")
 
@@ -207,8 +211,8 @@ def parse_config(text: str, overrides: Optional[dict] = None) -> RunConfig:
     nested mapping such as {"grid": {"n_points": 400}} only the keys it names.
     """
     try:
-        raw = yaml.safe_load(text)
-    except (yaml.YAMLError, ValueError) as exc:  # ValueError: e.g. a date 2001-13-01
+        raw = yaml.load(text, Loader=_Loader)
+    except (yaml.YAMLError, ValueError) as exc:  # a date 2001-13-01; libyaml: a lone surrogate
         mark = getattr(exc, "problem_mark", None)
         line = f" at line {mark.line + 1}" if mark is not None else ""
         raise ConfigError(f"config parse error{line}: {exc}") from exc
@@ -229,7 +233,7 @@ def serialize_config(config: RunConfig) -> str:
     doc = asdict(config)
     for section in ("surface", "field"):
         doc[section] = {k: v for k, v in doc[section].items() if v is not None}
-    return yaml.safe_dump(doc, sort_keys=True)
+    return yaml.dump(doc, Dumper=_Dumper, sort_keys=True)
 
 
 # ----------------------------------------------------------------------

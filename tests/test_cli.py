@@ -2,12 +2,18 @@
 
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from curvband import ConfigError, parse_config, serialize_config
+from curvband import (ConfigError, cli, fields, geometry, operator, parse_config,
+                      serialize_config, solver)
 from curvband.cli import main, write_csv
+from curvband.config import make_field, make_grid, make_profile
 from oracles import disc_dirichlet_energy
 
 MINIMAL = """
@@ -265,6 +271,17 @@ def test_missing_config_exits_nonzero(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+def test_config_that_is_not_utf8_is_a_named_error(tmp_path, capsys):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_bytes(b"\xff\xfe" + MINIMAL.encode())
+    code = main(["geometry", "--config", str(cfg), "--output", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 # ----------------------------------------------------------------------
 # determinism and output hygiene
 # ----------------------------------------------------------------------
@@ -328,6 +345,65 @@ def test_interrupted_csv_leaves_no_partial_file(tmp_path):
         write_csv(path, ["a", "b"], rows())
     assert path.read_bytes() == before            # previous output kept whole
     assert list(tmp_path.iterdir()) == [path]
+
+
+CSV_VALUES = (st.floats() | st.integers(-10 ** 6, 10 ** 6).map(float)
+              | st.sampled_from([-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e-310,
+                                 1e308, -1e308]))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(table=arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=12),
+                    elements=CSV_VALUES),
+       block_rows=st.integers(1, 5) | st.just(cli.BLOCK_ROWS), as_rows=st.booleans())
+def test_csv_body_is_each_value_with_17_digits(tmp_path_factory, table, block_rows, as_rows):
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    header = [f"c{j}" for j in range(table.shape[1])]
+    with mock.patch.object(cli, "BLOCK_ROWS", block_rows):
+        write_csv(path, header, table.tolist() if as_rows else table)
+    expected = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in table.tolist())
+    assert path.read_text(encoding="utf-8") == ",".join(header) + "\n" + expected
+
+
+def _reference_rows(body, command):
+    """The rows of command's CSV, each value computed by the library one scalar at a time."""
+    config = parse_config(body)
+    profile, grid = make_profile(config), make_grid(config)
+    field = make_field(config, profile)
+    nodes = grid.nodes
+    if command == "geometry":
+        Z, H, K = geometry.curvatures(profile, nodes)
+        return [(nodes[j], Z[j], H[j], K[j], float(H[j]) ** 2 - float(K[j]), 1.0)
+                for j in range(len(nodes))]
+    if command == "gauge-check":
+        report = fields.is_coulomb_gauge(field, profile, grid, cli.GAUGE_TOL)
+        return [(nodes[j], report.values[j]) for j in range(len(nodes))]
+    op = operator.build_tangential(profile, field, config.m_list[0], grid,
+                                   mode=config.mode, e=config.charge_e)
+    trace = solver.evolve(op, solver.ground_state(op), config.dt, config.steps,
+                          record_states=False)
+    return [(trace.times[j], trace.norms[j], float(np.log(trace.norms[j])))
+            for j in range(len(trace.times))]
+
+
+CSV_CASES = {
+    "paraboloid": MINIMAL.replace("flat", "paraboloid\n  a: 0.5")
+    + "field:\n  kind: axial-uniform\n  b: 1.3\ngrid:\n  n_points: 1000\nsteps: 200\n",
+    "cap": "surface:\n  kind: sphere-cap\n  radius: 2.0\nfield:\n  kind: frame-synthetic\n"
+           "  a3: 0.4\ngrid:\n  n_points: 1000\nsteps: 200\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CSV_CASES))
+@pytest.mark.parametrize("command, name", [("geometry", "geometry.csv"),
+                                           ("gauge-check", "gauge_check.csv"),
+                                           ("evolve", "trace.csv")])
+def test_cli_csv_matches_rows_built_one_value_at_a_time(tmp_path, case, command, name):
+    code, out = run_cli(tmp_path, CSV_CASES[case], command)
+    assert code == 0
+    body = (out / name).read_text(encoding="utf-8").splitlines()[1:]
+    reference = _reference_rows(CSV_CASES[case], command)
+    assert body == [",".join(f"{v:.17g}" for v in row) for row in reference]
 
 
 def test_failed_run_leaves_no_summary(tmp_path, monkeypatch):

@@ -6,20 +6,22 @@ Invalid ones are valid documents with one value replaced or added as junk,
 or a key another kind reads set off its default, and raw text.  Examples are
 derandomized, so every run checks the same cases.  Every schema key is
 also checked against its declared type and rule, and each required key
-for an error that names it.
+for an error that names it.  Where PyYAML has libyaml, its C loader and
+dumper are checked against the pure-Python ones.
 """
 
 import copy
 import dataclasses
 import re
 import typing
+from unittest import mock
 
 import pytest
 import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from curvband import ConfigError, RunConfig, parse_config, serialize_config
+from curvband import ConfigError, RunConfig, config, parse_config, serialize_config
 from curvband.config import (FIELD_KINDS, MIN_N_POINTS, SURFACE_KINDS, FieldConfig,
                              GridConfig, SurfaceConfig)
 from curvband.operator import MODES
@@ -129,20 +131,66 @@ def _parses_or_config_error(text):
         pass
 
 
-@kinds
-@PROPERTY
-@given(data=st.data())
-def test_corrupted_documents_raise_only_config_error(surface_kind, field_kind, data):
-    doc = data.draw(documents(surface_kind, field_kind))
-    section, schema = data.draw(st.sampled_from(
+@st.composite
+def corrupted_documents(draw, surface_kind, field_kind):
+    """A valid document with one key of one section set to junk."""
+    doc = draw(documents(surface_kind, field_kind))
+    section, schema = draw(st.sampled_from(
         [(None, RunConfig), ("surface", SurfaceConfig), ("field", FieldConfig),
          ("grid", GridConfig)]))
     target = doc if section is None else doc.setdefault(section, {})
     # any key of the section, a key of another kind included, or an unknown one
     keys = {f.name for f in dataclasses.fields(schema)} | set(target)
-    key = data.draw(st.sampled_from(sorted(keys) + ["unknown_key"]))
-    target[key] = data.draw(junk)
-    _parses_or_config_error(yaml.safe_dump(doc))
+    key = draw(st.sampled_from(sorted(keys) + ["unknown_key"]))
+    target[key] = draw(junk)
+    return doc
+
+
+@kinds
+@PROPERTY
+@given(data=st.data())
+def test_corrupted_documents_raise_only_config_error(surface_kind, field_kind, data):
+    _parses_or_config_error(yaml.safe_dump(data.draw(corrupted_documents(surface_kind,
+                                                                         field_kind))))
+
+
+PURE_YAML = (yaml.SafeLoader, yaml.SafeDumper)
+LIBYAML = (getattr(yaml, "CSafeLoader", None), getattr(yaml, "CSafeDumper", None))
+needs_libyaml = pytest.mark.skipif(not yaml.__with_libyaml__,
+                                   reason="PyYAML is built without libyaml")
+
+
+def _through(classes, call, arg):
+    """call(arg) with config reading and writing YAML through the (loader,
+    dumper) classes; ConfigError in place of the ConfigError it raised."""
+    with mock.patch.multiple(config, _Loader=classes[0], _Dumper=classes[1]):
+        try:
+            return call(arg)
+        except ConfigError:
+            return ConfigError
+
+
+@needs_libyaml
+@kinds
+@PROPERTY
+@given(data=st.data())
+def test_libyaml_and_pure_python_loaders_agree(surface_kind, field_kind, data):
+    valid = data.draw(st.booleans())
+    doc = data.draw((documents if valid else corrupted_documents)(surface_kind, field_kind))
+    text = yaml.safe_dump(doc)
+    assert _through(LIBYAML, parse_config, text) == _through(PURE_YAML, parse_config, text)
+
+
+@needs_libyaml
+@kinds
+@PROPERTY
+@given(data=st.data(), output_path=st.text("abcXYZ019/._-~ ", min_size=1, max_size=200))
+def test_libyaml_and_pure_python_dumpers_agree(surface_kind, field_kind, data, output_path):
+    cfg = parse_config(yaml.safe_dump(data.draw(documents(surface_kind, field_kind))))
+    cfg.output_path = output_path
+    echo = _through(LIBYAML, serialize_config, cfg)
+    assert echo == _through(PURE_YAML, serialize_config, cfg)
+    assert parse_config(echo) == cfg
 
 
 @kinds
