@@ -4,13 +4,12 @@ All work is done on the operator's three bands.  Eigensolves are
 verified: every reported pair must satisfy the residual contract
 ||M v - lambda v|| / ||v|| < 1e-8 or the solve raises.  When the
 measure-weighted operator is Hermitian, or Hermitian up to a constant
-imaginary diagonal (the uniform-coupling case), a diagonal phase gauge
-makes it real symmetric tridiagonal; its lowest pairs are computed
-directly, the imaginary shift is applied exactly, and one
-inverse-iteration step refines each pair.  Non-normal operators take
-shift-invert Arnoldi iteration through one tridiagonal factorization, the
-same refinement step, and a certificate that no eigenvalue left out has a
-smaller real part; only problems too small for Arnoldi are solved densely.
+imaginary diagonal (the uniform-coupling case), bisection locates its lowest
+levels coarsely, a few inverse-iteration steps on the bands give each pair,
+and the imaginary shift is applied exactly.  Non-normal operators take
+shift-invert Arnoldi iteration through one tridiagonal factorization, one
+refined inverse-iteration step, and a certificate that no eigenvalue left out
+has a smaller real part; only problems too small for Arnoldi are solved densely.
 
 Propagation is Crank-Nicolson,
 
@@ -48,6 +47,9 @@ ARNOLDI_EXTRA = 4
 # relative threshold for classifying the weighted matrix as Hermitian
 # (possibly up to a constant imaginary diagonal)
 HERMITIAN_RTOL = 1e-13
+# structured route: bisection tolerance in units of max |off(M_w)| / n^2 ~ 1 / (2 R^2)
+# (the level spacing), inverse-iteration steps, span of projected levels in tolerances
+LOCATE_RTOL, INVERSE_STEPS, PROJECT_SPAN = 1e-3, 3, 1e5
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,11 +117,12 @@ def _tridiag_solver(lower, diag, upper):
     or None if the matrix is exactly singular.  Fewer than 3 rows, which the
     wrapper rejects, are padded with decoupled identity rows."""
     n, pad = diag.size, np.zeros(max(0, 3 - diag.size))
-    *lu, info = lapack.zgttrf(np.append(lower, pad), np.append(diag, pad + 1.0),
-                              np.append(upper, pad))
+    if n < 3:
+        lower, diag, upper = np.append(lower, pad), np.append(diag, pad + 1), np.append(upper, pad)
+    *lu, info = lapack.zgttrf(lower, diag, upper)
 
     def solve(b):
-        return lapack.zgttrs(*lu, np.append(b, pad) if pad.size else b)[0][:n]
+        return lapack.zgttrs(*lu, np.append(b, pad) if n < 3 else b)[0][:n]
     return None if info else solve
 
 
@@ -191,15 +194,16 @@ def _weighted(operator: TangentialOperator):
     return lower, diag, upper, np.abs(upper - lower.conj()), scale
 
 
-def _structured_shift(operator: TangentialOperator) -> Optional[complex]:
-    """i c if M_w is Hermitian up to the constant diagonal i c (exactly 0 if
-    Hermitian), to HERMITIAN_RTOL of max |M_w|; None if it is not."""
-    _, diag, _, off_gap, scale = _weighted(operator)
+def _structured(operator: TangentialOperator) -> Optional[tuple]:
+    """(i c, Re diag(M_w), |off-diagonal of M_w|, max |M_w|) if M_w is
+    Hermitian up to the constant diagonal i c (exactly 0 if Hermitian), to
+    HERMITIAN_RTOL of max |M_w|; None if it is not."""
+    lower, diag, upper, off_gap, scale = _weighted(operator)
     tol = HERMITIAN_RTOL * scale
     if 0.5 * off_gap.max(initial=0.0) <= tol:
         for c in (0.0, float(np.mean(diag.imag))):
             if np.abs(diag.imag - c).max() <= tol:
-                return 1j * c
+                return 1j * c, diag.real, np.abs(upper + lower.conj()) / 2, scale
     return None
 
 
@@ -209,9 +213,9 @@ def eigen_solve(operator: TangentialOperator, k: int) -> Spectrum:
     if not 1 <= k <= n:
         raise SolveError(f"k = {k} not in [1, {n}]")
 
-    shift = _structured_shift(operator)
-    if shift is not None:
-        path, (values, vectors) = "tridiagonal", _tridiagonal_solve(operator, k, shift)
+    structured = _structured(operator)
+    if structured is not None:
+        path, (values, vectors) = "tridiagonal", _tridiagonal_solve(operator, k, *structured)
     elif k + ARNOLDI_EXTRA < n - 1:
         path, (values, vectors) = "shift-invert", _sparse_solve(operator, k)
     else:
@@ -263,23 +267,34 @@ def _refine(operator: TangentialOperator, values, vectors) -> np.ndarray:
     return quotients
 
 
-def _tridiagonal_solve(operator: TangentialOperator, k: int, shift: complex):
-    """Structured case: M_w - shift is Hermitian tridiagonal.
-
-    The phase gauge ph[j+1] = ph[j] conj(b_j)/|b_j| makes its off-diagonal b
-    real and non-negative; the k lowest pairs of that real symmetric matrix
-    get the imaginary shift exactly, and each is refined once (_refine),
-    keeping the real part of its Rayleigh quotient.
-    """
-    lower, diag, upper, _, _ = _weighted(operator)
-    off = 0.5 * (upper + lower.conj())
-    mag = np.abs(off)
-    phase = np.cumprod(np.append(1.0 + 0.0j, np.divide(
-        off.conj(), mag, out=np.ones_like(off), where=mag > 0.0)))
-    theta, y = sla.eigh_tridiagonal(diag.real, mag, select="i", select_range=(0, k - 1))
-    vectors = phase[:, None] * y / np.sqrt(operator.measure_weights)[:, None]
-    values = _refine(operator, theta + shift, vectors)
-    return values.real + shift, vectors
+def _tridiagonal_solve(operator: TangentialOperator, k: int, shift, diag, off, scale):
+    """Structured case: M_w - shift has the eigenvalues of the real symmetric
+    tridiagonal (diag, off).  Bisection locates the k lowest to within
+    tol = LOCATE_RTOL max(off) / n^2; each then takes INVERSE_STEPS steps of
+    inverse iteration on M's bands from a start vector of its own, projecting
+    out the levels found within PROJECT_SPAN tol in the measure inner product
+    sum w conj(u) x.  The eigenvalue is the real Rayleigh quotient plus the
+    exact shift.  Farther levels shrink by (1.5 / PROJECT_SPAN)^3 unaided."""
+    n, w = operator.n, operator.measure_weights
+    tol = LOCATE_RTOL * (off.max(initial=0.0) or scale) / n ** 2
+    located = sla.eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                                   select_range=(0, k - 1), tol=tol)
+    # fixed start vectors; lefts[i] = w conj(x_i) / sum w |x_i|^2 projects out x_i
+    basis = np.random.default_rng(0).uniform(-1.0, 1.0, (k, n)).astype(complex)
+    lefts, quotients = np.empty_like(basis), np.empty(k, dtype=complex)
+    for i, lam in enumerate(located + shift):
+        # lam - tol is tol/2 to 3 tol/2 off the level, too far for the solve's rounding
+        # to set the residual; projecting before each solve lets it damp their rounding
+        solve = _tridiag_solver(operator.lower, operator.diag - (lam - tol), operator.upper)
+        x, near = basis[i], np.searchsorted(located, located[i] - PROJECT_SPAN * tol)
+        for _ in range(INVERSE_STEPS):
+            for left, u in zip(lefts[near:i], basis[near:i]):
+                x -= (left @ x) * u
+            x = solve(x)
+        left = w * x.conj() / np.vdot(x, w * x).real
+        quotients[i] = left @ _matvec(*operator.bands, x)
+        basis[i], lefts[i] = x, left
+    return quotients.real + shift, basis.T
 
 
 def _sparse_solve(operator: TangentialOperator, k: int):

@@ -296,6 +296,53 @@ def test_structured_channels_meet_contract_at_n4000():
         assert spec.residuals.max() < 5e-9, (prof.name, m)
 
 
+def test_benchmark_channels_that_broke_the_contract_meet_it():
+    # spectrum-refine inputs (seed 4 round 8, seed 6 round 4, seed 8 round 2)
+    # whose residual reached 3.2e-8, 2.5e-8 and 4.9e-8 when each pair came
+    # from a full-precision eigensolve plus one refined inverse-iteration step
+    bump = gaussian_bump(0.32508464903392864, 0.585633220062558, 1.0)
+    para = paraboloid(0.5084672885297268, 1.0)
+    cases = [(bump, zero_field(), 2, 4000),
+             (sphere_cap(1.9803482693062813, 1.0), frame_synthetic(a3=-0.370195472960836), 2,
+              1000),
+             (para, axial_uniform(1.4591023053106116, para), 0, 4000)]
+    for prof, field, m, n in cases:
+        spec = eigen_solve(build_tangential(prof, field, m, RadialGrid(n, 1.0)), 6)
+        assert spec.path == "tridiagonal"
+        assert spec.residuals.max() < 1e-8, (prof.name, m, n)
+
+
+def twin_channel(coupling):
+    """Two copies of a paraboloid m = 1 channel (n = 400) side by side.  The
+    off-diagonal between them is coupling times the copy's last one in M_w,
+    entered so that M_w stays Hermitian; coupling 0 makes every level an
+    exactly degenerate pair."""
+    prof = paraboloid(0.5, 1.0)
+    op = build_tangential(prof, axial_uniform(1.0, prof), 1, RadialGrid(400, 1.0))
+    w = np.tile(op.measure_weights, 2)
+    d = np.sqrt(w)
+    n = op.n
+    link = coupling * np.sqrt(abs(op.lower[-1] * op.upper[-1]))
+    lower = np.concatenate([op.lower, [link * d[n - 1] / d[n]], op.lower])
+    upper = np.concatenate([op.upper, [link * d[n] / d[n - 1]], op.upper])
+    return dataclasses.replace(op, lower=lower, diag=np.tile(op.diag, 2), upper=upper,
+                               measure_weights=w, coupling_diag=np.tile(op.coupling_diag, 2),
+                               grid=RadialGrid(2 * n, 1.0))
+
+
+@pytest.mark.parametrize("coupling", [0.0, 1e-12])
+def test_degenerate_levels_get_orthonormal_eigenvectors(coupling):
+    op = twin_channel(coupling)
+    spec = eigen_solve(op, 6)
+    assert spec.path == "tridiagonal"
+    np.testing.assert_allclose(spec.eigenvalues, smallest_real_parts(op.matrix, 6),
+                               rtol=1e-9, atol=0.0)
+    v = spec.eigenvectors
+    gram = v.conj().T @ (op.measure_weights[:, None] * v)
+    assert np.abs(gram - np.eye(6)).max() < 1e-10
+    assert spec.residuals.max() < 1e-8
+
+
 def test_readme_cap_spectrum_at_n2500_exits_zero(tmp_path):
     cfg = tmp_path / "cap.yaml"
     cfg.write_text(CAP_YAML, encoding="utf-8")
