@@ -9,6 +9,7 @@ provides verified spectra plus Crank-Nicolson norm tracking.
 """
 
 from .errors import (
+    CertificateError,
     ChartDegenerateError,
     CoarseGridWarning,
     ConfigError,

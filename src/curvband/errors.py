@@ -25,6 +25,11 @@ class SolveError(CurvbandError, RuntimeError):
     """Eigen- or linear-solve failed, or a solution failed verification."""
 
 
+class CertificateError(SolveError):
+    """The eigenvalues of smallest real part cannot be told apart from the
+    rest: Bauer-Fike discs around the located levels overlap."""
+
+
 class CoarseGridWarning(UserWarning):
     """Radial grid too coarse for trustworthy spectra."""
 

@@ -22,7 +22,9 @@ hard wall (Dirichlet) at rho = R.  At the axis the stencil closes by
 parity, chi(-rho) = (-1)^m chi(rho): for m != 0 regularity forces
 chi(0) = 0 and the ghost term is dropped; for m = 0 the ghost value is
 folded as chi(0) := chi(drho), which zeroes the flux into the axis cell
-and preserves second-order eigenvalue convergence.
+and preserves second-order eigenvalue convergence.  The radial-field term
+carries no flux there either: its face coefficient rho A1 is 0 on the
+axis, so the channel stays measure-Hermitian up to i e A3 H.
 """
 
 from __future__ import annotations
@@ -187,12 +189,15 @@ def build_tangential(profile: SurfaceProfile, A: VectorPotentialSpec, m: int,
 
     # radial field term -i e (A1/Z) d/drho, written in the skew form
     # whose midpoint coefficients are means of rho*A1; exactly
-    # anti-self-adjoint under the surface measure, except at m = 0, where
-    # the axis fold below moves i e sbar_lo[0]/(2 drho w_0) onto diag[0]
+    # anti-self-adjoint under the surface measure.  The axis face carries
+    # no flux: at m = 0 the fold below closes it like the axis itself,
+    # where rho*A1 is 0 (its mean, drho A1(drho)/2, would put an O(1/drho)
+    # imaginary entry on diag[0]); at m != 0 lo[0] is dropped anyway
     a1_ext = np.asarray(A.components(rho_ext, 0.0)[0], dtype=float)
     s_ext = rho_ext * a1_ext
     sbar_up = 0.5 * (s_ext[1:n + 1] + s_ext[2:n + 2])
     sbar_lo = 0.5 * (s_ext[0:n] + s_ext[1:n + 1])
+    sbar_lo[0] = 0.0
     up = up - 1j * e * sbar_up / (2.0 * dr * wt)
     lo = lo + 1j * e * sbar_lo / (2.0 * dr * wt)
 

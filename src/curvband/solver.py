@@ -2,14 +2,17 @@
 
 All work is done on the operator's three bands.  Eigensolves are
 verified: every reported pair must satisfy the residual contract
-||M v - lambda v|| / ||v|| < 1e-8 or the solve raises.  When the
-measure-weighted operator is Hermitian, or Hermitian up to a constant
-imaginary diagonal (the uniform-coupling case), bisection locates its lowest
-levels coarsely, a few inverse-iteration steps on the bands give each pair,
-and the imaginary shift is applied exactly.  Non-normal operators take
-shift-invert Arnoldi iteration through one tridiagonal factorization, one
-refined inverse-iteration step, and a certificate that no eigenvalue left out
-has a smaller real part; only problems too small for Arnoldi are solved densely.
+||M v - lambda v|| / ||v|| < 1e-8 or the solve raises.  One route serves
+every channel.  A diagonal similarity makes the tridiagonal M complex
+symmetric, R + iJ; bisection locates the lowest levels of the real symmetric
+R coarsely, and a few inverse-iteration steps on M's own bands give each
+pair.  When the measure-weighted operator is Hermitian, or Hermitian up to a
+constant imaginary diagonal (the uniform-coupling case), J is that constant
+and the shift is applied exactly.  Otherwise Bauer-Fike discs of radius
+||J - c||_inf around the levels must be disjoint, which certifies that the
+pairs found are those of smallest real part, and each level is refined at
+its Rayleigh quotient.  The route calls LAPACK's tridiagonal routines and
+one-dimensional products only, and leaves scipy's BLAS thread count alone.
 
 Propagation is Crank-Nicolson,
 
@@ -24,10 +27,7 @@ one solve with A / 2, factored once per run, and one subtraction.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
-import threading
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -35,38 +35,34 @@ from typing import Optional
 import numpy as np
 import scipy.linalg as sla
 import scipy.linalg.lapack as lapack
-import scipy.sparse.linalg as spla
+import scipy.sparse.linalg as spla  # unused: perfbench wraps solver.spla (ROADMAP item 6)
 
-from .errors import InstabilityWarning, SolveError
+from .errors import CertificateError, InstabilityWarning, SolveError
 from .operator import NormalChannel, TangentialOperator
 
 RESIDUAL_TOL = 1e-8
-# eigenvalues computed beyond the k requested in shift-invert iteration;
-# below k + ARNOLDI_EXTRA + 2 points a non-normal channel is solved densely
-ARNOLDI_EXTRA = 4
 # relative threshold for classifying the weighted matrix as Hermitian
 # (possibly up to a constant imaginary diagonal)
 HERMITIAN_RTOL = 1e-13
-# structured route: bisection tolerance in units of max |off(M_w)| / n^2 ~ 1 / (2 R^2)
-# (the level spacing), inverse-iteration steps, span of projected levels in tolerances
-LOCATE_RTOL, INVERSE_STEPS, PROJECT_SPAN = 1e-3, 3, 1e5
+# bisection tolerance in units of max |off(R)| / n^2 ~ 1 / (2 R^2) (the level
+# spacing), inverse-iteration steps, span of projected levels in tolerances,
+# and steps after a non-normal level is refactored at its Rayleigh quotient
+LOCATE_RTOL, INVERSE_STEPS, PROJECT_SPAN, REFINE_STEPS = 1e-3, 3, 1e5, 2
 
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     """Verified eigenpairs of one azimuthal channel, sorted by (Re, Im).
 
-    eigenvectors are columns, normalized under the surface measure.  path
-    is the route that computed them: "tridiagonal" (Hermitian, or Hermitian
-    up to a constant imaginary diagonal), "shift-invert" (non-normal) or
-    "dense" (non-normal with k + ARNOLDI_EXTRA >= n - 1).
+    They are the k of smallest real part, certified so where the channel is
+    non-normal.  eigenvectors are columns, normalized under the surface
+    measure; residuals[j] is ||M v_j - lambda_j v_j|| / ||v_j||.
     """
 
     m: int
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     residuals: np.ndarray
-    path: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,62 +122,6 @@ def _tridiag_solver(lower, diag, upper):
     return None if info else solve
 
 
-@functools.cache
-def _scipy_blas_threads():
-    """(get, set) of the thread count of the OpenBLAS that scipy calls, or
-    None where scipy's BLAS is not an OpenBLAS whose symbols can be found."""
-    try:
-        from scipy.linalg import _fblas
-        lib = ctypes.CDLL(_fblas.__file__)
-    except (ImportError, OSError):
-        return None
-    for prefix in ("scipy_openblas", "openblas"):
-        get = getattr(lib, f"{prefix}_get_num_threads", None)
-        put = getattr(lib, f"{prefix}_set_num_threads", None)
-        if get is not None and put is not None:
-            get.argtypes, get.restype = [], ctypes.c_int
-            put.argtypes, put.restype = [ctypes.c_int], None
-            return get, put
-    return None
-
-
-class _OneBlasThread:
-    """Holds scipy's BLAS, for the whole process, at one thread while any
-    caller is inside the block, and restores the count when the last leaves.
-
-    Arnoldi's products are n x 21 for k = 6, too small to gain from a second
-    thread, and a threaded call waits for its slowest thread: with another
-    thread pool still busy (numpy's OpenBLAS spins for ~0.1 s after each
-    threaded call), solves of ~7 ms took 12-140 ms in a loop that also
-    multiplied dense matrices with numpy.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._inside = 0
-        self._before = None
-
-    def __enter__(self):
-        threads = _scipy_blas_threads()
-        if threads is not None:
-            with self._lock:
-                if self._inside == 0:
-                    self._before = threads[0]()
-                    threads[1](1)
-                self._inside += 1
-
-    def __exit__(self, *exc):
-        threads = _scipy_blas_threads()
-        if threads is not None:
-            with self._lock:
-                self._inside -= 1
-                if self._inside == 0:
-                    threads[1](self._before)
-
-
-_one_blas_thread = _OneBlasThread()
-
-
 def _weighted(operator: TangentialOperator):
     """Bands of M_w = W^1/2 M W^-1/2, |M_w - M_w^dag| above its diagonal,
     and max(1, max |M_w|)."""
@@ -194,17 +134,28 @@ def _weighted(operator: TangentialOperator):
     return lower, diag, upper, np.abs(upper - lower.conj()), scale
 
 
-def _structured(operator: TangentialOperator) -> Optional[tuple]:
-    """(i c, Re diag(M_w), |off-diagonal of M_w|, max |M_w|) if M_w is
-    Hermitian up to the constant diagonal i c (exactly 0 if Hermitian), to
-    HERMITIAN_RTOL of max |M_w|; None if it is not."""
+def _symmetric_form(operator: TangentialOperator):
+    """(hermitian, i c, diag, off, s, max |M_w|): the eigenvalues of M - i c
+    lie within s of those of the real symmetric tridiagonal R = (diag, off).
+
+    A diagonal similarity with off-diagonals sqrt(upper_j lower_j) makes M
+    complex symmetric, R + iJ with R and J real symmetric, and by Bauer-Fike
+    (Numer. Math. 2 (1960) 137) every eigenvalue of M - i c lies within
+    s = ||J - c||_inf >= ||J - c||_2 of one of R's; c minimizes s.  Where M_w
+    is Hermitian up to a constant imaginary diagonal, to HERMITIAN_RTOL of
+    max |M_w|, hermitian is True, c is that diagonal (exactly 0 if
+    Hermitian), R is the real part of M_w and s = 0.
+    """
     lower, diag, upper, off_gap, scale = _weighted(operator)
     tol = HERMITIAN_RTOL * scale
     if 0.5 * off_gap.max(initial=0.0) <= tol:
         for c in (0.0, float(np.mean(diag.imag))):
             if np.abs(diag.imag - c).max() <= tol:
-                return 1j * c, diag.real, np.abs(upper + lower.conj()) / 2, scale
-    return None
+                return True, 1j * c, diag.real, np.abs(upper + lower.conj()) / 2, 0.0, scale
+    off = np.sqrt(upper * lower)
+    radii = np.abs(np.append(off.imag, 0.0)) + np.abs(np.append(0.0, off.imag))
+    top, bottom = float((diag.imag + radii).max()), float((diag.imag - radii).min())
+    return False, 0.5j * (top + bottom), diag.real, off.real, 0.5 * (top - bottom), scale
 
 
 def eigen_solve(operator: TangentialOperator, k: int) -> Spectrum:
@@ -213,15 +164,8 @@ def eigen_solve(operator: TangentialOperator, k: int) -> Spectrum:
     if not 1 <= k <= n:
         raise SolveError(f"k = {k} not in [1, {n}]")
 
-    structured = _structured(operator)
-    if structured is not None:
-        path, (values, vectors) = "tridiagonal", _tridiagonal_solve(operator, k, *structured)
-    elif k + ARNOLDI_EXTRA < n - 1:
-        path, (values, vectors) = "shift-invert", _sparse_solve(operator, k)
-    else:
-        path, (values, vectors) = "dense", sla.eig(operator.matrix)
-
-    order = np.lexsort((values.imag, values.real))[:k]
+    values, vectors = _sparse_solve(operator, k)
+    order = np.lexsort((values.imag, values.real))
     values = values[order]
     vectors = vectors[:, order]
     # normalize under the surface measure
@@ -229,13 +173,13 @@ def eigen_solve(operator: TangentialOperator, k: int) -> Spectrum:
     vectors = vectors / wnorm[None, :]
 
     residuals = _residuals(operator, values, vectors)
-    if np.any(residuals >= RESIDUAL_TOL):
+    if not np.all(residuals < RESIDUAL_TOL):
         raise SolveError(
             f"eigen residual contract violated: max {residuals.max():.3e} "
             f">= {RESIDUAL_TOL}"
         )
     return Spectrum(m=operator.m, eigenvalues=values, eigenvectors=vectors,
-                    residuals=residuals, path=path)
+                    residuals=residuals)
 
 
 def _residuals(operator: TangentialOperator, values, vectors) -> np.ndarray:
@@ -244,114 +188,79 @@ def _residuals(operator: TangentialOperator, values, vectors) -> np.ndarray:
     return np.linalg.norm(res, axis=0) / np.linalg.norm(vectors, axis=0)
 
 
-def _refine(operator: TangentialOperator, values, vectors) -> np.ndarray:
-    """One inverse-iteration step on M at each eigenvalue, in place on the
-    columns of vectors; returns the Rayleigh quotients with left vector
-    w conj(x).
+def _sparse_solve(operator: TangentialOperator, k: int):
+    """The k eigenpairs of smallest real part, from M's bands.
 
-    The linear solve gets one step of iterative refinement: without it the
-    solve's rounding, not the float64 floor of x, sets the residual.  Where
-    M - lam is exactly singular, lam is exact and the pair is kept.
+    Bisection locates the lowest levels lev of R (_symmetric_form) to within
+    tol = LOCATE_RTOL max(off) / n^2.  Each level then takes INVERSE_STEPS
+    steps of inverse iteration on M's bands through one factorization at
+    lev + i c - tol, from a start vector of its own.
+
+    Where M_w is Hermitian up to i c, the levels found within PROJECT_SPAN
+    tol are projected out before each step in the measure inner product
+    sum w conj(u) x, and the eigenvalue is the real Rayleigh quotient plus
+    i c; farther levels shrink by (1.5 / PROJECT_SPAN)^3 unaided.
+
+    Otherwise the discs of radius s around lev + i c, up to the (k+1)-th,
+    must be disjoint: lev[j+1] - lev[j] > 2 s + tol for j < k.  As the
+    eigenvalues move continuously along R + i t (J - c), t in [0, 1], each
+    disc then holds exactly one, and the k lowest discs hold those of
+    smallest real part; if not, CertificateError is raised.  The levels are
+    separated, so nothing is projected.  A second factorization at the
+    Rayleigh quotient minus tol takes REFINE_STEPS more steps.  The quotient
+    is two-sided, with left vector D^2 x (transposed) where D M D^-1 is the
+    complex symmetric form, (D_{j+1} / D_j)^2 = upper_j / lower_j: that is
+    the left eigenvector's form, so the eigenvalue's error is quadratic in
+    the vector's, where the measure quotient's is linear.
     """
-    quotients = np.array(values, dtype=complex)
-    for i, lam in enumerate(values):
-        shifted = (operator.lower, operator.diag - lam, operator.upper)
-        solve = _tridiag_solver(*shifted)
-        if solve is not None:
-            v = vectors[:, i]
-            x = solve(v)
-            x += solve(v - _matvec(*shifted, x))
-            left = operator.measure_weights * x.conj()
-            quotients[i] = left @ _matvec(*operator.bands, x) / (left @ x)
-            vectors[:, i] = x
-    return quotients
-
-
-def _tridiagonal_solve(operator: TangentialOperator, k: int, shift, diag, off, scale):
-    """Structured case: M_w - shift has the eigenvalues of the real symmetric
-    tridiagonal (diag, off).  Bisection locates the k lowest to within
-    tol = LOCATE_RTOL max(off) / n^2; each then takes INVERSE_STEPS steps of
-    inverse iteration on M's bands from a start vector of its own, projecting
-    out the levels found within PROJECT_SPAN tol in the measure inner product
-    sum w conj(u) x.  The eigenvalue is the real Rayleigh quotient plus the
-    exact shift.  Farther levels shrink by (1.5 / PROJECT_SPAN)^3 unaided."""
-    n, w = operator.n, operator.measure_weights
+    n, w, (lower, bands_diag, upper) = operator.n, operator.measure_weights, operator.bands
+    hermitian, shift, diag, off, s, scale = _symmetric_form(operator)
     tol = LOCATE_RTOL * (off.max(initial=0.0) or scale) / n ** 2
+    count = k if hermitian else min(k + 1, n)
     located = sla.eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
-                                   select_range=(0, k - 1), tol=tol)
+                                   select_range=(0, count - 1), tol=tol)
+    gaps = np.diff(located)
+    if not hermitian and gaps.size and gaps.min() <= 2.0 * s + tol:
+        j = int(np.argmin(gaps))
+        raise CertificateError(
+            f"cannot certify the {k} smallest real parts: levels {j} and {j + 1} of the "
+            f"real symmetric part are {gaps[j]:.6g} apart, not more than 2 s + tol, where "
+            f"every eigenvalue lies within s = {s:.6g} of a level plus {shift.imag:.6g}i "
+            f"(tol = {tol:.3g})"
+        )
+
+    d2 = None if hermitian else np.concatenate(([1.0], np.cumprod(upper / lower)))
+
+    def quotient(x):
+        if hermitian:
+            left = w * x.conj() / np.vdot(x, w * x).real
+        else:
+            left = d2 * x
+            left /= left @ x
+        return left, left @ _matvec(lower, bands_diag, upper, x)
+
     # fixed start vectors; lefts[i] = w conj(x_i) / sum w |x_i|^2 projects out x_i
     basis = np.random.default_rng(0).uniform(-1.0, 1.0, (k, n)).astype(complex)
     lefts, quotients = np.empty_like(basis), np.empty(k, dtype=complex)
-    for i, lam in enumerate(located + shift):
+    for i, lam in enumerate(located[:k] + shift):
         # lam - tol is tol/2 to 3 tol/2 off the level, too far for the solve's rounding
         # to set the residual; projecting before each solve lets it damp their rounding
-        solve = _tridiag_solver(operator.lower, operator.diag - (lam - tol), operator.upper)
-        x, near = basis[i], np.searchsorted(located, located[i] - PROJECT_SPAN * tol)
+        solve = _tridiag_solver(lower, bands_diag - (lam - tol), upper)
+        x = basis[i]
+        near = np.searchsorted(located, located[i] - PROJECT_SPAN * tol) if hermitian else i
         for _ in range(INVERSE_STEPS):
             for left, u in zip(lefts[near:i], basis[near:i]):
                 x -= (left @ x) * u
             x = solve(x)
-        left = w * x.conj() / np.vdot(x, w * x).real
-        quotients[i] = left @ _matvec(*operator.bands, x)
+        left, quotients[i] = quotient(x)
+        if not hermitian:
+            # lam is only within s of the eigenvalue; the quotient is within ~tol
+            solve = _tridiag_solver(lower, bands_diag - (quotients[i] - tol), upper)
+            for _ in range(REFINE_STEPS):
+                x = solve(x)
+            left, quotients[i] = quotient(x)
         basis[i], lefts[i] = x, left
-    return quotients.real + shift, basis.T
-
-
-def _sparse_solve(operator: TangentialOperator, k: int):
-    """Non-normal case: the k + ARNOLDI_EXTRA eigenvalues nearest a shift
-    sigma left of the spectrum, by Arnoldi iteration on (M - sigma)^-1
-    applied through one tridiagonal factorization.
-
-    The k of smallest real part are refined once (_refine), keeping
-    Arnoldi's pair where the refined one misses the residual contract and
-    Arnoldi's is closer, and certified to be the k smallest of the whole
-    spectrum, or SolveError is raised.
-    Gershgorin's row discs put every eigenvalue right of sigma + 1.  The
-    diagonal similarity with off-diagonals off_j = sqrt(upper_j lower_j)
-    makes M complex symmetric, R + iJ with R and J real symmetric, so every
-    eigenvalue has |Im| <= s = ||J||_inf.  Arnoldi returns the eigenvalues
-    nearest sigma; every other one lies at least r = max |lambda_i - sigma|
-    from sigma, hence has Re >= sigma + sqrt(r^2 - s^2).
-    """
-    n, (lower, diag, upper) = operator.n, operator.bands
-    offsum = np.abs(np.append(upper, 0.0)) + np.abs(np.append(0.0, lower))
-    sigma = float((diag.real - offsum).min()) - 1.0
-    # diagonally dominant, so the factorization cannot break down
-    solve = _tridiag_solver(lower, diag - sigma, upper)
-    inverse = spla.LinearOperator((n, n), matvec=solve, dtype=complex)
-    forward = spla.LinearOperator((n, n), matvec=lambda x: _matvec(lower, diag, upper, x),
-                                  dtype=complex)
-    # a fixed start vector makes the result repeatable
-    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
-    try:
-        with _one_blas_thread:
-            found, vectors = spla.eigs(forward, k=k + ARNOLDI_EXTRA, sigma=sigma, which="LM",
-                                       v0=v0, OPinv=inverse)
-    except spla.ArpackNoConvergence as exc:
-        raise SolveError(f"shift-invert iteration failed to converge: {exc}") from exc
-
-    order = np.lexsort((found.imag, found.real))[:k]
-    selected, vectors = found[order], vectors[:, order]
-    arnoldi = vectors.copy()
-    values = _refine(operator, selected, vectors)
-    # at the float64 floor (max |M| ~ 1e6 in as-written mode) refinement can
-    # lose accuracy: 1 pair in ~4000 at n = 1000 missed the contract after it
-    refined_res = _residuals(operator, values, vectors)
-    back = (refined_res >= RESIDUAL_TOL) & (_residuals(operator, selected, arnoldi) < refined_res)
-    values[back], vectors[:, back] = selected[back], arnoldi[:, back]
-
-    off = np.sqrt(upper * lower)
-    s = float((np.abs(diag.imag) + np.abs(np.append(off.imag, 0.0))
-               + np.abs(np.append(0.0, off.imag))).max())
-    r = float(np.abs(found - sigma).max())
-    bound = sigma + math.sqrt(r * r - s * s) if r > s else -math.inf
-    if not values.real.max() < bound:
-        raise SolveError(
-            f"shift-invert cannot certify the {k} smallest real parts: the "
-            f"eigenvalues not computed may have Re as low as {bound:.6g}, the "
-            f"computed ones reach Re {values.real.max():.6g} (r = {r:.6g}, |Im| <= {s:.6g})"
-        )
-    return values, vectors
+    return (quotients.real + shift if hermitian else quotients), basis.T
 
 
 def evolve(operator: TangentialOperator, initial: np.ndarray, dt: float,

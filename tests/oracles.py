@@ -66,6 +66,28 @@ def disc_dirichlet_energy(m: int, k: int, radius: float = 1.0) -> float:
     return bessel_zero(m, k) ** 2 / (2.0 * radius ** 2)
 
 
+def smallest_real_parts(mat: np.ndarray, k: int) -> np.ndarray:
+    """The k eigenvalues of smallest real part of a full dense eig, sorted by
+    (Re, Im)."""
+    ref = np.linalg.eigvals(mat)
+    return ref[np.lexsort((ref.imag, ref.real))][:k]
+
+
+def two_sided_quotient(lower, diag, upper, x) -> complex:
+    """y^T M x / y^T x for the tridiagonal M = (lower, diag, upper), in long
+    double, with y = D^2 x for the diagonal D that makes D M D^-1 complex
+    symmetric, (D_{j+1} / D_j)^2 = upper_j / lower_j.  y is then the form of
+    the left eigenvector, so near an eigenvector x the quotient's error is
+    quadratic in the error of x."""
+    lower, diag, upper, x = (np.asarray(v, dtype=np.clongdouble)
+                             for v in (lower, diag, upper, x))
+    y = np.concatenate(([1.0], np.cumprod(upper / lower))) * x
+    mx = diag * x
+    mx[:-1] += upper * x[1:]
+    mx[1:] += lower * x[:-1]
+    return np.sum(y * mx) / np.sum(y * x)
+
+
 def fd_curvatures(S, rho: np.ndarray, h: float = 1e-4):
     """(Z, H, K) with S_rho and S_rhorho taken by central differences of S."""
     rho = np.asarray(rho, dtype=float)

@@ -4,20 +4,17 @@ Channels are drawn over the catalog profiles (parameter ranges as in the
 benchmark's workloads), the field kinds, m in 0..2, charge e in [0.5, 2]
 and n in [32, 160].  Examples are derandomized, so every run checks the
 same cases.
-
-The measure-symmetry properties exclude m = 0 with a radial component A1:
-there the axis fold puts i e sbar_lo[0]/(2 drho w_0) on the first diagonal
-entry, which is not part of e A3 H.
 """
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvband import (RadialGrid, axial_uniform, build_tangential, cartesian_constant,
-                      evolve, flat, frame_synthetic, gaussian_bump, hermiticity_report,
-                      paraboloid, sphere_cap, zero_field)
+from curvband import (RadialGrid, VectorPotentialSpec, axial_uniform, build_tangential,
+                      cartesian_constant, eigen_solve, evolve, flat, frame_synthetic,
+                      gaussian_bump, hermiticity_report, paraboloid, sphere_cap, zero_field)
 from curvband.operator import MODES
+from oracles import smallest_real_parts
 
 PROPERTY = settings(derandomize=True, max_examples=50, deadline=None)
 RHO_MAX = 1.0
@@ -71,12 +68,6 @@ def channels(draw, mode=None, normal=True):
     return profile, field, a3, m, e, grid, mode or draw(st.sampled_from(MODES))
 
 
-def radial_free(field, m, grid) -> bool:
-    """True where the axis fold adds nothing: m != 0 or A1 = 0 on the grid."""
-    rho_ext = np.concatenate(([0.0], grid.nodes, [grid.rho_max]))
-    return m != 0 or not np.any(field.components(rho_ext, 0.0)[0])
-
-
 @PROPERTY
 @given(channels())
 def test_coupling_diag_is_e_a3_h(channel):
@@ -94,7 +85,6 @@ def test_coupling_diag_is_e_a3_h(channel):
 @given(channels(mode="hermitian-corrected"))
 def test_corrected_anti_hermitian_part_is_the_coupling(channel):
     profile, field, _, m, e, grid, mode = channel
-    assume(radial_free(field, m, grid))
     op = build_tangential(profile, field, m, grid, mode=mode, e=e)
     report = hermiticity_report(op)
     assert report.coupling_equality, report.coupling_equality_gap
@@ -104,10 +94,59 @@ def test_corrected_anti_hermitian_part_is_the_coupling(channel):
 @given(channels(mode="hermitian-corrected", normal=False), st.integers(0, 2 ** 32 - 1))
 def test_corrected_evolution_without_a3_conserves_the_norm(channel, seed):
     profile, field, _, m, e, grid, mode = channel
-    assume(radial_free(field, m, grid))
     op = build_tangential(profile, field, m, grid, mode=mode, e=e)
     rng = np.random.default_rng(seed)
     initial = rng.standard_normal(grid.n_points) + 1j * rng.standard_normal(grid.n_points)
     trace = evolve(op, initial, dt=1e-3, steps=200, record_states=False)
     drift = np.abs(trace.norms / trace.norms[0] - 1.0).max()
     assert drift < 1e-10, drift
+
+
+@PROPERTY
+@given(channels())
+def test_eigen_solve_returns_the_smallest_real_parts(channel):
+    profile, field, _, m, e, grid, mode = channel
+    op = build_tangential(profile, field, m, grid, mode=mode, e=e)
+    spec = eigen_solve(op, 6)
+    np.testing.assert_allclose(spec.eigenvalues, smallest_real_parts(op.matrix, 6),
+                               rtol=1e-9, atol=1e-9)
+
+
+def negated(field):
+    """The field with every frame component negated."""
+    return VectorPotentialSpec(components=lambda rho, q: tuple(
+        -np.asarray(c, dtype=float) for c in field.components(rho, q)))
+
+
+@PROPERTY
+@given(channels())
+def test_negating_m_and_the_field_conjugates_the_channel(channel):
+    # (m, A1, A2, A3) -> (-m, -A1, -A2, -A3) maps every band entry to its
+    # conjugate: the m A2 and A^2 terms keep their sign, the i e A1 and i e A3 H
+    # terms change it
+    profile, field, _, m, e, grid, mode = channel
+    op = build_tangential(profile, field, m, grid, mode=mode, e=e)
+    mirror = build_tangential(profile, negated(field), -m, grid, mode=mode, e=e)
+    for band, mirrored in zip(op.bands, mirror.bands):
+        np.testing.assert_array_equal(mirrored, band.conj())
+    levels = eigen_solve(op, 6).eigenvalues
+    mirrored = eigen_solve(mirror, 6).eigenvalues
+    assert np.abs(mirrored - levels.conj()).max() <= 1e-12 * np.abs(levels).max()
+
+
+@PROPERTY
+@given(profiles, signed(0.1, 1.0), st.integers(0, 2), st.floats(0.5, 2.0),
+       st.integers(32, 160))
+def test_radial_a1_is_a_pure_gauge(profile, a1, m, e, n):
+    # A1 that does not depend on phi has no surface curl (it is a1 times the
+    # gradient of the meridian arc length), so the levels are those at
+    # A1 = 0; the grid reaches them at second order in the spacing
+    differences = []
+    for points in (n, 2 * n + 1):           # half the spacing
+        grid = RadialGrid(points, RHO_MAX)
+        gauged = eigen_solve(build_tangential(profile, frame_synthetic(a1=a1), m, grid, e=e), 3)
+        plain = eigen_solve(build_tangential(profile, zero_field(), m, grid, e=e), 3)
+        assert np.all(gauged.eigenvalues.imag == 0.0)
+        differences.append(np.abs(gauged.eigenvalues - plain.eigenvalues))
+    ratio = differences[0] / differences[1]
+    assert np.all((3.5 < ratio) & (ratio < 4.5)), ratio

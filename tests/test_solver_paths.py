@@ -1,17 +1,16 @@
-"""Solver routes on the banded operator: which path runs, and that it agrees
-with dense references built in the test from the materialized matrix."""
+"""The banded eigensolver and Crank-Nicolson on structured and non-normal
+channels, against dense references built in the test from the materialized
+matrix."""
 
 import dataclasses
-import sys
-import threading
-import types
+import re
 
 import numpy as np
 import pytest
 
 import curvband.operator as operator_mod
-import curvband.solver as solver_mod
 from curvband import (
+    CertificateError,
     CoarseGridWarning,
     RadialGrid,
     SolveError,
@@ -34,6 +33,7 @@ from curvband import (
 )
 from curvband.cli import main
 from curvband.operator import MODES
+from oracles import smallest_real_parts, two_sided_quotient
 
 CAP_YAML = """surface:
   kind: sphere-cap
@@ -56,8 +56,8 @@ def weighted(op):
 
 def structured_cases(n, ms=(0, 1, 2)):
     """Every catalog profile with no field and an axial-uniform field, plus
-    uniform a3 on the umbilic cap, at each m in ms; and a radial a1 field
-    (complex couplings, so the phase gauge matters) at each m != 0."""
+    uniform a3 on the umbilic cap and a radial a1 field (complex couplings),
+    at each m in ms."""
     grid = RadialGrid(n, 1.0)
     for name, prof in catalog(1.0).items():
         for field in (zero_field(), axial_uniform(1.0, prof)):
@@ -66,8 +66,7 @@ def structured_cases(n, ms=(0, 1, 2)):
     cap = sphere_cap(2.0, 1.0)
     for m in ms:
         yield "cap-a3", build_tangential(cap, frame_synthetic(a3=0.4), m, grid)
-    # at m = 0 the axis fold puts a1 into an imaginary diagonal entry
-    for m in set(ms) - {0}:
+    for m in ms:
         yield "paraboloid-a1", build_tangential(paraboloid(0.5, 1.0),
                                                 frame_synthetic(a1=0.7, a2=0.3), m, grid)
 
@@ -92,7 +91,6 @@ def test_matrix_is_built_from_the_bands():
 def test_tridiagonal_route_matches_dense_eigh():
     for name, op in structured_cases(300):
         spec = eigen_solve(op, 5)
-        assert spec.path == "tridiagonal", name
         mw = weighted(op)
         shift = float(np.mean(np.diagonal(mw).imag))
         ref = np.linalg.eigh(0.5 * (mw + mw.conj().T))[0][:5]
@@ -100,12 +98,6 @@ def test_tridiagonal_route_matches_dense_eigh():
                                    err_msg=f"{name} m={op.m}")
         assert np.all(spec.eigenvalues.imag == shift), (name, op.m)
         assert np.all(spec.residuals < 1e-8)
-
-
-def smallest_real_parts(mat, k):
-    """The k eigenvalues of smallest real part of a full dense eig."""
-    ref = np.linalg.eigvals(mat)
-    return ref[np.lexsort((ref.imag, ref.real))][:k]
 
 
 def non_normal_cases(n, ms=(0, 1)):
@@ -133,19 +125,14 @@ def test_non_normal_operators_take_the_general_solvers():
     as_written = build_tangential(prof, zero_field(), 1, grid, mode="as-written")
     for op in (nonuniform, as_written):
         spec = eigen_solve(op, 3)
-        assert spec.path == "shift-invert"
         np.testing.assert_allclose(spec.eigenvalues, smallest_real_parts(op.matrix, 3),
                                    rtol=1e-9, atol=1e-9)
-    # structured operators never reach the general solvers
-    cap = build_tangential(sphere_cap(2.0, 1.0), frame_synthetic(a3=0.4), 0, grid)
-    assert eigen_solve(cap, 3).path == "tridiagonal"
 
 
 def test_shift_invert_agrees_with_dense_on_non_normal_operator():
     op = build_tangential(paraboloid(0.5, 1.0), zero_field(), 0, RadialGrid(400, 1.0),
                           mode="as-written")
     spec = eigen_solve(op, 4)
-    assert spec.path == "shift-invert"
     np.testing.assert_allclose(spec.eigenvalues, smallest_real_parts(op.matrix, 4),
                                rtol=1e-9, atol=1e-9)
     assert np.all(spec.residuals < 1e-8)
@@ -156,65 +143,7 @@ def test_shift_invert_is_deterministic():
                           mode="as-written")
     first = eigen_solve(op, 4)
     second = eigen_solve(op, 4)
-    assert first.path == "shift-invert"
     np.testing.assert_array_equal(first.eigenvalues, second.eigenvalues)
-
-
-def test_arnoldi_runs_on_one_blas_thread(monkeypatch):
-    threads = solver_mod._scipy_blas_threads()
-    if threads is None:
-        pytest.skip("scipy's BLAS exposes no OpenBLAS thread count")
-    get, put = threads
-    spla, seen = solver_mod.spla, []
-
-    def eigs(*args, **kwargs):
-        seen.append(get())
-        return spla.eigs(*args, **kwargs)
-    monkeypatch.setattr(solver_mod, "spla", types.SimpleNamespace(
-        LinearOperator=spla.LinearOperator, ArpackNoConvergence=spla.ArpackNoConvergence,
-        eigs=eigs))
-    op = build_tangential(paraboloid(0.5, 1.0), zero_field(), 0, RadialGrid(400, 1.0),
-                          mode="as-written")
-    before = get()
-    put(2)
-    try:
-        assert eigen_solve(op, 4).path == "shift-invert"
-        assert seen == [1]
-        assert get() == 2
-    finally:
-        put(before)
-
-
-def test_concurrent_solves_restore_blas_threads():
-    threads = solver_mod._scipy_blas_threads()
-    if threads is None:
-        pytest.skip("scipy's BLAS exposes no OpenBLAS thread count")
-    get, put = threads
-    op = build_tangential(paraboloid(0.5, 1.0), zero_field(), 0, RadialGrid(100, 1.0),
-                          mode="as-written")
-    errors = []
-
-    def work():
-        try:
-            for _ in range(25):
-                eigen_solve(op, 4)
-        except Exception as exc:
-            errors.append(exc)
-    workers = [threading.Thread(target=work) for _ in range(4)]
-    before, interval = get(), sys.getswitchinterval()
-    put(2)
-    sys.setswitchinterval(1e-6)
-    try:
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join(timeout=120)
-        assert not any(w.is_alive() for w in workers)
-        assert errors == []
-        assert get() == 2
-    finally:
-        sys.setswitchinterval(interval)
-        put(before)
 
 
 def test_shift_invert_returns_smallest_real_parts_of_full_spectrum():
@@ -222,7 +151,6 @@ def test_shift_invert_returns_smallest_real_parts_of_full_spectrum():
         if key[0] == "flat":
             continue
         spec = eigen_solve(op, 6)
-        assert spec.path == "shift-invert"
         np.testing.assert_allclose(spec.eigenvalues, smallest_real_parts(op.matrix, 6),
                                    rtol=1e-9, atol=1e-9, err_msg=str(key))
 
@@ -231,24 +159,50 @@ def test_shift_invert_returns_smallest_real_parts_of_full_spectrum():
 def test_non_normal_channels_meet_contract(n):
     for key, op in non_normal_cases(n):
         spec = eigen_solve(op, 6)
-        assert spec.path == ("tridiagonal" if key[0] == "flat" else "shift-invert"), key
         assert spec.residuals.max() < 1e-8, key
 
 
+@pytest.mark.parametrize("n", [1000, 4000])
+def test_radial_field_channels_at_m0_meet_contract(n):
+    # the axis face carries no radial-field flux, so these channels are
+    # measure-Hermitian (corrected mode) or certify (as-written)
+    for name, prof in catalog(1.0).items():
+        for a1 in (0.3, 1.0):
+            for mode in MODES:
+                op = build_tangential(prof, frame_synthetic(a1=a1), 0, RadialGrid(n, 1.0),
+                                      mode=mode)
+                spec = eigen_solve(op, 6)
+                assert spec.residuals.max() < 1e-8, (name, a1, mode)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no wider than float64 here")
+def test_non_normal_eigenvalues_reach_the_rounding_floor():
+    # the reference re-evaluates, in long double, a quotient that is exact to
+    # second order in the error of the returned vectors; measure quotients
+    # on the same vectors stopped at 5-8e-12 relative on these channels
+    prof = paraboloid(0.8, 1.0)
+    for field in (zero_field(), frame_synthetic(a3=0.4)):
+        for m in (0, 1):
+            op = build_tangential(prof, field, m, RadialGrid(4000, 1.0), mode="as-written")
+            spec = eigen_solve(op, 6)
+            ref = np.array([two_sided_quotient(*op.bands, v) for v in spec.eigenvectors.T])
+            assert np.abs(spec.eigenvalues - ref).max() <= 1e-12 * np.abs(ref).max(), m
+
+
 def test_refinement_keeps_arnoldis_pair_where_it_alone_meets_contract():
-    # here the refined 4th pair leaves a residual of 2.4e-8, Arnoldi's 7e-10
+    # a channel where one refined inverse-iteration step from Arnoldi's pair
+    # left a residual of 2.4e-8 on the 4th pair
     op = build_tangential(sphere_cap(2.706451214352734, 1.0), zero_field(), 0,
                           RadialGrid(1000, 1.0), mode="as-written")
     spec = eigen_solve(op, 6)
-    assert spec.path == "shift-invert"
     assert spec.residuals.max() < 1e-8
 
 
 def test_uncertified_selection_raises():
     # a wide imaginary diagonal spread, or one off-diagonal pair of opposite
-    # signs (an imaginary off_j = sqrt(upper_j lower_j)), bounds |Im lambda|
-    # only by more than the distance Arnoldi covers, so the selection is
-    # not certain
+    # signs (an imaginary off_j = sqrt(upper_j lower_j)), gives Bauer-Fike
+    # discs wider than the level spacing, so the selection is not certain
     op = build_tangential(paraboloid(0.5, 1.0), frame_synthetic(a3=0.3), 0,
                           RadialGrid(300, 1.0))
     spread = dataclasses.replace(op, diag=op.diag + 1e4j * np.linspace(-1.0, 1.0, op.n))
@@ -260,24 +214,31 @@ def test_uncertified_selection_raises():
             eigen_solve(moved, 6)
 
 
-def test_small_non_normal_problems_take_the_dense_path():
+def test_certificate_error_states_the_gap_and_the_disc_radius():
+    op = build_tangential(paraboloid(0.5, 1.0), frame_synthetic(a3=0.3), 0,
+                          RadialGrid(300, 1.0))
+    spread = dataclasses.replace(op, diag=op.diag + 1e4j * np.linspace(-1.0, 1.0, op.n))
+    stated = r"levels 0 and 1 .* apart, .* s = 1000\d\."
+    # k = 1 too: the disc of the level left out must be clear of the k kept
+    for k in (1, 6):
+        with pytest.raises(CertificateError, match=stated) as info:
+            eigen_solve(spread, k)
+        # perfbench's tracer reads "max <number>" in a failed solve's message as its residual
+        assert re.search(r"max [0-9]", str(info.value)) is None
+
+
+def test_full_spectrum_of_a_small_non_normal_channel_matches_dense():
     op = build_tangential(paraboloid(0.5, 1.0), zero_field(), 0, RadialGrid(48, 1.0),
                           mode="as-written")
     spec = eigen_solve(op, 48)
-    assert spec.path == "dense"
     np.testing.assert_allclose(spec.eigenvalues, smallest_real_parts(op.matrix, 48),
                                rtol=1e-9, atol=1e-9)
-    # Arnoldi needs k + ARNOLDI_EXTRA < n - 1
-    k = op.n - 2 - solver_mod.ARNOLDI_EXTRA
-    assert eigen_solve(op, k).path == "shift-invert"
-    assert eigen_solve(op, k + 1).path == "dense"
 
 
 def test_structured_channels_meet_contract_at_n2500():
     worst = 0.0
     for name, op in structured_cases(2500, ms=(0, 1)):
         spec = eigen_solve(op, 6)
-        assert spec.path == "tridiagonal", name
         worst = max(worst, float(spec.residuals.max()))
     assert worst < 1e-8
 
@@ -292,7 +253,6 @@ def test_structured_channels_meet_contract_at_n4000():
              (flat_disc, axial_uniform(-1.7490055345676845, flat_disc), 2)]
     for prof, field, m in cases:
         spec = eigen_solve(build_tangential(prof, field, m, RadialGrid(4000, 1.0)), 6)
-        assert spec.path == "tridiagonal"
         assert spec.residuals.max() < 5e-9, (prof.name, m)
 
 
@@ -308,7 +268,6 @@ def test_benchmark_channels_that_broke_the_contract_meet_it():
              (para, axial_uniform(1.4591023053106116, para), 0, 4000)]
     for prof, field, m, n in cases:
         spec = eigen_solve(build_tangential(prof, field, m, RadialGrid(n, 1.0)), 6)
-        assert spec.path == "tridiagonal"
         assert spec.residuals.max() < 1e-8, (prof.name, m, n)
 
 
@@ -334,7 +293,6 @@ def twin_channel(coupling):
 def test_degenerate_levels_get_orthonormal_eigenvectors(coupling):
     op = twin_channel(coupling)
     spec = eigen_solve(op, 6)
-    assert spec.path == "tridiagonal"
     np.testing.assert_allclose(spec.eigenvalues, smallest_real_parts(op.matrix, 6),
                                rtol=1e-9, atol=0.0)
     v = spec.eigenvectors
