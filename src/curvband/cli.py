@@ -164,17 +164,17 @@ def main(argv=None) -> int:
         description="Spectra and norm dynamics of a charged particle bound "
                     "to an axisymmetric curved surface in a static vector potential",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="YAML run configuration")
-        p.add_argument("--output", default=None, help="output directory")
-        p.add_argument("--mode", default=None, choices=list(operator.MODES))
-        p.add_argument("--m", default=None,
-                       help="comma-separated azimuthal indices, e.g. 0,1,2")
-        p.add_argument("--n-points", type=int, default=None)
-        p.add_argument("--dt", type=float, default=None)
-        p.add_argument("--steps", type=int, default=None)
+    # one flat parser: a subparser per command would build five parsers for
+    # seven flags that every command shares
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", required=True, help="YAML run configuration")
+    parser.add_argument("--output", default=None, help="output directory")
+    parser.add_argument("--mode", default=None, choices=list(operator.MODES))
+    parser.add_argument("--m", default=None,
+                        help="comma-separated azimuthal indices, e.g. 0,1,2")
+    parser.add_argument("--n-points", type=int, default=None)
+    parser.add_argument("--dt", type=float, default=None)
+    parser.add_argument("--steps", type=int, default=None)
     args = parser.parse_args(argv)
 
     try:

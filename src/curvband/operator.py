@@ -193,7 +193,7 @@ def build_tangential(profile: SurfaceProfile, A: VectorPotentialSpec, m: int,
     # no flux: at m = 0 the fold below closes it like the axis itself,
     # where rho*A1 is 0 (its mean, drho A1(drho)/2, would put an O(1/drho)
     # imaginary entry on diag[0]); at m != 0 lo[0] is dropped anyway
-    a1_ext = np.asarray(A.components(rho_ext, 0.0)[0], dtype=float)
+    a1_ext, a2_ext, a3_ext = (np.asarray(v, dtype=float) for v in A.components(rho_ext, 0.0))
     s_ext = rho_ext * a1_ext
     sbar_up = 0.5 * (s_ext[1:n + 1] + s_ext[2:n + 2])
     sbar_lo = 0.5 * (s_ext[0:n] + s_ext[1:n + 1])
@@ -201,8 +201,7 @@ def build_tangential(profile: SurfaceProfile, A: VectorPotentialSpec, m: int,
     up = up - 1j * e * sbar_up / (2.0 * dr * wt)
     lo = lo + 1j * e * sbar_lo / (2.0 * dr * wt)
 
-    a1 = a1_ext[inner]
-    _, a2, a3 = (np.asarray(v, dtype=float) for v in A.components(rho, 0.0))
+    a1, a2, a3 = a1_ext[inner], a2_ext[inner], a3_ext[inner]
     if not (np.all(np.isfinite(a1_ext)) and np.all(np.isfinite(a2))
             and np.all(np.isfinite(a3))):
         raise EvaluationError("vector potential components non-finite on the grid")

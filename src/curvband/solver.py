@@ -84,10 +84,12 @@ class HermiticityReport:
     """Structure of the measure-weighted matrix M_w = W^1/2 M W^-1/2.
 
     max_asymmetry is max |M_w - M_w^dag| (absolute), relative_asymmetry the
-    same scaled by max |M_w|.  antihermitian_norm is the Frobenius norm of
-    (M_w - M_w^dag)/2.  coupling_equality states whether that anti-Hermitian
-    part equals the diagonal i e A3 H contribution to within 1e-10; on very
-    fine grids plain rounding in the kinetic block can exceed that bound.
+    same scaled by max(1, max |M_w|).  antihermitian_norm is the Frobenius
+    norm of (M_w - M_w^dag)/2.  coupling_equality states whether that
+    anti-Hermitian part equals the diagonal i e A3 H contribution to within
+    HERMITIAN_RTOL of max(1, max |M_w|): rounding in the kinetic block grows
+    with that scale, like (n + 1)^2, so no absolute bound fits every grid.
+    coupling_equality_gap is the largest entry of the difference.
     """
 
     mode: str
@@ -324,7 +326,7 @@ def hermiticity_report(operator: TangentialOperator) -> HermiticityReport:
         max_asymmetry=max_asym,
         relative_asymmetry=max_asym / scale,
         antihermitian_norm=math.sqrt(diag.imag @ diag.imag + 0.5 * off_gap @ off_gap),
-        coupling_equality=bool(gap <= 1e-10),
+        coupling_equality=bool(gap <= HERMITIAN_RTOL * scale),
         coupling_equality_gap=gap,
     )
 

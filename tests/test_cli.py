@@ -323,6 +323,43 @@ def test_flags_are_validated_like_config_keys(tmp_path, capsys, flag, value, key
         assert "grid.n_points: must be >= 16" in flag_err
 
 
+FLAGS = ("--config", "--output", "--mode", "--m", "--n-points", "--dt", "--steps")
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_help_lists_every_flag(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    for flag in FLAGS:
+        assert flag in out
+
+
+def test_unknown_command_exits_two_naming_the_choices(tmp_path, capsys):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(MINIMAL, encoding="utf-8")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["spectra", "--config", str(cfg)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "'spectra'" in err
+    for command in cli.COMMANDS:
+        assert repr(command) in err
+
+
+def test_flags_before_the_command_give_the_same_outputs(tmp_path):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(MINIMAL + "grid:\n  n_points: 64\n", encoding="utf-8")
+    before, after = tmp_path / "before", tmp_path / "after"
+    assert main(["--config", str(cfg), "--output", str(before), "--m", "0,1",
+                 "spectrum"]) == 0
+    assert main(["spectrum", "--config", str(cfg), "--output", str(after),
+                 "--m", "0,1"]) == 0
+    for name in ("spectrum.csv", "run_summary.txt"):
+        assert (before / name).read_bytes() == (after / name).read_bytes()
+
+
 def test_malformed_m_flag_exits_one(tmp_path, capsys):
     code, _ = run_cli(tmp_path, MINIMAL, "spectrum", "--m", "0,x")
     assert code == 1

@@ -262,6 +262,14 @@ def _breaches(rule):
 
 @pytest.mark.parametrize("schema, f", SCHEMA_FIELDS,
                          ids=[f"{SECTIONS[s]}.{f.name}" for s, f in SCHEMA_FIELDS])
+def test_field_type_is_the_resolved_annotation(schema, f):
+    # the validator reads f.type, which would be a string under
+    # `from __future__ import annotations` in the config module
+    assert f.type == typing.get_type_hints(schema)[f.name]
+
+
+@pytest.mark.parametrize("schema, f", SCHEMA_FIELDS,
+                         ids=[f"{SECTIONS[s]}.{f.name}" for s, f in SCHEMA_FIELDS])
 def test_every_schema_key_follows_its_declared_rule(schema, f):
     annotation = typing.get_type_hints(schema)[f.name]
     # a section is named by its own key, every other key by section.key

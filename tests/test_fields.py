@@ -130,14 +130,14 @@ def test_cartesian_field_is_projected_once_per_point():
     calls.clear()                     # the axisymmetry spot check
     grid = RadialGrid(40, 1.0)
     op = build_tangential(prof, A, 1, grid)
-    # A1 at the nodes and the two ghost radii, then A2 and A3 at the nodes
-    assert calls == [(42,), (40,)]
+    # all three components at the nodes and the two ghost radii, in one call
+    assert calls == [(42,)]
     ref = build_tangential(prof, axial_uniform(1.0, prof), 1, grid)
     np.testing.assert_array_equal(op.diag, ref.diag)
     # every components call projects once
     for rho, q in ((0.5, 0.0), (0.5, 0.0), (0.5, 0.1), (0.25, 0.1)):
         assert A.components(rho, q)[1] == project_to_frame(counting, prof, rho, 0.0, q)[1]
-    assert len(calls) == 2 + 4 + 4
+    assert len(calls) == 1 + 4 + 4
 
 
 def test_fields_axisymmetric_by_construction_project_lazily(monkeypatch):
@@ -154,7 +154,7 @@ def test_fields_axisymmetric_by_construction_project_lazily(monkeypatch):
     assert calls == []
     for A in specs:
         build_tangential(prof, A, 1, RadialGrid(40, 1.0))
-    assert calls == [(42,), (40,)] * 2
+    assert calls == [(42,)] * 2
 
 
 def test_non_axisymmetric_cartesian_field_rejected():

@@ -235,6 +235,17 @@ def test_report_identifies_uniform_coupling():
     assert rep.max_asymmetry == pytest.approx(0.4, rel=1e-9)
 
 
+@pytest.mark.parametrize("n", [1000, 4000])
+def test_report_coupling_equality_holds_on_fine_grids(n):
+    # measure-Hermitian up to rounding, which grows with max |M_w| like
+    # (n + 1)^2: the gap is ~1.5e-10 at n = 1000 and ~2.3e-9 at n = 4000
+    op = build_tangential(paraboloid(0.5, 1.0), frame_synthetic(a1=0.3, a2=0.2), 1,
+                          RadialGrid(n, 1.0))
+    rep = hermiticity_report(op)
+    assert rep.relative_asymmetry < 1e-15
+    assert rep.coupling_equality, rep.coupling_equality_gap
+
+
 def test_report_flags_as_written_asymmetry():
     op = build_tangential(paraboloid(0.5, 1.0), zero_field(), 0,
                           RadialGrid(200, 1.0), mode="as-written")
