@@ -74,20 +74,18 @@ class RadialGrid:
 class TangentialOperator:
     """Discretized tangential operator for one azimuthal channel.
 
-    The operator is tridiagonal and kept as its complex bands:
+    The operator is tridiagonal and is its complex bands:
     lower[j] = M[j+1, j], diag[j] = M[j, j], upper[j] = M[j, j+1].
     measure_weights are the surface-measure quadrature weights rho Z drho;
     the corrected operator with no field is self-adjoint under them.
-    coupling_diag holds e * A3 * H per node, the coefficient of the
-    imaginary potential responsible for norm growth or decay.
+    diag.imag is e * A3 * H per node, the coefficient of the imaginary
+    potential responsible for norm growth or decay.
     """
 
     m: int
     mode: str
-    charge_e: float
     measure_weights: np.ndarray
     grid: RadialGrid
-    coupling_diag: np.ndarray
     lower: np.ndarray
     diag: np.ndarray
     upper: np.ndarray
@@ -205,20 +203,18 @@ def build_tangential(profile: SurfaceProfile, A: VectorPotentialSpec, m: int,
     if not (np.all(np.isfinite(a1_ext)) and np.all(np.isfinite(a2))
             and np.all(np.isfinite(a3))):
         raise EvaluationError("vector potential components non-finite on the grid")
-    coupling = e * a3 * H
-
     diag = diag + 0.5 * m * m / rho ** 2 \
         - 0.5 * (H ** 2 - K) \
         + e * m * a2 / rho \
-        + 1j * coupling \
+        + 1j * (e * a3 * H) \
         + 0.5 * e * e * (a1 ** 2 + a2 ** 2 + a3 ** 2)
 
     if m == 0:
         diag[0] += lo[0]        # fold the axis ghost chi(0) := chi(drho)
 
     return TangentialOperator(
-        m=m, mode=mode, charge_e=e, measure_weights=wt * dr, grid=grid,
-        coupling_diag=coupling, lower=lo[1:], diag=diag, upper=up[:-1],
+        m=m, mode=mode, measure_weights=wt * dr, grid=grid,
+        lower=lo[1:], diag=diag, upper=up[:-1],
     )
 
 

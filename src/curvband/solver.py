@@ -86,7 +86,7 @@ class HermiticityReport:
     max_asymmetry is max |M_w - M_w^dag| (absolute), relative_asymmetry the
     same scaled by max(1, max |M_w|).  antihermitian_norm is the Frobenius
     norm of (M_w - M_w^dag)/2.  coupling_equality states whether that
-    anti-Hermitian part equals the diagonal i e A3 H contribution to within
+    anti-Hermitian part equals i Im(diag), the coupling i e A3 H, to within
     HERMITIAN_RTOL of max(1, max |M_w|): rounding in the kinetic block grows
     with that scale, like (n + 1)^2, so no absolute bound fits every grid.
     coupling_equality_gap is the largest entry of the difference.
@@ -101,9 +101,7 @@ class HermiticityReport:
 
 
 def _matvec(lower, diag, upper, x) -> np.ndarray:
-    """Tridiagonal (lower, diag, upper) times a vector or the columns of x."""
-    if x.ndim == 2:
-        lower, diag, upper = lower[:, None], diag[:, None], upper[:, None]
+    """Tridiagonal (lower, diag, upper) times the vector x."""
     y = diag * x
     y[:-1] += upper * x[1:]
     y[1:] += lower * x[:-1]
@@ -126,7 +124,10 @@ def _tridiag_solver(lower, diag, upper):
 
 def _weighted(operator: TangentialOperator):
     """Bands of M_w = W^1/2 M W^-1/2, |M_w - M_w^dag| above its diagonal,
-    and max(1, max |M_w|)."""
+    and max(1, max |M_w|); SolveError names a band that is not finite."""
+    for name, band in zip(("lower", "diag", "upper"), operator.bands):
+        if not np.isfinite(band).all():
+            raise SolveError(f"operator band {name} has a nan or inf entry")
     d = np.sqrt(operator.measure_weights)
     lower = (d[1:] * operator.lower) / d[:-1]
     diag = (d * operator.diag) / d
@@ -186,7 +187,9 @@ def eigen_solve(operator: TangentialOperator, k: int) -> Spectrum:
 
 def _residuals(operator: TangentialOperator, values, vectors) -> np.ndarray:
     """||M v - lambda v|| / ||v|| for each column v of vectors."""
-    res = _matvec(*operator.bands, vectors) - vectors * values
+    res = np.empty_like(vectors)
+    for j, (lam, v) in enumerate(zip(values, vectors.T)):
+        res[:, j] = _matvec(*operator.bands, v) - v * lam
     return np.linalg.norm(res, axis=0) / np.linalg.norm(vectors, axis=0)
 
 
@@ -284,26 +287,21 @@ def evolve(operator: TangentialOperator, initial: np.ndarray, dt: float,
     if solve is None:
         raise SolveError("Crank-Nicolson factorization failed: I + i dt/2 M is singular")
 
-    z = d * chi
+    # step s writes row s of the states, or row s % 2 of a two-row buffer
+    rows = np.empty((steps + 1 if record_states else 2, n), dtype=complex)
+    rows[0] = z = d * chi
     norms = np.empty(steps + 1)
     norms[0] = math.sqrt(np.vdot(z, z).real)
-    states = np.empty((steps + 1, n), dtype=complex) if record_states else None
-    if record_states:
-        states[0] = z
-    warned = False
     for s in range(1, steps + 1):
-        z = solve(z) - z
+        z = np.subtract(solve(z), z, out=rows[s % len(rows)])
         norms[s] = math.sqrt(np.vdot(z, z).real)
-        if record_states:
-            states[s] = z
-        if not warned and (norms[s] > 10.0 * norms[s - 1] or norms[s] < 0.1 * norms[s - 1]):
-            warnings.warn(
-                f"norm changed by more than 10x in one step at t = {s * dt}",
-                InstabilityWarning, stacklevel=2,
-            )
-            warned = True
-    if record_states:
-        states /= d
+    jumps = np.flatnonzero((norms[1:] > 10.0 * norms[:-1]) | (norms[1:] < 0.1 * norms[:-1]))
+    if jumps.size:
+        warnings.warn(
+            f"norm changed by more than 10x in one step at t = {(int(jumps[0]) + 1) * dt}",
+            InstabilityWarning, stacklevel=2,
+        )
+    states = np.divide(rows, d, out=rows) if record_states else None
 
     if not np.all(np.isfinite(norms)) or np.any(norms <= 0.0):
         raise SolveError("propagation produced non-positive or non-finite norms")
@@ -319,7 +317,7 @@ def hermiticity_report(operator: TangentialOperator) -> HermiticityReport:
     _, diag, _, off_gap, scale = _weighted(operator)
     # M_w - M_w^dag is 2i Im(diag) on the diagonal and off_gap in size off it
     max_asym = float(max(2.0 * np.abs(diag.imag).max(), off_gap.max(initial=0.0)))
-    gap = float(max(np.abs(diag.imag - operator.coupling_diag).max(),
+    gap = float(max(np.abs(diag.imag - operator.diag.imag).max(),
                     0.5 * off_gap.max(initial=0.0)))
     return HermiticityReport(
         mode=operator.mode,
@@ -337,7 +335,7 @@ def total_energy(spectrum: Spectrum, normal: NormalChannel) -> np.ndarray:
 
 
 def weighted_coupling(operator: TangentialOperator, state: np.ndarray) -> float:
-    """Surface-measure average of e A3 H weighted by |chi|^2.
+    """Surface-measure average of e A3 H, the operator's Im diag, weighted by |chi|^2.
 
     For spatially varying coupling this is the only quantitative handle on
     the expected norm-growth rate; the exponential law itself holds only
@@ -348,7 +346,8 @@ def weighted_coupling(operator: TangentialOperator, state: np.ndarray) -> float:
     total = float(density.sum())
     if total == 0.0:
         raise SolveError("state has zero norm")
-    return float((density @ operator.coupling_diag) / total)
+    # contiguous: BLAS sums a strided vector in another order
+    return float((density @ np.ascontiguousarray(operator.diag.imag)) / total)
 
 
 def ground_state(operator: TangentialOperator) -> np.ndarray:

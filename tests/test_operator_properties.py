@@ -70,14 +70,14 @@ def channels(draw, mode=None, normal=True):
 
 @PROPERTY
 @given(channels())
-def test_coupling_diag_is_e_a3_h(channel):
+def test_im_diag_is_e_a3_h(channel):
     profile, field, a3, m, e, grid, mode = channel
     op = build_tangential(profile, field, m, grid, mode=mode, e=e)
     rho = grid.nodes
     sr, srr = profile.S_rho(rho), profile.S_rhorho(rho)
     Z = np.sqrt(1.0 + sr * sr)
     H = -0.5 * (sr / (rho * Z) + srr / Z ** 3)
-    np.testing.assert_allclose(op.coupling_diag, e * a3(rho, Z) * H,
+    np.testing.assert_allclose(op.diag.imag, e * a3(rho, Z) * H,
                                rtol=1e-12, atol=1e-15)
 
 

@@ -198,8 +198,10 @@ def test_instability_warning_on_violent_growth():
     wild = shifted_copy(op, 1800.0j)
     psi = np.full(24, 1.0 + 0.0j)
     psi /= math.sqrt(float(wild.measure_weights @ np.abs(psi) ** 2))
-    with pytest.warns(InstabilityWarning):
+    with pytest.warns(InstabilityWarning) as record:
         evolve(wild, psi, dt=1e-3, steps=3, record_states=False)
+    assert len(record) == 1
+    assert str(record[0].message).endswith("at t = 0.001")
 
 
 def test_evolve_validates_arguments():
@@ -244,6 +246,31 @@ def test_report_coupling_equality_holds_on_fine_grids(n):
     rep = hermiticity_report(op)
     assert rep.relative_asymmetry < 1e-15
     assert rep.coupling_equality, rep.coupling_equality_gap
+
+
+def test_moved_diagonal_is_the_coupling():
+    # the coupling is Im diag: a shift of diag moves it, with no copy left behind
+    op = build_tangential(paraboloid(0.5, 1.0), zero_field(), 1, RadialGrid(400, 1.0))
+    moved = shifted_copy(op, 0.3j)
+    assert weighted_coupling(moved, ground_state(moved)) == pytest.approx(0.3, rel=1e-12)
+    assert hermiticity_report(moved).coupling_equality
+
+
+@pytest.mark.parametrize("band", ["lower", "diag", "upper"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("entry", ["eigen_solve", "evolve", "hermiticity_report"])
+def test_non_finite_band_is_a_named_error(entry, bad, band):
+    op = build_tangential(paraboloid(0.5, 1.0), zero_field(), 1, RadialGrid(50, 1.0))
+    values = getattr(op, band).copy()
+    values[7] = bad
+    broken = dataclasses.replace(op, **{band: values})
+    call = {"eigen_solve": lambda: eigen_solve(broken, 3),
+            "evolve": lambda: evolve(broken, np.ones(50), dt=1e-3, steps=10),
+            "hermiticity_report": lambda: hermiticity_report(broken)}[entry]
+    with pytest.raises(SolveError, match=f"band {band} ") as caught:
+        call()
+    # perfbench reads "max <number>" in a SolveError as a residual
+    assert "max" not in str(caught.value)
 
 
 def test_report_flags_as_written_asymmetry():
