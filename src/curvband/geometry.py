@@ -37,6 +37,12 @@ def _farr(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
 
+def _positive(name: str, value) -> None:
+    """DomainError naming the argument unless value is positive and finite."""
+    if not (value > 0 and math.isfinite(value)):
+        raise DomainError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class SurfaceProfile:
     """Surface of revolution z = S(rho) on [0, rho_max].
@@ -53,8 +59,7 @@ class SurfaceProfile:
     rho_max: float
 
     def __post_init__(self):
-        if self.rho_max <= 0 or not math.isfinite(self.rho_max):
-            raise DomainError(f"rho_max must be positive and finite, got {self.rho_max}")
+        _positive("rho_max", self.rho_max)
         slope0 = float(self.S_rho(0.0))
         if not math.isfinite(slope0) or abs(slope0) > 1e-10:
             raise EvaluationError(

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ChartDegenerateError, CoarseGridWarning, DomainError, EvaluationError
 from .fields import VectorPotentialSpec
-from .geometry import SurfaceProfile, _chart_factor, _surface, curvatures
+from .geometry import SurfaceProfile, _chart_factor, _positive, _surface, curvatures
 
 MODES = ("as-written", "hermitian-corrected")
 RECOMMENDED_MIN_POINTS = 16
@@ -58,8 +58,7 @@ class RadialGrid:
     def __post_init__(self):
         if not isinstance(self.n_points, numbers.Integral) or self.n_points < 1:
             raise DomainError(f"n_points must be an integer >= 1, got {self.n_points!r}")
-        if not (self.rho_max > 0 and math.isfinite(self.rho_max)):
-            raise DomainError(f"rho_max must be positive and finite, got {self.rho_max}")
+        _positive("rho_max", self.rho_max)
 
     @property
     def spacing(self) -> float:
@@ -126,8 +125,7 @@ def _whole(name: str, value) -> int:
 
 def normal_energy(omega: float, n: int) -> float:
     """Analytic confinement ladder omega (n + 1/2); no discretization."""
-    if omega <= 0 or not math.isfinite(omega):
-        raise DomainError(f"omega must be positive, got {omega}")
+    _positive("omega", omega)
     if _whole("level index n", n) < 0:
         raise DomainError(f"level index n must be non-negative, got {n}")
     return omega * (n + 0.5)
@@ -241,8 +239,7 @@ class DecouplingReport:
 def decoupling_check(omega: float, A: VectorPotentialSpec,
                      profile: SurfaceProfile, grid: RadialGrid) -> DecouplingReport:
     """Ratio test for tangential/normal separation at confinement omega."""
-    if omega <= 0:
-        raise DomainError(f"omega must be positive, got {omega}")
+    _positive("omega", omega)
     q_star = omega ** -0.5
     v_n = 0.5 * omega ** 2 * q_star ** 2
     a3 = np.abs(np.asarray(A.components(grid.nodes, 0.0)[2], dtype=float))

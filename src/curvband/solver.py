@@ -38,7 +38,7 @@ import scipy.linalg.lapack as lapack
 import scipy.sparse.linalg as spla  # unused: perfbench wraps solver.spla (ROADMAP item 6)
 
 from .errors import CertificateError, InstabilityWarning, SolveError
-from .operator import NormalChannel, TangentialOperator
+from .operator import NormalChannel, TangentialOperator, _whole
 
 RESIDUAL_TOL = 1e-8
 # relative threshold for classifying the weighted matrix as Hermitian
@@ -81,15 +81,15 @@ class EvolutionTrace:
 
 @dataclass(frozen=True)
 class HermiticityReport:
-    """Structure of the measure-weighted matrix M_w = W^1/2 M W^-1/2.
+    """Structure of the measure-weighted M_w = W^1/2 M W^-1/2, whose diagonal is M's.
 
     max_asymmetry is max |M_w - M_w^dag| (absolute), relative_asymmetry the
     same scaled by max(1, max |M_w|).  antihermitian_norm is the Frobenius
-    norm of (M_w - M_w^dag)/2.  coupling_equality states whether that
-    anti-Hermitian part equals i Im(diag), the coupling i e A3 H, to within
-    HERMITIAN_RTOL of max(1, max |M_w|): rounding in the kinetic block grows
-    with that scale, like (n + 1)^2, so no absolute bound fits every grid.
-    coupling_equality_gap is the largest entry of the difference.
+    norm of (M_w - M_w^dag)/2, which is i Im(diag), the coupling i e A3 H, on
+    the diagonal.  coupling_equality_gap is its largest entry off the
+    diagonal, and coupling_equality whether that is within HERMITIAN_RTOL of
+    max(1, max |M_w|): rounding in the kinetic block grows with that scale,
+    like (n + 1)^2, so no absolute bound fits every grid.
     """
 
     mode: str
@@ -123,47 +123,48 @@ def _tridiag_solver(lower, diag, upper):
 
 
 def _weighted(operator: TangentialOperator):
-    """Bands of M_w = W^1/2 M W^-1/2, |M_w - M_w^dag| above its diagonal,
-    and max(1, max |M_w|); SolveError names a band that is not finite."""
+    """W^1/2 and M_w = W^1/2 M W^-1/2 off its diagonal, which is M's, with off_gap, scale, gap
+    and hermitian = gap <= HERMITIAN_RTOL scale, the one test of measure-Hermiticity."""
     for name, band in zip(("lower", "diag", "upper"), operator.bands):
         if not np.isfinite(band).all():
             raise SolveError(f"operator band {name} has a nan or inf entry")
     d = np.sqrt(operator.measure_weights)
     lower = (d[1:] * operator.lower) / d[:-1]
-    diag = (d * operator.diag) / d
     upper = (d[:-1] * operator.upper) / d[1:]
-    scale = max(1.0, np.abs(diag).max(), np.abs(lower).max(initial=0.0),
+    off_gap = np.abs(upper - lower.conj())
+    scale = max(1.0, np.abs(operator.diag).max(), np.abs(lower).max(initial=0.0),
                 np.abs(upper).max(initial=0.0))
-    return lower, diag, upper, np.abs(upper - lower.conj()), scale
+    gap = 0.5 * float(off_gap.max(initial=0.0))
+    return d, lower, upper, off_gap, scale, gap, bool(gap <= HERMITIAN_RTOL * scale)
 
 
 def _symmetric_form(operator: TangentialOperator):
-    """(hermitian, i c, diag, off, s, max |M_w|): the eigenvalues of M - i c
-    lie within s of those of the real symmetric tridiagonal R = (diag, off).
+    """(hermitian, i c, off, s, max |M_w|): the eigenvalues of M - i c lie
+    within s of those of the real symmetric tridiagonal R = (Re diag, off).
 
     A diagonal similarity with off-diagonals sqrt(upper_j lower_j) makes M
-    complex symmetric, R + iJ with R and J real symmetric, and by Bauer-Fike
-    (Numer. Math. 2 (1960) 137) every eigenvalue of M - i c lies within
-    s = ||J - c||_inf >= ||J - c||_2 of one of R's; c minimizes s.  Where M_w
-    is Hermitian up to a constant imaginary diagonal, to HERMITIAN_RTOL of
-    max |M_w|, hermitian is True, c is that diagonal (exactly 0 if
+    complex symmetric, R + iJ with R and J real symmetric and M's diagonal,
+    and by Bauer-Fike (Numer. Math. 2 (1960) 137) every eigenvalue of M - i c
+    lies within s = ||J - c||_inf >= ||J - c||_2 of one of R's; c minimizes s.
+    Where M_w passes _weighted's test and Im diag is constant to HERMITIAN_RTOL
+    of max |M_w|, hermitian is True, c is that constant (exactly 0 if M_w is
     Hermitian), R is the real part of M_w and s = 0.
     """
-    lower, diag, upper, off_gap, scale = _weighted(operator)
-    tol = HERMITIAN_RTOL * scale
-    if 0.5 * off_gap.max(initial=0.0) <= tol:
+    _, lower, upper, _, scale, _, hermitian = _weighted(operator)
+    diag = operator.diag
+    if hermitian:
         for c in (0.0, float(np.mean(diag.imag))):
-            if np.abs(diag.imag - c).max() <= tol:
-                return True, 1j * c, diag.real, np.abs(upper + lower.conj()) / 2, 0.0, scale
+            if np.abs(diag.imag - c).max() <= HERMITIAN_RTOL * scale:
+                return True, 1j * c, np.abs(upper + lower.conj()) / 2, 0.0, scale
     off = np.sqrt(upper * lower)
     radii = np.abs(np.append(off.imag, 0.0)) + np.abs(np.append(0.0, off.imag))
     top, bottom = float((diag.imag + radii).max()), float((diag.imag - radii).min())
-    return False, 0.5j * (top + bottom), diag.real, off.real, 0.5 * (top - bottom), scale
+    return False, 0.5j * (top + bottom), off.real, 0.5 * (top - bottom), scale
 
 
 def eigen_solve(operator: TangentialOperator, k: int) -> Spectrum:
     """k verified eigenpairs with smallest real parts."""
-    n = operator.n
+    n, k = operator.n, _whole("k", k)
     if not 1 <= k <= n:
         raise SolveError(f"k = {k} not in [1, {n}]")
 
@@ -218,11 +219,11 @@ def _sparse_solve(operator: TangentialOperator, k: int):
     the left eigenvector's form, so the eigenvalue's error is quadratic in
     the vector's, where the measure quotient's is linear.
     """
-    n, w, (lower, bands_diag, upper) = operator.n, operator.measure_weights, operator.bands
-    hermitian, shift, diag, off, s, scale = _symmetric_form(operator)
+    n, w, (lower, diag, upper) = operator.n, operator.measure_weights, operator.bands
+    hermitian, shift, off, s, scale = _symmetric_form(operator)
     tol = LOCATE_RTOL * (off.max(initial=0.0) or scale) / n ** 2
     count = k if hermitian else min(k + 1, n)
-    located = sla.eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+    located = sla.eigh_tridiagonal(diag.real, off, eigvals_only=True, select="i",
                                    select_range=(0, count - 1), tol=tol)
     gaps = np.diff(located)
     if not hermitian and gaps.size and gaps.min() <= 2.0 * s + tol:
@@ -242,7 +243,7 @@ def _sparse_solve(operator: TangentialOperator, k: int):
         else:
             left = d2 * x
             left /= left @ x
-        return left, left @ _matvec(lower, bands_diag, upper, x)
+        return left, left @ _matvec(lower, diag, upper, x)
 
     # fixed start vectors; lefts[i] = w conj(x_i) / sum w |x_i|^2 projects out x_i
     basis = np.random.default_rng(0).uniform(-1.0, 1.0, (k, n)).astype(complex)
@@ -250,7 +251,7 @@ def _sparse_solve(operator: TangentialOperator, k: int):
     for i, lam in enumerate(located[:k] + shift):
         # lam - tol is tol/2 to 3 tol/2 off the level, too far for the solve's rounding
         # to set the residual; projecting before each solve lets it damp their rounding
-        solve = _tridiag_solver(lower, bands_diag - (lam - tol), upper)
+        solve = _tridiag_solver(lower, diag - (lam - tol), upper)
         x = basis[i]
         near = np.searchsorted(located, located[i] - PROJECT_SPAN * tol) if hermitian else i
         for _ in range(INVERSE_STEPS):
@@ -260,7 +261,7 @@ def _sparse_solve(operator: TangentialOperator, k: int):
         left, quotients[i] = quotient(x)
         if not hermitian:
             # lam is only within s of the eigenvalue; the quotient is within ~tol
-            solve = _tridiag_solver(lower, bands_diag - (quotients[i] - tol), upper)
+            solve = _tridiag_solver(lower, diag - (quotients[i] - tol), upper)
             for _ in range(REFINE_STEPS):
                 x = solve(x)
             left, quotients[i] = quotient(x)
@@ -271,8 +272,9 @@ def _sparse_solve(operator: TangentialOperator, k: int):
 def evolve(operator: TangentialOperator, initial: np.ndarray, dt: float,
            steps: int, record_states: bool = True) -> EvolutionTrace:
     """Crank-Nicolson propagation of an initial state over steps * dt."""
-    if dt <= 0:
-        raise SolveError(f"dt must be positive, got {dt}")
+    if not (dt > 0 and math.isfinite(dt)):
+        raise SolveError(f"dt must be positive and finite, got {dt}")
+    steps = _whole("steps", steps)
     if steps < 1:
         raise SolveError(f"steps must be >= 1, got {steps}")
     chi = np.asarray(initial, dtype=complex)
@@ -280,10 +282,9 @@ def evolve(operator: TangentialOperator, initial: np.ndarray, dt: float,
     if chi.shape != (n,):
         raise SolveError(f"initial state has shape {chi.shape}, expected ({n},)")
 
-    d = np.sqrt(operator.measure_weights)
-    lower, diag, upper, _, _ = _weighted(operator)
+    d, lower, upper, *_ = _weighted(operator)
     quarter = 0.25j * dt
-    solve = _tridiag_solver(quarter * lower, 0.5 + quarter * diag, quarter * upper)
+    solve = _tridiag_solver(quarter * lower, 0.5 + quarter * operator.diag, quarter * upper)
     if solve is None:
         raise SolveError("Crank-Nicolson factorization failed: I + i dt/2 M is singular")
 
@@ -314,17 +315,16 @@ def evolve(operator: TangentialOperator, initial: np.ndarray, dt: float,
 
 def hermiticity_report(operator: TangentialOperator) -> HermiticityReport:
     """Measure, report and classify the operator's non-Hermitian content."""
-    _, diag, _, off_gap, scale = _weighted(operator)
-    # M_w - M_w^dag is 2i Im(diag) on the diagonal and off_gap in size off it
-    max_asym = float(max(2.0 * np.abs(diag.imag).max(), off_gap.max(initial=0.0)))
-    gap = float(max(np.abs(diag.imag - operator.diag.imag).max(),
-                    0.5 * off_gap.max(initial=0.0)))
+    _, _, _, off_gap, scale, gap, hermitian = _weighted(operator)
+    im = operator.diag.imag
+    # M_w - M_w^dag is 2i Im(diag) on the diagonal and off_gap = 2 gap at most off it
+    max_asym = 2.0 * max(float(np.abs(im).max()), gap)
     return HermiticityReport(
         mode=operator.mode,
         max_asymmetry=max_asym,
         relative_asymmetry=max_asym / scale,
-        antihermitian_norm=math.sqrt(diag.imag @ diag.imag + 0.5 * off_gap @ off_gap),
-        coupling_equality=bool(gap <= HERMITIAN_RTOL * scale),
+        antihermitian_norm=math.sqrt(im @ im + 0.5 * off_gap @ off_gap),
+        coupling_equality=hermitian,
         coupling_equality_gap=gap,
     )
 
@@ -341,8 +341,8 @@ def weighted_coupling(operator: TangentialOperator, state: np.ndarray) -> float:
     the expected norm-growth rate; the exponential law itself holds only
     for coupling that is uniform over the whole domain.
     """
-    w = operator.measure_weights
-    density = w * np.abs(np.asarray(state)) ** 2
+    d, *_ = _weighted(operator)  # also the band check of the other entry points
+    density = np.abs(d * np.asarray(state)) ** 2
     total = float(density.sum())
     if total == 0.0:
         raise SolveError("state has zero norm")

@@ -303,3 +303,12 @@ def test_decoupling_monotone_in_omega():
 def test_decoupling_rejects_bad_omega():
     with pytest.raises(DomainError):
         decoupling_check(0.0, zero_field(), flat(1.0), RadialGrid(32, 1.0))
+
+
+@pytest.mark.parametrize("omega", [math.nan, math.inf])
+def test_decoupling_applies_the_ladders_omega_rule(omega):
+    # the rule normal_energy applies: a named error, not ratio = nan, passed = False
+    with pytest.raises(DomainError, match="omega"):
+        normal_energy(omega, 0)
+    with pytest.raises(DomainError, match="omega"):
+        decoupling_check(omega, frame_synthetic(a3=1.0), flat(1.0), RadialGrid(32, 1.0))

@@ -3,14 +3,18 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import curvband.solver as solver_mod
 from curvband import (
+    DomainError,
     InstabilityWarning,
     RadialGrid,
     SolveError,
+    TangentialOperator,
     axial_uniform,
     build_tangential,
     eigen_solve,
@@ -107,6 +111,13 @@ def test_k_out_of_range_rejected():
         eigen_solve(op, 33)
     with pytest.raises(SolveError):
         eigen_solve(op, 0)
+
+
+def test_non_integer_k_is_a_named_error_before_solving(monkeypatch):
+    op = build_tangential(flat(1.0), zero_field(), 0, RadialGrid(32, 1.0))
+    monkeypatch.setattr(solver_mod, "_sparse_solve", None)  # calling it fails the test
+    with pytest.raises(DomainError, match="k must be an integer, got 2.5"):
+        eigen_solve(op, 2.5)
 
 
 def test_sparse_path_agrees_with_dense():
@@ -215,6 +226,23 @@ def test_evolve_validates_arguments():
         evolve(op, psi[:-1], dt=1e-3, steps=10)
 
 
+@pytest.mark.parametrize("dt, steps, error, message", [
+    (1e-3, 2.5, DomainError, "steps must be an integer, got 2.5"),
+    (math.inf, 10, SolveError, "dt must be positive and finite, got inf"),
+    (math.nan, 10, SolveError, "dt must be positive and finite, got nan"),
+])
+def test_evolve_arguments_fail_before_any_step(monkeypatch, dt, steps, error, message):
+    op = build_tangential(flat(1.0), zero_field(), 0, RadialGrid(24, 1.0))
+    psi = ground_state(op)
+    monkeypatch.setattr(solver_mod, "_tridiag_solver", None)  # calling it fails the test
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=message) as caught:
+            evolve(op, psi, dt=dt, steps=steps)
+    # perfbench reads "max <number>" in a SolveError as a residual
+    assert "max" not in str(caught.value)
+
+
 # ----------------------------------------------------------------------
 # hermiticity report
 # ----------------------------------------------------------------------
@@ -223,6 +251,21 @@ def test_report_clean_for_corrected_field_free():
     op = build_tangential(paraboloid(0.5, 1.0), zero_field(), 0, RadialGrid(250, 1.0))
     rep = hermiticity_report(op)
     assert rep.max_asymmetry < 1e-10
+    assert rep.coupling_equality
+
+
+def test_report_reads_the_diagonal_exactly():
+    # no off-diagonal coupling: M_w = M, and the similarity must not round the diagonal
+    rng = np.random.default_rng(3)
+    n = 50
+    op = TangentialOperator(m=0, mode="hermitian-corrected",
+                            measure_weights=rng.uniform(1e-4, 3e-2, n),
+                            grid=RadialGrid(n, 1.0), lower=np.zeros(n - 1, dtype=complex),
+                            diag=rng.uniform(-5.0, 5.0, n) + 1j * rng.uniform(-0.7, 0.7, n),
+                            upper=np.zeros(n - 1, dtype=complex))
+    rep = hermiticity_report(op)
+    assert rep.coupling_equality_gap == 0.0
+    assert rep.max_asymmetry == 2.0 * np.abs(op.diag.imag).max()
     assert rep.coupling_equality
 
 
@@ -258,7 +301,8 @@ def test_moved_diagonal_is_the_coupling():
 
 @pytest.mark.parametrize("band", ["lower", "diag", "upper"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-@pytest.mark.parametrize("entry", ["eigen_solve", "evolve", "hermiticity_report"])
+@pytest.mark.parametrize("entry", ["eigen_solve", "evolve", "hermiticity_report",
+                                   "weighted_coupling"])
 def test_non_finite_band_is_a_named_error(entry, bad, band):
     op = build_tangential(paraboloid(0.5, 1.0), zero_field(), 1, RadialGrid(50, 1.0))
     values = getattr(op, band).copy()
@@ -266,7 +310,8 @@ def test_non_finite_band_is_a_named_error(entry, bad, band):
     broken = dataclasses.replace(op, **{band: values})
     call = {"eigen_solve": lambda: eigen_solve(broken, 3),
             "evolve": lambda: evolve(broken, np.ones(50), dt=1e-3, steps=10),
-            "hermiticity_report": lambda: hermiticity_report(broken)}[entry]
+            "hermiticity_report": lambda: hermiticity_report(broken),
+            "weighted_coupling": lambda: weighted_coupling(broken, np.ones(50))}[entry]
     with pytest.raises(SolveError, match=f"band {band} ") as caught:
         call()
     # perfbench reads "max <number>" in a SolveError as a residual

@@ -50,8 +50,11 @@ steps: 1000
 
 
 def weighted(op):
+    """Dense M_w = W^1/2 M W^-1/2; a diagonal similarity leaves M's diagonal as it is."""
     d = np.sqrt(op.measure_weights)
-    return (d[:, None] * op.matrix) / d[None, :]
+    mw = (d[:, None] * op.matrix) / d[None, :]
+    np.fill_diagonal(mw, op.diag)
+    return mw
 
 
 def structured_cases(n, ms=(0, 1, 2)):
