@@ -6,12 +6,13 @@ default the value of an absent key (no default: required), and the metadata
 any bound (choices, positive, minimum).  One validator, _section, enforces
 them, rejects unknown keys by name and names `section.key` in every error
 (`config.key` at the top level).  `null` reads as absent exactly for
-Optional keys and is a wrong type anywhere else.  Rules that tie keys
-together stay explicit: KIND_KEYS, the keys each kind requires and reads (a
-key only other kinds read must keep its default), gaussian-bump sigma > 0,
-sphere-cap radius > rho_max, gamma_interval a [lo, hi] pair within
-[0, rho_max], k_eigen <= n_points.  serialize_config/parse_config
-round-trip exactly.
+Optional keys and is a wrong type anywhere else.  Each kind is its library
+constructor: it reads the keys named by the constructor's parameters and
+requires those without a default, and a key only other kinds read must keep
+its default.  Other rules that tie keys together stay explicit: gaussian-bump
+sigma > 0, sphere-cap radius > rho_max, gamma_interval a [lo, hi] pair within
+[0, rho_max], k_eigen <= n_points.  serialize_config/parse_config round-trip
+exactly.
 
     surface:
       kind: flat | paraboloid | gaussian-bump | sphere-cap
@@ -44,6 +45,7 @@ round-trip exactly.
 # no `from __future__ import annotations`: _section reads each key's type
 # from its dataclass field, which holds the annotation itself only while the
 # annotations are real objects, not strings
+import inspect
 import sys
 from dataclasses import MISSING, asdict, dataclass, field as dc_field, fields as dataclass_fields
 from dataclasses import is_dataclass
@@ -59,29 +61,28 @@ from .operator import MODES, RECOMMENDED_MIN_POINTS, RadialGrid
 _Loader, _Dumper = ((yaml.CSafeLoader, yaml.CSafeDumper) if yaml.__with_libyaml__
                     else (yaml.SafeLoader, yaml.SafeDumper))
 
-SURFACE_KINDS = ("flat", "paraboloid", "gaussian-bump", "sphere-cap")
-FIELD_KINDS = ("axial-uniform", "cartesian-constant", "frame-synthetic")
+SURFACE_KINDS = {"flat": geometry.flat, "paraboloid": geometry.paraboloid,
+                 "gaussian-bump": geometry.gaussian_bump, "sphere-cap": geometry.sphere_cap}
+FIELD_KINDS = {"axial-uniform": fields.axial_uniform,
+               "cartesian-constant": fields.cartesian_constant,
+               "frame-synthetic": fields.frame_synthetic}
 
 MIN_N_POINTS = RECOMMENDED_MIN_POINTS
 
-# the keys each kind reads besides kind and rho_max: (required, optional).
-# Required keys are Optional in their section, so null reads as absent; a key
-# that only other kinds read must hold its default.
-KIND_KEYS = {
-    "flat": ((), ()),
-    "paraboloid": (("a",), ()),
-    "gaussian-bump": (("amplitude", "sigma"), ()),
-    "sphere-cap": (("radius",), ()),
-    "axial-uniform": (("b",), ()),
-    "cartesian-constant": (("c",), ()),
-    "frame-synthetic": ((), ("a1", "a2", "a3", "gamma_interval")),
-}
-_KIND_SPECIFIC = {key for keys in KIND_KEYS.values() for key in keys[0] + keys[1]}
+# each kind is its constructor, whose signature is read once, here.  It takes
+# each parameter from the section key of its name, but profile from the caller.
+# Besides rho_max, which every surface reads, a key whose parameter has no
+# default is required; it is Optional in its section, so null reads as absent.
+_PARAMETERS = {kind: inspect.signature(make).parameters
+               for kind, make in {**SURFACE_KINDS, **FIELD_KINDS}.items()}
+_REQUIRED = {kind: [name for name, p in params.items()
+                    if p.default is p.empty and name not in ("rho_max", "profile")]
+             for kind, params in _PARAMETERS.items()}
 
 
 @dataclass
 class SurfaceConfig:
-    kind: str = dc_field(metadata={"choices": SURFACE_KINDS})
+    kind: str = dc_field(metadata={"choices": tuple(SURFACE_KINDS)})
     rho_max: float = dc_field(default=1.0, metadata={"positive": True})
     a: Optional[float] = None
     amplitude: Optional[float] = None
@@ -91,7 +92,7 @@ class SurfaceConfig:
 
 @dataclass
 class FieldConfig:
-    kind: str = dc_field(default="frame-synthetic", metadata={"choices": FIELD_KINDS})
+    kind: str = dc_field(default="frame-synthetic", metadata={"choices": tuple(FIELD_KINDS)})
     b: Optional[float] = None
     c: Optional[float] = None
     a1: float = 0.0
@@ -119,6 +120,13 @@ class RunConfig:
     dt: float = dc_field(default=1e-3, metadata={"positive": True})
     steps: int = dc_field(default=1000, metadata={"minimum": 1})
     output_path: str = "."
+
+
+# the fields of a kind's section that only other kinds read; they must hold their defaults
+_FOREIGN = {kind: [f for f in dataclass_fields(schema) if f.name not in _PARAMETERS[kind]
+                   and any(f.name in _PARAMETERS[other] for other in kinds)]
+            for schema, kinds in ((SurfaceConfig, SURFACE_KINDS), (FieldConfig, FIELD_KINDS))
+            for kind in kinds}
 
 
 def _value(value, typ, rule, key: str):
@@ -172,14 +180,12 @@ def _check_across_keys(config: RunConfig) -> None:
     """The rules that tie one key to another."""
     sections = (("surface", config.surface), ("field", config.field))
     for where, section in sections:
-        for key in KIND_KEYS[section.kind][0]:
+        for key in _REQUIRED[section.kind]:
             if getattr(section, key) is None:
                 raise ConfigError(f"{where}.{key}: required for kind {section.kind!r}")
     for where, section in sections:  # after the required keys of both sections
-        required, optional = KIND_KEYS[section.kind]
-        for f in dataclass_fields(section):
-            foreign = f.name in _KIND_SPECIFIC and f.name not in required + optional
-            if foreign and getattr(section, f.name) != f.default:
+        for f in _FOREIGN[section.kind]:
+            if getattr(section, f.name) != f.default:
                 raise ConfigError(f"{where}.{f.name}: not read by kind {section.kind!r}")
     if config.k_eigen > config.grid.n_points:
         raise ConfigError(f"config.k_eigen: must be <= grid.n_points = {config.grid.n_points}, "
@@ -235,25 +241,18 @@ def serialize_config(config: RunConfig) -> str:
 # factories into library objects
 # ----------------------------------------------------------------------
 
+def _build(kinds: dict, section, profile=None):
+    """The section's kind from its constructor, each parameter but profile a section key."""
+    return kinds[section.kind](**{name: profile if name == "profile" else getattr(section, name)
+                                  for name in _PARAMETERS[section.kind]})
+
+
 def make_profile(config: RunConfig) -> geometry.SurfaceProfile:
-    s = config.surface
-    if s.kind == "flat":
-        return geometry.flat(s.rho_max)
-    if s.kind == "paraboloid":
-        return geometry.paraboloid(s.a, s.rho_max)
-    if s.kind == "gaussian-bump":
-        return geometry.gaussian_bump(s.amplitude, s.sigma, s.rho_max)
-    return geometry.sphere_cap(s.radius, s.rho_max)
+    return _build(SURFACE_KINDS, config.surface)
 
 
 def make_field(config: RunConfig, profile: geometry.SurfaceProfile) -> fields.VectorPotentialSpec:
-    f = config.field
-    if f.kind == "axial-uniform":
-        return fields.axial_uniform(f.b, profile)
-    if f.kind == "cartesian-constant":
-        return fields.cartesian_constant(f.c, profile)
-    gamma = tuple(f.gamma_interval) if f.gamma_interval is not None else None
-    return fields.frame_synthetic(f.a1, f.a2, f.a3, gamma_interval=gamma)
+    return _build(FIELD_KINDS, config.field, profile)
 
 
 def make_grid(config: RunConfig) -> RadialGrid:

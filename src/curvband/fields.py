@@ -21,8 +21,8 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import ChartDegenerateError, DomainError, EvaluationError
-from .geometry import (SurfaceProfile, _chart_factor, _farr, _surface, curvatures,
-                       offset_scale_factors)
+from .geometry import (SurfaceProfile, _chart_factor, _farr, _finite, _positive, _surface,
+                       curvatures, offset_scale_factors)
 
 # step for the q-derivative in the divergence
 Q_STEP = 1e-5
@@ -164,6 +164,8 @@ def divergence(A: VectorPotentialSpec, profile: SurfaceProfile,
     and the field must be evaluable within one step of each point.
     """
     h = step_rho if step_rho is not None else 1e-5 * profile.rho_max
+    _positive("step_rho", h)
+    _finite("q", q)
     r = _farr(rho)
     too_close = r < h * (1.0 - 1e-12)
     if np.any(too_close):

@@ -43,6 +43,12 @@ def _positive(name: str, value) -> None:
         raise DomainError(f"{name} must be positive and finite, got {value}")
 
 
+def _finite(name: str, value) -> None:
+    """DomainError naming the argument unless value is finite."""
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class SurfaceProfile:
     """Surface of revolution z = S(rho) on [0, rho_max].
@@ -112,6 +118,7 @@ def flat(rho_max: float = 1.0) -> SurfaceProfile:
 
 def paraboloid(a: float, rho_max: float = 1.0) -> SurfaceProfile:
     """Paraboloid of revolution z = a rho^2."""
+    _finite("a", a)
     return SurfaceProfile(
         name="paraboloid",
         S=lambda r: a * _farr(r) ** 2,
@@ -123,7 +130,8 @@ def paraboloid(a: float, rho_max: float = 1.0) -> SurfaceProfile:
 
 def gaussian_bump(amplitude: float, sigma: float, rho_max: float = 1.0) -> SurfaceProfile:
     """Gaussian bump z = A exp(-rho^2 / sigma^2); mixed-sign curvature."""
-    if sigma <= 0:
+    _finite("amplitude", amplitude)
+    if not sigma > 0:  # sigma = inf is a flat profile at height amplitude
         raise DomainError(f"sigma must be positive, got {sigma}")
 
     def S(r):
@@ -151,6 +159,7 @@ def sphere_cap(radius: float, rho_max: float) -> SurfaceProfile:
     H = 1/R and K = 1/R^2 are constant, so H^2 - K vanishes identically;
     handy as an exact reference.  Requires rho_max < radius.
     """
+    _positive("radius", radius)
     if not rho_max < radius:
         raise DomainError(f"sphere cap needs rho_max < radius, got {rho_max} >= {radius}")
 
@@ -232,7 +241,7 @@ def _surface(profile: SurfaceProfile, rho, checked: bool = True) -> _Surface:
     """Evaluate the profile once; checked rejects radii outside [0, rho_max]
     and non-finite derivatives."""
     r = _farr(rho)
-    outside = (r < 0.0) | (r > profile.rho_max)
+    outside = ~((r >= 0.0) & (r <= profile.rho_max))  # nan is outside
     if checked and np.any(outside):
         raise DomainError(f"rho = {r[outside].flat[0]} outside [0, {profile.rho_max}] "
                           f"for profile {profile.name!r}")
@@ -254,6 +263,7 @@ def curvatures(profile: SurfaceProfile, rho) -> Tuple[np.ndarray, np.ndarray, np
 
 def _chart_factor(H: float, K: float, q: float, rho) -> float:
     """F(q) = 1 + 2qH + q^2 K at radius rho; ChartDegenerateError if F <= 0."""
+    _finite("q", q)
     F = 1.0 + 2.0 * q * H + q * q * K
     if F <= 0.0:
         raise ChartDegenerateError(f"chart degenerate at rho={rho}, q={q}: F={F}")

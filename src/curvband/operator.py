@@ -135,6 +135,12 @@ def normal_channel(omega: float, n: int) -> NormalChannel:
     return NormalChannel(omega=omega, level_n=int(n), energy=normal_energy(omega, n))
 
 
+def _finite_on_grid(*components) -> None:
+    """EvaluationError unless every vector potential component is finite."""
+    if not all(np.all(np.isfinite(c)) for c in components):
+        raise EvaluationError("vector potential components non-finite on the grid")
+
+
 def build_tangential(profile: SurfaceProfile, A: VectorPotentialSpec, m: int,
                      grid: RadialGrid, mode: str = "hermitian-corrected",
                      e: float = 1.0) -> TangentialOperator:
@@ -198,9 +204,7 @@ def build_tangential(profile: SurfaceProfile, A: VectorPotentialSpec, m: int,
     lo = lo + 1j * e * sbar_lo / (2.0 * dr * wt)
 
     a1, a2, a3 = a1_ext[inner], a2_ext[inner], a3_ext[inner]
-    if not (np.all(np.isfinite(a1_ext)) and np.all(np.isfinite(a2))
-            and np.all(np.isfinite(a3))):
-        raise EvaluationError("vector potential components non-finite on the grid")
+    _finite_on_grid(a1_ext, a2, a3)
     diag = diag + 0.5 * m * m / rho ** 2 \
         - 0.5 * (H ** 2 - K) \
         + e * m * a2 / rho \
@@ -243,6 +247,7 @@ def decoupling_check(omega: float, A: VectorPotentialSpec,
     q_star = omega ** -0.5
     v_n = 0.5 * omega ** 2 * q_star ** 2
     a3 = np.abs(np.asarray(A.components(grid.nodes, 0.0)[2], dtype=float))
+    _finite_on_grid(a3)
     worst = int(np.argmax(a3))
     max_a3 = float(a3[worst])
     drive = max_a3 * omega * q_star

@@ -7,23 +7,27 @@ or a key another kind reads set off its default, and raw text.  Examples are
 derandomized, so every run checks the same cases.  Every schema key is
 also checked against its declared type and rule, and each required key
 for an error that names it.  Where PyYAML has libyaml, its C loader and
-dumper are checked against the pure-Python ones.
+dumper are checked against the pure-Python ones.  Each kind built from a
+config is checked bit for bit against a direct call of its constructor.
 """
 
 import copy
 import dataclasses
+import inspect
 import re
 import typing
 from unittest import mock
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from curvband import ConfigError, RunConfig, config, parse_config, serialize_config
+from curvband import (ConfigError, RunConfig, config, fields, geometry, parse_config,
+                      serialize_config)
 from curvband.config import (FIELD_KINDS, MIN_N_POINTS, SURFACE_KINDS, FieldConfig,
-                             GridConfig, SurfaceConfig)
+                             GridConfig, SurfaceConfig, make_field, make_profile)
 from curvband.operator import MODES
 
 PROPERTY = settings(derandomize=True, max_examples=8, deadline=None)
@@ -296,3 +300,52 @@ def test_every_schema_key_follows_its_declared_rule(schema, f):
 @example(text="surface:\n  kind: flat\nfield:\n  gamma_interval: [0, 1" + "0" * 400 + "]\n")
 def test_raw_text_raises_only_config_error(text):
     _parses_or_config_error(text)
+
+
+# each kind as a config section and as a direct constructor call on the same
+# values; the field kinds stand on the paraboloid
+PARABOLOID = {"kind": "paraboloid", "a": 0.5, "rho_max": 1.3}
+BY_HAND = {
+    "flat": ({"kind": "flat", "rho_max": 1.3}, None, lambda prof: geometry.flat(1.3)),
+    "paraboloid": (PARABOLOID, None, lambda prof: geometry.paraboloid(0.5, 1.3)),
+    "gaussian-bump": ({"kind": "gaussian-bump", "amplitude": 0.3, "sigma": 0.5, "rho_max": 1.3},
+                      None, lambda prof: geometry.gaussian_bump(0.3, 0.5, 1.3)),
+    "sphere-cap": ({"kind": "sphere-cap", "radius": 2.0, "rho_max": 1.3}, None,
+                   lambda prof: geometry.sphere_cap(2.0, 1.3)),
+    "axial-uniform": (PARABOLOID, {"kind": "axial-uniform", "b": 1.3},
+                      lambda prof: fields.axial_uniform(1.3, prof)),
+    "cartesian-constant": (PARABOLOID, {"kind": "cartesian-constant", "c": 0.7},
+                           lambda prof: fields.cartesian_constant(0.7, prof)),
+    "frame-synthetic": (PARABOLOID, {"kind": "frame-synthetic", "a1": 0.3, "a2": 0.2, "a3": -0.4,
+                                     "gamma_interval": [0.2, 0.6]},
+                        lambda prof: fields.frame_synthetic(0.3, 0.2, -0.4, gamma_interval=(0.2, 0.6))),
+}
+
+
+@pytest.mark.parametrize("kind", [*SURFACE_KINDS, *FIELD_KINDS])
+def test_kind_from_config_is_its_constructor_call(kind):
+    surface, field, direct = BY_HAND[kind]
+    cfg = parse_config(yaml.safe_dump({"surface": surface, **({"field": field} if field else {})}))
+    profile = make_profile(cfg)
+    rho = np.array([0.0, 1e-9, 0.2, 0.45, 0.6, 1.3])
+
+    def bits(values):
+        return [np.asarray(v, dtype=float).tobytes() for v in values]
+
+    if field is None:
+        built, ref = profile, direct(None)
+        assert bits(f(rho) for f in (built.S, built.S_rho, built.S_rhorho)) == \
+            bits(f(rho) for f in (ref.S, ref.S_rho, ref.S_rhorho))
+    else:
+        built, ref = make_field(cfg, profile), direct(profile)
+        for q in (0.0, 0.01):
+            assert bits(built.components(rho, q)) == bits(ref.components(rho, q))
+
+
+@pytest.mark.parametrize("schema, kinds", [(SurfaceConfig, SURFACE_KINDS),
+                                           (FieldConfig, FIELD_KINDS)], ids=["surface", "field"])
+def test_section_keys_are_the_constructor_parameters(schema, kinds):
+    # each parameter but profile is a key of the section, and some kind reads
+    # each key but kind
+    parameters = {name for make in kinds.values() for name in inspect.signature(make).parameters}
+    assert parameters - {"profile"} == {f.name for f in dataclasses.fields(schema)} - {"kind"}

@@ -7,6 +7,7 @@ import pytest
 
 from curvband import fields
 from curvband import (
+    DomainError,
     EvaluationError,
     RadialGrid,
     axial_uniform,
@@ -15,12 +16,14 @@ from curvband import (
     catalog,
     coupling_profile,
     divergence,
+    eval_geometry,
     flat,
     frame_synthetic,
     from_cartesian,
     is_coulomb_gauge,
     paraboloid,
     project_to_frame,
+    scale_factors,
     zero_field,
 )
 
@@ -203,6 +206,22 @@ def test_divergence_of_constant_cartesian_field_is_small():
     A = cartesian_constant(1.0, prof)
     for rho in (0.3, 0.6, 0.9):
         assert abs(divergence(A, prof, rho, 0.0)) < 1e-5
+
+
+PARABOLOID = paraboloid(0.5, 1.0)
+
+
+@pytest.mark.parametrize("evaluate, name", [
+    (lambda: scale_factors(eval_geometry(PARABOLOID, 0.5), PARABOLOID, math.nan), "q"),
+    (lambda: project_to_frame(axial_gauge(1.0), PARABOLOID, 0.5, 0.0, math.nan), "q"),
+    (lambda: divergence(zero_field(), PARABOLOID, 0.5, math.nan), "q"),
+    (lambda: divergence(zero_field(), PARABOLOID, 0.5, 0.0, step_rho=0.0), "step_rho"),
+    (lambda: divergence(zero_field(), PARABOLOID, 0.5, 0.0, step_rho=math.nan), "step_rho"),
+], ids=["scale-factors-q-nan", "project-q-nan", "divergence-q-nan", "divergence-step-0",
+        "divergence-step-nan"])
+def test_evaluation_argument_is_named_not_nan(evaluate, name):
+    with pytest.raises(DomainError, match=f"^{name} must be"):
+        evaluate()
 
 
 def test_gauge_check_passes_for_axial_uniform_everywhere():

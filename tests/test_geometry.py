@@ -218,6 +218,30 @@ def test_rho_outside_domain_rejected():
         eval_geometry(prof, 1.5)
     with pytest.raises(DomainError):
         eval_geometry(prof, -0.1)
+    with pytest.raises(DomainError, match="rho = nan outside"):
+        curvatures(prof, math.nan)
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: sphere_cap(math.inf, 1.0), "radius"),
+    (lambda: sphere_cap(math.nan, 1.0), "radius"),
+    (lambda: gaussian_bump(0.3, math.nan), "sigma"),
+    (lambda: gaussian_bump(math.nan, 0.5), "amplitude"),
+    (lambda: gaussian_bump(math.inf, 0.5), "amplitude"),
+    (lambda: paraboloid(math.nan), "a"),
+    (lambda: paraboloid(math.inf), "a"),
+], ids=["cap-radius-inf", "cap-radius-nan", "bump-sigma-nan", "bump-amplitude-nan",
+        "bump-amplitude-inf", "paraboloid-a-nan", "paraboloid-a-inf"])
+def test_constructor_names_the_bad_parameter(make, name):
+    with pytest.raises(DomainError, match=f"^{name} must be"):
+        make()
+
+
+def test_infinite_sigma_is_a_flat_bump():
+    prof = gaussian_bump(0.3, math.inf, 1.0)
+    rho = np.array([0.0, 0.5, 1.0])
+    np.testing.assert_array_equal(prof.S(rho), 0.3)
+    np.testing.assert_array_equal(prof.S_rhorho(rho), 0.0)
 
 
 def test_non_finite_profile_rejected():

@@ -234,9 +234,14 @@ def test_non_integer_m_rejected():
 
 
 def test_non_finite_field_rejected():
-    bad = frame_synthetic(a3=lambda r, q: np.where(r > 0.5, np.inf, 0.0))
-    with pytest.raises(EvaluationError):
-        build_tangential(flat(1.0), bad, 0, RadialGrid(32, 1.0))
+    # assembly and the decoupling diagnostic name the same fault
+    grid = RadialGrid(32, 1.0)
+    for value in (np.inf, np.nan):
+        bad = frame_synthetic(a3=lambda r, q: np.where(r > 0.5, value, 0.0))
+        with pytest.raises(EvaluationError, match="non-finite on the grid"):
+            build_tangential(flat(1.0), bad, 0, grid)
+        with pytest.raises(EvaluationError, match="non-finite on the grid"):
+            decoupling_check(1e4, bad, flat(1.0), grid)
 
 
 # ----------------------------------------------------------------------
