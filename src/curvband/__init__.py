@@ -17,6 +17,7 @@ from .errors import (
     DomainError,
     EvaluationError,
     InstabilityWarning,
+    RefinementError,
     SolveError,
 )
 from .geometry import (

@@ -30,6 +30,11 @@ class CertificateError(SolveError):
     rest: Bauer-Fike discs around the located levels overlap."""
 
 
+class RefinementError(SolveError):
+    """A certified non-normal level did not converge, within the refinement
+    cap, to an eigenpair that meets the contract inside its own disc."""
+
+
 class CoarseGridWarning(UserWarning):
     """Radial grid too coarse for trustworthy spectra."""
 

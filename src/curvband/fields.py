@@ -46,8 +46,15 @@ def frame_synthetic(a1=0.0, a2=0.0, a3=0.0,
     gamma_interval = (lo, hi) restricts the support to lo <= rho <= hi with
     hard edges; outside, all components vanish.
     """
+    for name, value in (("a1", a1), ("a2", a2), ("a3", a3)):
+        if not callable(value):
+            _finite(name, value)
     if gamma_interval is not None:
+        if len(gamma_interval) != 2:
+            raise DomainError(f"gamma_interval must be a (lo, hi) pair, got {gamma_interval}")
         lo, hi = float(gamma_interval[0]), float(gamma_interval[1])
+        _finite("gamma_interval lo", lo)
+        _finite("gamma_interval hi", hi)
         if not lo <= hi:
             raise DomainError(f"gamma_interval must be ordered, got {gamma_interval}")
 
@@ -135,6 +142,8 @@ def axial_uniform(b: float, profile: SurfaceProfile) -> VectorPotentialSpec:
     Purely azimuthal in the adapted frame (A1 = A3 = 0 identically), hence
     exactly divergence-free.
     """
+    _finite("b", b)
+
     def field(x, y, z):
         return -0.5 * b * y, 0.5 * b * x, np.zeros_like(_farr(z))
 
@@ -143,6 +152,8 @@ def axial_uniform(b: float, profile: SurfaceProfile) -> VectorPotentialSpec:
 
 def cartesian_constant(c: float, profile: SurfaceProfile) -> VectorPotentialSpec:
     """Constant Cartesian field (0, 0, c) projected onto the frame."""
+    _finite("c", c)
+
     def field(x, y, z):
         zz = _farr(z)
         return np.zeros_like(zz), np.zeros_like(zz), np.full_like(zz, float(c))

@@ -160,6 +160,7 @@ def sphere_cap(radius: float, rho_max: float) -> SurfaceProfile:
     handy as an exact reference.  Requires rho_max < radius.
     """
     _positive("radius", radius)
+    _positive("rho_max", rho_max)
     if not rho_max < radius:
         raise DomainError(f"sphere cap needs rho_max < radius, got {rho_max} >= {radius}")
 

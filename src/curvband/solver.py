@@ -35,9 +35,8 @@ from typing import Optional
 import numpy as np
 import scipy.linalg as sla
 import scipy.linalg.lapack as lapack
-import scipy.sparse.linalg as spla  # unused: perfbench wraps solver.spla (ROADMAP item 6)
 
-from .errors import CertificateError, InstabilityWarning, SolveError
+from .errors import CertificateError, InstabilityWarning, RefinementError, SolveError
 from .operator import NormalChannel, TangentialOperator, _whole
 
 RESIDUAL_TOL = 1e-8
@@ -48,6 +47,9 @@ HERMITIAN_RTOL = 1e-13
 # spacing), inverse-iteration steps, span of projected levels in tolerances,
 # and steps after a non-normal level is refactored at its Rayleigh quotient
 LOCATE_RTOL, INVERSE_STEPS, PROJECT_SPAN, REFINE_STEPS = 1e-3, 3, 1e5, 2
+# a refined non-normal level is refactored at its new quotient while its residual is
+# above REFINE_TARGET, a decade inside the contract, at most REFINE_ROUNDS more times
+REFINE_TARGET, REFINE_ROUNDS = 1e-9, 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,6 +100,14 @@ class HermiticityReport:
     antihermitian_norm: float
     coupling_equality: bool
     coupling_equality_gap: float
+
+
+def __getattr__(name):
+    # solver.spla exists only for perfbench's SeededEigs and goes with it (ROADMAP item 6)
+    if name == "spla":
+        import scipy.sparse.linalg
+        return scipy.sparse.linalg
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _matvec(lower, diag, upper, x) -> np.ndarray:
@@ -217,7 +227,15 @@ def _sparse_solve(operator: TangentialOperator, k: int):
     is two-sided, with left vector D^2 x (transposed) where D M D^-1 is the
     complex symmetric form, (D_{j+1} / D_j)^2 = upper_j / lower_j: that is
     the left eigenvector's form, so the eigenvalue's error is quadratic in
-    the vector's, where the measure quotient's is linear.
+    the vector's, where the measure quotient's is linear.  While the level's
+    residual is above REFINE_TARGET, it is refactored at its new quotient and
+    takes REFINE_STEPS more, up to REFINE_ROUNDS times; a round that does not
+    lower the residual is dropped, as the level has reached the rounding
+    floor.  A quotient outside the level's disc (radius s + tol) may lie
+    nearer a neighbour's eigenvalue than its own, so that round is factored
+    at the disc's centre, which is within s of its own and more than s + tol
+    from any other.  The pair must end with its quotient inside its disc and
+    meeting the contract, or RefinementError is raised.
     """
     n, w, (lower, diag, upper) = operator.n, operator.measure_weights, operator.bands
     hermitian, shift, off, s, scale = _symmetric_form(operator)
@@ -243,7 +261,18 @@ def _sparse_solve(operator: TangentialOperator, k: int):
         else:
             left = d2 * x
             left /= left @ x
-        return left, left @ _matvec(lower, diag, upper, x)
+        mx = _matvec(lower, diag, upper, x)
+        return left, left @ mx, mx
+
+    def refined(x, sigma):
+        """REFINE_STEPS steps through one factorization at sigma - tol: the vector,
+        its left vector and quotient, and its residual."""
+        solve = _tridiag_solver(lower, diag - (sigma - tol), upper)
+        for _ in range(REFINE_STEPS):
+            x = solve(x)
+        left, q, mx = quotient(x)
+        mx -= q * x
+        return x, left, q, math.sqrt(np.vdot(mx, mx).real / np.vdot(x, x).real)
 
     # fixed start vectors; lefts[i] = w conj(x_i) / sum w |x_i|^2 projects out x_i
     basis = np.random.default_rng(0).uniform(-1.0, 1.0, (k, n)).astype(complex)
@@ -258,13 +287,28 @@ def _sparse_solve(operator: TangentialOperator, k: int):
             for left, u in zip(lefts[near:i], basis[near:i]):
                 x -= (left @ x) * u
             x = solve(x)
-        left, quotients[i] = quotient(x)
+        left, quotients[i], _ = quotient(x)
         if not hermitian:
-            # lam is only within s of the eigenvalue; the quotient is within ~tol
-            solve = _tridiag_solver(lower, diag - (quotients[i] - tol), upper)
-            for _ in range(REFINE_STEPS):
-                x = solve(x)
-            left, quotients[i] = quotient(x)
+            # lam is only within s of the eigenvalue, the quotient usually far closer;
+            # a quotient outside the disc may be nearer a neighbour's, so lam serves
+            q, res = quotients[i], math.inf
+            for _ in range(1 + REFINE_ROUNDS):
+                inside = abs(q - lam) <= s + tol
+                if inside and res <= REFINE_TARGET:
+                    break
+                y, y_left, y_q, y_res = refined(x, q if inside else lam)
+                if inside and y_res >= res:
+                    break
+                x, left, q, res = y, y_left, y_q, y_res
+            if not (res < RESIDUAL_TOL and abs(q - lam) <= s + tol):
+                ratio = gaps.min(initial=math.inf) / (2.0 * s) if s else math.inf
+                raise RefinementError(
+                    f"level {i} did not converge inside its disc: residual {res:.3e} "
+                    f"(contract {RESIDUAL_TOL}) at {q:.6g}, {abs(q - lam):.6g} from the "
+                    f"disc's centre, whose radius is s = {s:.6g}; disc ratio min gap/(2s) "
+                    f"= {ratio:.4g}"
+                )
+            quotients[i] = q
         basis[i], lefts[i] = x, left
     return (quotients.real + shift if hermitian else quotients), basis.T
 

@@ -1,7 +1,11 @@
 """Config schema, CLI subcommands, CSV determinism."""
 
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+import curvband
 from curvband import (ConfigError, cli, fields, geometry, operator, parse_config,
                       serialize_config, solver)
 from curvband.cli import main, write_csv
@@ -465,3 +470,33 @@ def test_unwritable_output_is_a_named_error(tmp_path, capsys):
     assert err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "run.yaml"]
     assert blocker.read_text(encoding="utf-8") == "a regular file\n"
+
+
+IMPORT_PATH_RUN = """
+import sys
+from curvband import cli, solver
+for command in ("geometry", "gauge-check", "spectrum", "evolve"):
+    assert cli.main([command, "--config", sys.argv[1], "--output", sys.argv[2]]) == 0, command
+assert "scipy.sparse" not in sys.modules, "a CLI run loaded scipy.sparse"
+spla = solver.spla
+import scipy.sparse.linalg
+assert spla is scipy.sparse.linalg
+"""
+
+
+def test_cli_runs_never_load_scipy_sparse(tmp_path):
+    # a fresh interpreter, as each curvband command is; solver.spla, which only
+    # the benchmark reads, loads scipy.sparse.linalg on first use
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text("surface: {kind: paraboloid, a: 0.5}\n"
+                   "field: {kind: frame-synthetic, a3: 0.4, gamma_interval: [0.2, 0.6]}\n"
+                   "grid: {n_points: 64}\nm_list: [0, 1]\nsteps: 10\n", encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(curvband.__file__).resolve().parents[1])]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PATH_RUN, str(cfg), str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "gauge_check.csv", "geometry.csv", "run_summary.txt", "spectrum.csv", "trace.csv"]

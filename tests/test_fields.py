@@ -175,6 +175,25 @@ def test_gamma_interval_masks_support():
     np.testing.assert_array_equal(A.components(rho, 0.0)[2], [0.0, 1.5, 1.5, 1.5, 0.0])
 
 
+@pytest.mark.parametrize("make, name", [
+    (lambda: axial_uniform(math.nan, PARABOLOID), "b"),
+    (lambda: axial_uniform(math.inf, PARABOLOID), "b"),
+    (lambda: cartesian_constant(math.inf, PARABOLOID), "c"),
+    (lambda: cartesian_constant(math.nan, PARABOLOID), "c"),
+    (lambda: frame_synthetic(a3=math.nan), "a3"),
+    (lambda: frame_synthetic(a1=-math.inf, a3=lambda r, q: r), "a1"),
+    (lambda: frame_synthetic(a3=0.4, gamma_interval=(math.nan, 0.5)), "gamma_interval lo"),
+    (lambda: frame_synthetic(a3=0.4, gamma_interval=(0.2, math.inf)), "gamma_interval hi"),
+    (lambda: frame_synthetic(a3=0.4, gamma_interval=(0.2, 0.6, 0.9)), "gamma_interval"),
+], ids=["axial-b-nan", "axial-b-inf", "cartesian-c-inf", "cartesian-c-nan", "frame-a3-nan",
+        "frame-a1-inf", "gamma-lo-nan", "gamma-hi-inf", "gamma-triple"])
+def test_field_constructor_names_the_bad_constant(make, name):
+    # before, a non-finite constant gave a nan field, which the gauge check
+    # reported as max_violation = nan with an empty note
+    with pytest.raises(DomainError, match=f"^{name} must be"):
+        make()
+
+
 # ----------------------------------------------------------------------
 # divergence and gauge check
 # ----------------------------------------------------------------------

@@ -225,12 +225,13 @@ def test_rho_outside_domain_rejected():
 @pytest.mark.parametrize("make, name", [
     (lambda: sphere_cap(math.inf, 1.0), "radius"),
     (lambda: sphere_cap(math.nan, 1.0), "radius"),
+    (lambda: sphere_cap(2.0, math.nan), "rho_max"),
     (lambda: gaussian_bump(0.3, math.nan), "sigma"),
     (lambda: gaussian_bump(math.nan, 0.5), "amplitude"),
     (lambda: gaussian_bump(math.inf, 0.5), "amplitude"),
     (lambda: paraboloid(math.nan), "a"),
     (lambda: paraboloid(math.inf), "a"),
-], ids=["cap-radius-inf", "cap-radius-nan", "bump-sigma-nan", "bump-amplitude-nan",
+], ids=["cap-radius-inf", "cap-radius-nan", "cap-rho-max-nan", "bump-sigma-nan", "bump-amplitude-nan",
         "bump-amplitude-inf", "paraboloid-a-nan", "paraboloid-a-inf"])
 def test_constructor_names_the_bad_parameter(make, name):
     with pytest.raises(DomainError, match=f"^{name} must be"):

@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 import curvband.operator as operator_mod
+import curvband.solver as solver_mod
 from curvband import (
     CertificateError,
     CoarseGridWarning,
     RadialGrid,
+    RefinementError,
     SolveError,
     axial_uniform,
     build_tangential,
@@ -272,6 +274,63 @@ def test_benchmark_channels_that_broke_the_contract_meet_it():
     for prof, field, m, n in cases:
         spec = eigen_solve(build_tangential(prof, field, m, RadialGrid(n, 1.0)), 6)
         assert spec.residuals.max() < 1e-8, (prof.name, m, n)
+
+
+def strong_field_channel(profile, a3, mode="hermitian-corrected"):
+    return build_tangential(profile, frame_synthetic(a3=a3, gamma_interval=(0.2, 0.6)), 1,
+                            RadialGrid(1000, 1.0), mode=mode)
+
+
+@pytest.mark.parametrize("profile, a3", [(paraboloid(0.5, 1.0), 20.0),
+                                         (sphere_cap(2.0, 1.0), 80.0)],
+                         ids=["paraboloid-a3-20", "cap-a3-80"])
+def test_strong_field_certified_levels_meet_the_contract(profile, a3):
+    # certified channels whose levels stopped at max 6.457e-08 and 1.228e-03
+    # after a fixed two steps at their first quotient
+    op = strong_field_channel(profile, a3)
+    spec = eigen_solve(op, 6)
+    assert spec.residuals.max() < 1e-9
+    ref = smallest_real_parts(op.matrix, 6)
+    assert np.abs(spec.eigenvalues - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+def test_quotient_outside_its_disc_is_refined_at_the_centre():
+    # level 2's first quotient lies nearer level 1's eigenvalue than its own:
+    # refactored there, it converged on level 1's pair
+    op = build_tangential(gaussian_bump(0.3, 0.5, 1.0),
+                          frame_synthetic(a3=19.0, gamma_interval=(0.35, 0.5)), 2,
+                          RadialGrid(200, 1.0), mode="as-written")
+    spec = eigen_solve(op, 6)
+    assert spec.residuals.max() < 1e-9
+    ref = smallest_real_parts(op.matrix, 6)
+    assert np.abs(spec.eigenvalues - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+def test_refinement_cap_raises_a_named_error(monkeypatch):
+    # with no round past the first, the a3 = 80 cap stops short of the
+    # contract; the error names the level, its residual and the disc ratio
+    monkeypatch.setattr(solver_mod, "REFINE_ROUNDS", 0)
+    stated = (r"^level 0 did not converge inside its disc: residual (\S+) "
+              r"\(contract 1e-08\) at .*, whose radius is s = 20; "
+              r"disc ratio min gap/\(2s\) = 1\.448$")
+    with pytest.raises(RefinementError, match=stated) as info:
+        eigen_solve(strong_field_channel(sphere_cap(2.0, 1.0), 80.0), 6)
+    assert isinstance(info.value, SolveError)
+    assert float(re.match(stated, str(info.value)).group(1)) >= 1e-8
+
+
+def test_level_meeting_the_target_takes_no_further_round(monkeypatch):
+    # a mild non-normal channel, in both modes: every level meets REFINE_TARGET
+    # after the first refinement, so the result is that of no further round
+    for mode in MODES:
+        op = strong_field_channel(paraboloid(0.5, 1.0), -0.2, mode)
+        spec = eigen_solve(op, 6)
+        monkeypatch.setattr(solver_mod, "REFINE_ROUNDS", 0)
+        first = eigen_solve(op, 6)
+        monkeypatch.undo()
+        assert spec.residuals.max() <= solver_mod.REFINE_TARGET
+        assert spec.eigenvalues.tobytes() == first.eigenvalues.tobytes()
+        assert spec.eigenvectors.tobytes() == first.eigenvectors.tobytes()
 
 
 def twin_channel(coupling):
