@@ -2,17 +2,18 @@
 
 All work is done on the operator's three bands.  Eigensolves are
 verified: every reported pair must satisfy the residual contract
-||M v - lambda v|| / ||v|| < 1e-8 or the solve raises.  One route serves
-every channel.  A diagonal similarity makes the tridiagonal M complex
-symmetric, R + iJ; bisection locates the lowest levels of the real symmetric
-R coarsely, and a few inverse-iteration steps on M's own bands give each
-pair.  When the measure-weighted operator is Hermitian, or Hermitian up to a
-constant imaginary diagonal (the uniform-coupling case), J is that constant
-and the shift is applied exactly.  Otherwise Bauer-Fike discs of radius
-||J - c||_inf around the levels must be disjoint, which certifies that the
-pairs found are those of smallest real part, and each level is refined at
-its Rayleigh quotient.  The route calls LAPACK's tridiagonal routines and
-one-dimensional products only, and leaves scipy's BLAS thread count alone.
+||M v - lambda v|| / ||v|| < 1e-8 or the solve raises.  A diagonal
+similarity makes the tridiagonal M complex symmetric, R + iJ; bisection
+locates the lowest levels of the real symmetric R coarsely, and a few
+inverse-iteration steps on M's own bands give each pair, by one of two
+routes.  Where the measure-weighted operator is Hermitian up to a constant
+imaginary diagonal i c (c = 0, or uniform coupling), J is c and the shift is
+exact.  Otherwise Bauer-Fike discs of radius ||J - c||_inf around the levels
+must be disjoint, which certifies that the pairs found are those of
+smallest real part, and each level is refined at its Rayleigh quotient.
+Each route returns the residuals of the normalized vectors it returns.  It
+uses LAPACK's tridiagonal routines and one-dimensional products only, and
+leaves scipy's BLAS thread count alone.
 
 Propagation is Crank-Nicolson,
 
@@ -103,10 +104,13 @@ class HermiticityReport:
 
 
 def __getattr__(name):
-    # solver.spla exists only for perfbench's SeededEigs and goes with it (ROADMAP item 6)
+    # solver.spla exists only for perfbench's SeededEigs, and solver._sparse_solve, now
+    # eigen_solve's eigenvalues, for its test; both go with it (ROADMAP item 6)
     if name == "spla":
         import scipy.sparse.linalg
         return scipy.sparse.linalg
+    if name == "_sparse_solve":
+        return lambda operator, k: (eigen_solve(operator, k).eigenvalues,)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -119,17 +123,19 @@ def _matvec(lower, diag, upper, x) -> np.ndarray:
 
 
 def _tridiag_solver(lower, diag, upper):
-    """Solver for one right-hand side from one LAPACK gttrf factorization,
-    or None if the matrix is exactly singular.  Fewer than 3 rows, which the
-    wrapper rejects, are padded with decoupled identity rows."""
+    """Solver for one right-hand side from one LAPACK gttrf factorization;
+    SolveError if the matrix is exactly singular.  Fewer than 3 rows, which
+    the wrapper rejects, are padded with decoupled identity rows."""
     n, pad = diag.size, np.zeros(max(0, 3 - diag.size))
     if n < 3:
         lower, diag, upper = np.append(lower, pad), np.append(diag, pad + 1), np.append(upper, pad)
     *lu, info = lapack.zgttrf(lower, diag, upper)
+    if info:
+        raise SolveError(f"the tridiagonal matrix is singular: gttrf's pivot {info} is 0")
 
     def solve(b):
         return lapack.zgttrs(*lu, np.append(b, pad) if n < 3 else b)[0][:n]
-    return None if info else solve
+    return solve
 
 
 def _weighted(operator: TangentialOperator):
@@ -173,144 +179,139 @@ def _symmetric_form(operator: TangentialOperator):
 
 
 def eigen_solve(operator: TangentialOperator, k: int) -> Spectrum:
-    """k verified eigenpairs with smallest real parts."""
+    """k verified eigenpairs with smallest real parts.
+
+    Bisection locates the lowest levels of R (_symmetric_form) to within
+    tol = LOCATE_RTOL max(off) / n^2: k of them for _hermitian_pairs, one
+    more for the certificate of _certified_pairs.  Level j starts from row j
+    of one fixed random basis.
+    """
     n, k = operator.n, _whole("k", k)
     if not 1 <= k <= n:
         raise SolveError(f"k = {k} not in [1, {n}]")
-
-    values, vectors = _sparse_solve(operator, k)
-    order = np.lexsort((values.imag, values.real))
-    values = values[order]
-    vectors = vectors[:, order]
-    # normalize under the surface measure
-    wnorm = np.sqrt(operator.measure_weights @ (np.abs(vectors) ** 2))
-    vectors = vectors / wnorm[None, :]
-
-    residuals = _residuals(operator, values, vectors)
-    if not np.all(residuals < RESIDUAL_TOL):
-        raise SolveError(
-            f"eigen residual contract violated: max {residuals.max():.3e} "
-            f">= {RESIDUAL_TOL}"
-        )
-    return Spectrum(m=operator.m, eigenvalues=values, eigenvectors=vectors,
-                    residuals=residuals)
-
-
-def _residuals(operator: TangentialOperator, values, vectors) -> np.ndarray:
-    """||M v - lambda v|| / ||v|| for each column v of vectors."""
-    res = np.empty_like(vectors)
-    for j, (lam, v) in enumerate(zip(values, vectors.T)):
-        res[:, j] = _matvec(*operator.bands, v) - v * lam
-    return np.linalg.norm(res, axis=0) / np.linalg.norm(vectors, axis=0)
-
-
-def _sparse_solve(operator: TangentialOperator, k: int):
-    """The k eigenpairs of smallest real part, from M's bands.
-
-    Bisection locates the lowest levels lev of R (_symmetric_form) to within
-    tol = LOCATE_RTOL max(off) / n^2.  Each level then takes INVERSE_STEPS
-    steps of inverse iteration on M's bands through one factorization at
-    lev + i c - tol, from a start vector of its own.
-
-    Where M_w is Hermitian up to i c, the levels found within PROJECT_SPAN
-    tol are projected out before each step in the measure inner product
-    sum w conj(u) x, and the eigenvalue is the real Rayleigh quotient plus
-    i c; farther levels shrink by (1.5 / PROJECT_SPAN)^3 unaided.
-
-    Otherwise the discs of radius s around lev + i c, up to the (k+1)-th,
-    must be disjoint: lev[j+1] - lev[j] > 2 s + tol for j < k.  As the
-    eigenvalues move continuously along R + i t (J - c), t in [0, 1], each
-    disc then holds exactly one, and the k lowest discs hold those of
-    smallest real part; if not, CertificateError is raised.  The levels are
-    separated, so nothing is projected.  A second factorization at the
-    Rayleigh quotient minus tol takes REFINE_STEPS more steps.  The quotient
-    is two-sided, with left vector D^2 x (transposed) where D M D^-1 is the
-    complex symmetric form, (D_{j+1} / D_j)^2 = upper_j / lower_j: that is
-    the left eigenvector's form, so the eigenvalue's error is quadratic in
-    the vector's, where the measure quotient's is linear.  While the level's
-    residual is above REFINE_TARGET, it is refactored at its new quotient and
-    takes REFINE_STEPS more, up to REFINE_ROUNDS times; a round that does not
-    lower the residual is dropped, as the level has reached the rounding
-    floor.  A quotient outside the level's disc (radius s + tol) may lie
-    nearer a neighbour's eigenvalue than its own, so that round is factored
-    at the disc's centre, which is within s of its own and more than s + tol
-    from any other.  The pair must end with its quotient inside its disc and
-    meeting the contract, or RefinementError is raised.
-    """
-    n, w, (lower, diag, upper) = operator.n, operator.measure_weights, operator.bands
     hermitian, shift, off, s, scale = _symmetric_form(operator)
     tol = LOCATE_RTOL * (off.max(initial=0.0) or scale) / n ** 2
-    count = k if hermitian else min(k + 1, n)
-    located = sla.eigh_tridiagonal(diag.real, off, eigvals_only=True, select="i",
-                                   select_range=(0, count - 1), tol=tol)
-    gaps = np.diff(located)
-    if not hermitian and gaps.size and gaps.min() <= 2.0 * s + tol:
-        j = int(np.argmin(gaps))
-        raise CertificateError(
-            f"cannot certify the {k} smallest real parts: levels {j} and {j + 1} of the "
-            f"real symmetric part are {gaps[j]:.6g} apart, not more than 2 s + tol, where "
-            f"every eigenvalue lies within s = {s:.6g} of a level plus {shift.imag:.6g}i "
-            f"(tol = {tol:.3g})"
-        )
-
-    d2 = None if hermitian else np.concatenate(([1.0], np.cumprod(upper / lower)))
-
-    def quotient(x):
-        if hermitian:
-            left = w * x.conj() / np.vdot(x, w * x).real
-        else:
-            left = d2 * x
-            left /= left @ x
-        mx = _matvec(lower, diag, upper, x)
-        return left, left @ mx, mx
-
-    def refined(x, sigma):
-        """REFINE_STEPS steps through one factorization at sigma - tol: the vector,
-        its left vector and quotient, and its residual."""
-        solve = _tridiag_solver(lower, diag - (sigma - tol), upper)
-        for _ in range(REFINE_STEPS):
-            x = solve(x)
-        left, q, mx = quotient(x)
-        mx -= q * x
-        return x, left, q, math.sqrt(np.vdot(mx, mx).real / np.vdot(x, x).real)
-
-    # fixed start vectors; lefts[i] = w conj(x_i) / sum w |x_i|^2 projects out x_i
+    located = sla.eigh_tridiagonal(operator.diag.real, off, eigvals_only=True, select="i",
+                                   select_range=(0, (k if hermitian else min(k + 1, n)) - 1),
+                                   tol=tol)
     basis = np.random.default_rng(0).uniform(-1.0, 1.0, (k, n)).astype(complex)
-    lefts, quotients = np.empty_like(basis), np.empty(k, dtype=complex)
-    for i, lam in enumerate(located[:k] + shift):
+    values, vectors, residuals = (
+        _hermitian_pairs(operator, located, shift, tol, basis) if hermitian
+        else _certified_pairs(operator, located, shift, s, tol, basis))
+    if not np.all(residuals < RESIDUAL_TOL):
+        raise SolveError(f"eigen residual contract violated: max {residuals.max():.3e} "
+                         f">= {RESIDUAL_TOL}")
+    order = np.lexsort((values.imag, values.real))
+    return Spectrum(m=operator.m, eigenvalues=values[order], eigenvectors=vectors[:, order],
+                    residuals=residuals[order])
+
+
+def _residual(mx, x, lam) -> float:
+    """||M x - lam x|| / ||x|| from mx = M x: the contract's residual."""
+    mx = mx - lam * x
+    return math.sqrt(np.vdot(mx, mx).real / np.vdot(x, x).real)
+
+
+def _hermitian_pairs(operator: TangentialOperator, located, shift, tol, basis):
+    """Pairs where M_w is Hermitian up to i c.
+
+    Each level takes INVERSE_STEPS steps of inverse iteration on M's bands
+    through one factorization at lev + i c - tol.  The levels found within
+    PROJECT_SPAN tol are projected out before each step in the measure inner
+    product sum w conj(u) x; farther levels shrink by (1.5 / PROJECT_SPAN)^3
+    unaided.  The eigenvalue is the real measure Rayleigh quotient plus i c.
+    """
+    w, (lower, diag, upper) = operator.measure_weights, operator.bands
+    # lefts[i] = w conj(x_i) / sum w |x_i|^2 projects out x_i
+    lefts, quotients = np.empty_like(basis), np.empty(len(basis), dtype=complex)
+    for i, lam in enumerate(located + shift):
         # lam - tol is tol/2 to 3 tol/2 off the level, too far for the solve's rounding
         # to set the residual; projecting before each solve lets it damp their rounding
         solve = _tridiag_solver(lower, diag - (lam - tol), upper)
         x = basis[i]
-        near = np.searchsorted(located, located[i] - PROJECT_SPAN * tol) if hermitian else i
+        near = np.searchsorted(located, located[i] - PROJECT_SPAN * tol)
         for _ in range(INVERSE_STEPS):
             for left, u in zip(lefts[near:i], basis[near:i]):
                 x -= (left @ x) * u
             x = solve(x)
-        left, quotients[i], _ = quotient(x)
-        if not hermitian:
-            # lam is only within s of the eigenvalue, the quotient usually far closer;
-            # a quotient outside the disc may be nearer a neighbour's, so lam serves
-            q, res = quotients[i], math.inf
-            for _ in range(1 + REFINE_ROUNDS):
-                inside = abs(q - lam) <= s + tol
-                if inside and res <= REFINE_TARGET:
-                    break
-                y, y_left, y_q, y_res = refined(x, q if inside else lam)
-                if inside and y_res >= res:
-                    break
-                x, left, q, res = y, y_left, y_q, y_res
-            if not (res < RESIDUAL_TOL and abs(q - lam) <= s + tol):
-                ratio = gaps.min(initial=math.inf) / (2.0 * s) if s else math.inf
-                raise RefinementError(
-                    f"level {i} did not converge inside its disc: residual {res:.3e} "
-                    f"(contract {RESIDUAL_TOL}) at {q:.6g}, {abs(q - lam):.6g} from the "
-                    f"disc's centre, whose radius is s = {s:.6g}; disc ratio min gap/(2s) "
-                    f"= {ratio:.4g}"
-                )
-            quotients[i] = q
-        basis[i], lefts[i] = x, left
-    return (quotients.real + shift if hermitian else quotients), basis.T
+        basis[i] = x
+        lefts[i] = w * x.conj() / np.vdot(x, w * x).real
+        quotients[i] = lefts[i] @ _matvec(lower, diag, upper, x)
+    values = quotients.real + shift
+    vectors = basis.T / np.sqrt(w @ (np.abs(basis.T) ** 2))
+    return values, vectors, np.array([_residual(_matvec(lower, diag, upper, v), v, lam)
+                                      for lam, v in zip(values, vectors.T)])
+
+
+def _certified_pairs(operator: TangentialOperator, located, shift, s, tol, basis):
+    """Pairs of a non-normal channel, certified to be those of smallest real part.
+
+    The discs of radius s around lev + i c, up to the (k+1)-th, must be
+    disjoint: lev[j+1] - lev[j] > 2 s + tol for j < k.  As the eigenvalues
+    move continuously along R + i t (J - c), t in [0, 1], each disc then holds
+    exactly one, and the k lowest discs hold those of smallest real part; if
+    not, CertificateError is raised.  The levels are separated, so nothing is
+    projected: each takes INVERSE_STEPS steps of inverse iteration through
+    one factorization at lev + i c - tol.  Each round then factors at the
+    level's two-sided Rayleigh quotient minus tol, takes REFINE_STEPS steps and
+    normalizes the vector under the measure, which its residual then judges.
+    The quotient's left vector is D^2 x (transposed), where D M D^-1 is the
+    complex symmetric form, (D_{j+1} / D_j)^2 = upper_j / lower_j: that is the
+    left eigenvector's form, so the eigenvalue's error is quadratic in the
+    vector's.  Rounds go on while the residual is above REFINE_TARGET, up to
+    1 + REFINE_ROUNDS; one that does not lower it is dropped, as the level is
+    at the rounding floor.  A quotient outside the level's disc (radius
+    s + tol) may lie nearer a neighbour's eigenvalue than its own, so that
+    round is factored at the disc's centre, within s of its own and more than
+    s + tol from any other.  The pair must end inside its disc and meeting the
+    contract, or RefinementError is raised.
+    """
+    k, gaps = len(basis), np.diff(located)
+    if gaps.size and gaps.min() <= 2.0 * s + tol:
+        j = int(np.argmin(gaps))
+        raise CertificateError(
+            f"cannot certify the {k} smallest real parts: levels {j} and {j + 1} of the real "
+            f"symmetric part are {gaps[j]:.6g} apart, not more than 2 s + tol, where every "
+            f"eigenvalue lies within s = {s:.6g} of a level plus {shift.imag:.6g}i "
+            f"(tol = {tol:.3g})")
+    w, (lower, diag, upper) = operator.measure_weights, operator.bands
+    d2 = np.concatenate(([1.0], np.cumprod(upper / lower)))
+
+    def steps(x, sigma, count):
+        solve = _tridiag_solver(lower, diag - (sigma - tol), upper)
+        for _ in range(count):
+            x = solve(x)
+        return x
+
+    def quotient(x):
+        left = d2 * x
+        left /= left @ x
+        mx = _matvec(lower, diag, upper, x)
+        return left @ mx, mx
+
+    values, residuals = np.empty(k, dtype=complex), np.empty(k)
+    for i, lam in enumerate(located[:k] + shift):
+        x = steps(basis[i], lam, INVERSE_STEPS)
+        q, res = quotient(x)[0], math.inf
+        for _ in range(1 + REFINE_ROUNDS):
+            inside = abs(q - lam) <= s + tol
+            if inside and res <= REFINE_TARGET:
+                break
+            y = steps(x, q if inside else lam, REFINE_STEPS)
+            y /= math.sqrt(w @ (np.abs(y) ** 2))
+            y_q, my = quotient(y)
+            y_res = _residual(my, y, y_q)
+            if inside and y_res >= res:
+                break
+            x, q, res = y, y_q, y_res
+        if not (res < RESIDUAL_TOL and abs(q - lam) <= s + tol):
+            ratio = gaps.min(initial=math.inf) / (2.0 * s) if s else math.inf
+            raise RefinementError(
+                f"level {i} did not converge inside its disc: residual {res:.3e} (contract "
+                f"{RESIDUAL_TOL}) at {q:.6g}, {abs(q - lam):.6g} from the disc's centre, whose "
+                f"radius is s = {s:.6g}; disc ratio min gap/(2s) = {ratio:.4g}")
+        basis[i], values[i], residuals[i] = x, q, res
+    return values, basis.T, residuals
 
 
 def evolve(operator: TangentialOperator, initial: np.ndarray, dt: float,
@@ -329,8 +330,6 @@ def evolve(operator: TangentialOperator, initial: np.ndarray, dt: float,
     d, lower, upper, *_ = _weighted(operator)
     quarter = 0.25j * dt
     solve = _tridiag_solver(quarter * lower, 0.5 + quarter * operator.diag, quarter * upper)
-    if solve is None:
-        raise SolveError("Crank-Nicolson factorization failed: I + i dt/2 M is singular")
 
     # step s writes row s of the states, or row s % 2 of a two-row buffer
     rows = np.empty((steps + 1 if record_states else 2, n), dtype=complex)

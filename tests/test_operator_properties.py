@@ -2,17 +2,19 @@
 
 Channels are drawn over the catalog profiles (parameter ranges as in the
 benchmark's workloads), the field kinds, m in 0..2, charge e in [0.5, 2]
-and n in [32, 160].  Examples are derandomized, so every run checks the
-same cases.
+and n in [32, 160]; strong-field frame channels draw |a3| <= 30 and n in
+{200, 1000}.  Examples are derandomized, so every run checks the same
+cases.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvband import (RadialGrid, VectorPotentialSpec, axial_uniform, build_tangential,
-                      cartesian_constant, eigen_solve, evolve, flat, frame_synthetic,
-                      gaussian_bump, hermiticity_report, paraboloid, sphere_cap, zero_field)
+from curvband import (CertificateError, RadialGrid, VectorPotentialSpec, axial_uniform,
+                      build_tangential, cartesian_constant, eigen_solve, evolve, flat,
+                      frame_synthetic, gaussian_bump, hermiticity_report, paraboloid,
+                      sphere_cap, zero_field)
 from curvband.operator import MODES
 from oracles import smallest_real_parts
 
@@ -68,6 +70,18 @@ def channels(draw, mode=None, normal=True):
     return profile, field, a3, m, e, grid, mode or draw(st.sampled_from(MODES))
 
 
+@st.composite
+def strong_channels(draw):
+    """(profile, field, m, grid, mode) of a frame channel with |a3| <= 30, on a
+    gamma_interval or everywhere, with a radial a1 in half of the draws."""
+    profile = draw(profiles)
+    a1 = draw(st.just(0.0) | signed(0.1, 1.0))
+    interval = draw(st.none() | st.tuples(st.floats(0.1, 0.4), st.floats(0.5, 0.9)))
+    field = frame_synthetic(a1, a3=draw(st.floats(-30.0, 30.0)), gamma_interval=interval)
+    grid = RadialGrid(draw(st.sampled_from((200, 1000))), RHO_MAX)
+    return profile, field, draw(st.integers(0, 2)), grid, draw(st.sampled_from(MODES))
+
+
 @PROPERTY
 @given(channels())
 def test_im_diag_is_e_a3_h(channel):
@@ -110,6 +124,17 @@ def test_eigen_solve_returns_the_smallest_real_parts(channel):
     spec = eigen_solve(op, 6)
     np.testing.assert_allclose(spec.eigenvalues, smallest_real_parts(op.matrix, 6),
                                rtol=1e-9, atol=1e-9)
+
+
+@PROPERTY
+@given(strong_channels())
+def test_strong_field_channels_meet_the_contract_or_name_the_certificate(channel):
+    profile, field, m, grid, mode = channel
+    try:
+        spec = eigen_solve(build_tangential(profile, field, m, grid, mode=mode), 6)
+    except CertificateError:
+        return
+    assert spec.residuals.max() < 1e-8
 
 
 def negated(field):

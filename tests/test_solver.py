@@ -115,12 +115,12 @@ def test_k_out_of_range_rejected():
 
 def test_non_integer_k_is_a_named_error_before_solving(monkeypatch):
     op = build_tangential(flat(1.0), zero_field(), 0, RadialGrid(32, 1.0))
-    monkeypatch.setattr(solver_mod, "_sparse_solve", None)  # calling it fails the test
+    monkeypatch.setattr(solver_mod.sla, "eigh_tridiagonal", None)  # calling it fails the test
     with pytest.raises(DomainError, match="k must be an integer, got 2.5"):
         eigen_solve(op, 2.5)
 
 
-def test_sparse_path_agrees_with_dense():
+def test_both_routes_agree_with_dense():
     grid = RadialGrid(400, 1.0)
     flat_disc = build_tangential(flat(1.0), zero_field(), 0, grid)
     non_normal = build_tangential(paraboloid(0.5, 1.0), frame_synthetic(a3=0.3), 0, grid)
@@ -213,6 +213,15 @@ def test_instability_warning_on_violent_growth():
         evolve(wild, psi, dt=1e-3, steps=3, record_states=False)
     assert len(record) == 1
     assert str(record[0].message).endswith("at t = 0.001")
+
+
+def test_singular_crank_nicolson_matrix_is_a_named_error():
+    # one node with M = 2i: at dt = 1, I + i dt/2 M is exactly 0
+    op = TangentialOperator(m=0, mode="hermitian-corrected", measure_weights=np.ones(1),
+                            grid=RadialGrid(1, 1.0), lower=np.zeros(0, dtype=complex),
+                            diag=np.array([2j]), upper=np.zeros(0, dtype=complex))
+    with pytest.raises(SolveError, match="is singular"):
+        evolve(op, np.ones(1), dt=1.0, steps=1)
 
 
 def test_evolve_validates_arguments():

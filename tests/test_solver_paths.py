@@ -134,7 +134,7 @@ def test_non_normal_operators_take_the_general_solvers():
                                    rtol=1e-9, atol=1e-9)
 
 
-def test_shift_invert_agrees_with_dense_on_non_normal_operator():
+def test_certified_route_agrees_with_dense_on_non_normal_operator():
     op = build_tangential(paraboloid(0.5, 1.0), zero_field(), 0, RadialGrid(400, 1.0),
                           mode="as-written")
     spec = eigen_solve(op, 4)
@@ -143,7 +143,7 @@ def test_shift_invert_agrees_with_dense_on_non_normal_operator():
     assert np.all(spec.residuals < 1e-8)
 
 
-def test_shift_invert_is_deterministic():
+def test_certified_route_is_deterministic():
     op = build_tangential(paraboloid(0.5, 1.0), zero_field(), 0, RadialGrid(400, 1.0),
                           mode="as-written")
     first = eigen_solve(op, 4)
@@ -151,7 +151,7 @@ def test_shift_invert_is_deterministic():
     np.testing.assert_array_equal(first.eigenvalues, second.eigenvalues)
 
 
-def test_shift_invert_returns_smallest_real_parts_of_full_spectrum():
+def test_certified_route_returns_smallest_real_parts_of_full_spectrum():
     for key, op in non_normal_cases(300, ms=(0,)):
         if key[0] == "flat":
             continue
@@ -195,12 +195,25 @@ def test_non_normal_eigenvalues_reach_the_rounding_floor():
             assert np.abs(spec.eigenvalues - ref).max() <= 1e-12 * np.abs(ref).max(), m
 
 
-def test_refinement_keeps_arnoldis_pair_where_it_alone_meets_contract():
-    # a channel where one refined inverse-iteration step from Arnoldi's pair
-    # left a residual of 2.4e-8 on the 4th pair
+def test_steep_cap_channel_meets_contract_on_every_pair():
+    # a channel whose 4th pair once stopped at a residual of 2.4e-8 after one
+    # refined inverse-iteration step
     op = build_tangential(sphere_cap(2.706451214352734, 1.0), zero_field(), 0,
                           RadialGrid(1000, 1.0), mode="as-written")
     spec = eigen_solve(op, 6)
+    assert spec.residuals.max() < 1e-8
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_levels_at_the_rounding_floor_meet_the_contract_or_name_the_refinement(m):
+    # residuals here sit near 1e-8, all rounding: m = 2 was once accepted at
+    # just under 1e-8 on its unnormalized vector and read 1.008e-08 normalized
+    op = build_tangential(paraboloid(0.5, 1.0), zero_field(), m, RadialGrid(8000, 1.0),
+                          mode="as-written")
+    try:
+        spec = eigen_solve(op, 6)
+    except RefinementError:
+        return
     assert spec.residuals.max() < 1e-8
 
 
