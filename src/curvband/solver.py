@@ -2,18 +2,12 @@
 
 All work is done on the operator's three bands.  Eigensolves are
 verified: every reported pair must satisfy the residual contract
-||M v - lambda v|| / ||v|| < 1e-8 or the solve raises.  A diagonal
-similarity makes the tridiagonal M complex symmetric, R + iJ; bisection
-locates the lowest levels of the real symmetric R coarsely, and a few
-inverse-iteration steps on M's own bands give each pair, by one of two
-routes.  Where the measure-weighted operator is Hermitian up to a constant
-imaginary diagonal i c (c = 0, or uniform coupling), J is c and the shift is
-exact.  Otherwise Bauer-Fike discs of radius ||J - c||_inf around the levels
-must be disjoint, which certifies that the pairs found are those of
-smallest real part, and each level is refined at its Rayleigh quotient.
-Each route returns the residuals of the normalized vectors it returns.  It
-uses LAPACK's tridiagonal routines and one-dimensional products only, and
-leaves scipy's BLAS thread count alone.
+||M v - lambda v|| / ||v|| < 1e-8 or the solve raises.  Bisection locates
+the lowest levels of a real symmetric tridiagonal R coarsely, and inverse
+iteration on M's own bands gives each pair, by one route per structure
+class (eigen_solve); where the operator is non-normal, Bauer-Fike discs
+certify the selection.  The routes use LAPACK's tridiagonal routines and
+one-dimensional products only, and leave scipy's BLAS thread count alone.
 
 Propagation is Crank-Nicolson,
 
@@ -182,18 +176,18 @@ def eigen_solve(operator: TangentialOperator, k: int) -> Spectrum:
     """k verified eigenpairs with smallest real parts.
 
     Bisection locates the lowest levels of R (_symmetric_form) to within
-    tol = LOCATE_RTOL max(off) / n^2: k of them for _hermitian_pairs, one
-    more for the certificate of _certified_pairs.  Level j starts from row j
-    of one fixed random basis.
+    tol = LOCATE_RTOL max(off) / n^2, k of them where M_w is Hermitian up to
+    i c (_hermitian_pairs), and one more for the certificate otherwise
+    (_certified_pairs).  Level j starts from row j of one fixed random basis.
     """
     n, k = operator.n, _whole("k", k)
     if not 1 <= k <= n:
         raise SolveError(f"k = {k} not in [1, {n}]")
     hermitian, shift, off, s, scale = _symmetric_form(operator)
     tol = LOCATE_RTOL * (off.max(initial=0.0) or scale) / n ** 2
+    count = k if hermitian else min(k + 1, n)
     located = sla.eigh_tridiagonal(operator.diag.real, off, eigvals_only=True, select="i",
-                                   select_range=(0, (k if hermitian else min(k + 1, n)) - 1),
-                                   tol=tol)
+                                   select_range=(0, count - 1), tol=tol)
     basis = np.random.default_rng(0).uniform(-1.0, 1.0, (k, n)).astype(complex)
     values, vectors, residuals = (
         _hermitian_pairs(operator, located, shift, tol, basis) if hermitian
@@ -210,6 +204,14 @@ def _residual(mx, x, lam) -> float:
     """||M x - lam x|| / ||x|| from mx = M x: the contract's residual."""
     mx = mx - lam * x
     return math.sqrt(np.vdot(mx, mx).real / np.vdot(x, x).real)
+
+
+def _normalized(operator: TangentialOperator, values, basis):
+    """A route's vectors, the rows of basis as columns normalized under the
+    surface measure, and the residual of each with its value."""
+    vectors = basis.T / np.sqrt(operator.measure_weights @ (np.abs(basis.T) ** 2))
+    return vectors, np.array([_residual(_matvec(*operator.bands, v), v, lam)
+                              for lam, v in zip(values, vectors.T)])
 
 
 def _hermitian_pairs(operator: TangentialOperator, located, shift, tol, basis):
@@ -238,9 +240,7 @@ def _hermitian_pairs(operator: TangentialOperator, located, shift, tol, basis):
         lefts[i] = w * x.conj() / np.vdot(x, w * x).real
         quotients[i] = lefts[i] @ _matvec(lower, diag, upper, x)
     values = quotients.real + shift
-    vectors = basis.T / np.sqrt(w @ (np.abs(basis.T) ** 2))
-    return values, vectors, np.array([_residual(_matvec(lower, diag, upper, v), v, lam)
-                                      for lam, v in zip(values, vectors.T)])
+    return (values, *_normalized(operator, values, basis))
 
 
 def _certified_pairs(operator: TangentialOperator, located, shift, s, tol, basis):
@@ -251,20 +251,18 @@ def _certified_pairs(operator: TangentialOperator, located, shift, s, tol, basis
     move continuously along R + i t (J - c), t in [0, 1], each disc then holds
     exactly one, and the k lowest discs hold those of smallest real part; if
     not, CertificateError is raised.  The levels are separated, so nothing is
-    projected: each takes INVERSE_STEPS steps of inverse iteration through
-    one factorization at lev + i c - tol.  Each round then factors at the
-    level's two-sided Rayleigh quotient minus tol, takes REFINE_STEPS steps and
-    normalizes the vector under the measure, which its residual then judges.
-    The quotient's left vector is D^2 x (transposed), where D M D^-1 is the
-    complex symmetric form, (D_{j+1} / D_j)^2 = upper_j / lower_j: that is the
-    left eigenvector's form, so the eigenvalue's error is quadratic in the
-    vector's.  Rounds go on while the residual is above REFINE_TARGET, up to
-    1 + REFINE_ROUNDS; one that does not lower it is dropped, as the level is
-    at the rounding floor.  A quotient outside the level's disc (radius
-    s + tol) may lie nearer a neighbour's eigenvalue than its own, so that
-    round is factored at the disc's centre, within s of its own and more than
-    s + tol from any other.  The pair must end inside its disc and meeting the
-    contract, or RefinementError is raised.
+    projected: each takes INVERSE_STEPS steps of inverse iteration through one
+    factorization at lev + i c - tol, then rounds of REFINE_STEPS steps, each
+    factored at its two-sided Rayleigh quotient minus tol.  The quotient's left
+    vector is D^2 x, where D M D^-1 is complex symmetric, (D_{j+1} / D_j)^2 =
+    upper_j / lower_j: the left eigenvector's form, so the eigenvalue's error
+    is quadratic in the vector's.  Rounds go on while the residual is above
+    REFINE_TARGET, up to 1 + REFINE_ROUNDS; one that does not lower it is
+    dropped, as the level is at the rounding floor.  A quotient outside the
+    disc (radius s + tol) may lie nearer a neighbour's eigenvalue than its
+    own, so that round is factored at the disc's centre.  Each pair must end
+    inside its disc and its measure-normalized vector meet the contract, or
+    RefinementError is raised.
     """
     k, gaps = len(basis), np.diff(located)
     if gaps.size and gaps.min() <= 2.0 * s + tol:
@@ -274,7 +272,7 @@ def _certified_pairs(operator: TangentialOperator, located, shift, s, tol, basis
             f"symmetric part are {gaps[j]:.6g} apart, not more than 2 s + tol, where every "
             f"eigenvalue lies within s = {s:.6g} of a level plus {shift.imag:.6g}i "
             f"(tol = {tol:.3g})")
-    w, (lower, diag, upper) = operator.measure_weights, operator.bands
+    lower, diag, upper = operator.bands
     d2 = np.concatenate(([1.0], np.cumprod(upper / lower)))
 
     def steps(x, sigma, count):
@@ -289,7 +287,7 @@ def _certified_pairs(operator: TangentialOperator, located, shift, s, tol, basis
         mx = _matvec(lower, diag, upper, x)
         return left @ mx, mx
 
-    values, residuals = np.empty(k, dtype=complex), np.empty(k)
+    values, far = np.empty(k, dtype=complex), np.empty(k)
     for i, lam in enumerate(located[:k] + shift):
         x = steps(basis[i], lam, INVERSE_STEPS)
         q, res = quotient(x)[0], math.inf
@@ -298,20 +296,22 @@ def _certified_pairs(operator: TangentialOperator, located, shift, s, tol, basis
             if inside and res <= REFINE_TARGET:
                 break
             y = steps(x, q if inside else lam, REFINE_STEPS)
-            y /= math.sqrt(w @ (np.abs(y) ** 2))
             y_q, my = quotient(y)
             y_res = _residual(my, y, y_q)
             if inside and y_res >= res:
                 break
             x, q, res = y, y_q, y_res
-        if not (res < RESIDUAL_TOL and abs(q - lam) <= s + tol):
-            ratio = gaps.min(initial=math.inf) / (2.0 * s) if s else math.inf
-            raise RefinementError(
-                f"level {i} did not converge inside its disc: residual {res:.3e} (contract "
-                f"{RESIDUAL_TOL}) at {q:.6g}, {abs(q - lam):.6g} from the disc's centre, whose "
-                f"radius is s = {s:.6g}; disc ratio min gap/(2s) = {ratio:.4g}")
-        basis[i], values[i], residuals[i] = x, q, res
-    return values, basis.T, residuals
+        basis[i], values[i], far[i] = x, q, abs(q - lam)
+    vectors, residuals = _normalized(operator, values, basis)
+    failed = (residuals >= RESIDUAL_TOL) | (far > s + tol)
+    if failed.any():
+        i = int(np.argmax(failed))
+        ratio = gaps.min(initial=math.inf) / (2.0 * s) if s else math.inf
+        raise RefinementError(
+            f"level {i} did not converge inside its disc: residual {residuals[i]:.3e} "
+            f"(contract {RESIDUAL_TOL}) at {values[i]:.6g}, {far[i]:.6g} from the disc's "
+            f"centre, whose radius is s = {s:.6g}; disc ratio min gap/(2s) = {ratio:.4g}")
+    return values, vectors, residuals
 
 
 def evolve(operator: TangentialOperator, initial: np.ndarray, dt: float,

@@ -207,12 +207,14 @@ def test_steep_cap_channel_meets_contract_on_every_pair():
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_levels_at_the_rounding_floor_meet_the_contract_or_name_the_refinement(m):
     # residuals here sit near 1e-8, all rounding: m = 2 was once accepted at
-    # just under 1e-8 on its unnormalized vector and read 1.008e-08 normalized
+    # just under 1e-8 on its unnormalized vector and read 1.008e-08 normalized;
+    # m = 0 meets the contract at 9.79e-09
     op = build_tangential(paraboloid(0.5, 1.0), zero_field(), m, RadialGrid(8000, 1.0),
                           mode="as-written")
     try:
         spec = eigen_solve(op, 6)
     except RefinementError:
+        assert m > 0, "m = 0 meets the contract"
         return
     assert spec.residuals.max() < 1e-8
 
