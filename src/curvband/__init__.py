@@ -30,7 +30,6 @@ from .geometry import (
     eval_geometry,
     flat,
     frame_vectors,
-    from_height_function,
     gaussian_bump,
     paraboloid,
     scale_factors,

@@ -55,7 +55,7 @@ import yaml
 
 from . import fields, geometry
 from .errors import ConfigError
-from .operator import MODES, RECOMMENDED_MIN_POINTS, RadialGrid
+from .operator import MIN_N_POINTS, MODES, RadialGrid
 
 # libyaml's classes where PyYAML has them: ~0.3 ms per parse or echo, not ~2 and ~1.3 ms
 _Loader, _Dumper = ((yaml.CSafeLoader, yaml.CSafeDumper) if yaml.__with_libyaml__
@@ -66,8 +66,6 @@ SURFACE_KINDS = {"flat": geometry.flat, "paraboloid": geometry.paraboloid,
 FIELD_KINDS = {"axial-uniform": fields.axial_uniform,
                "cartesian-constant": fields.cartesian_constant,
                "frame-synthetic": fields.frame_synthetic}
-
-MIN_N_POINTS = RECOMMENDED_MIN_POINTS
 
 # each kind is its constructor, whose signature is read once, here.  It takes
 # each parameter from the section key of its name, but profile from the caller.

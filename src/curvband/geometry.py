@@ -27,8 +27,6 @@ from .errors import ChartDegenerateError, DomainError, EvaluationError
 
 # rho below this fraction of rho_max evaluates S_rho/rho by its axis limit
 AXIS_EPS_FACTOR = 1e-8
-# central-difference step for tabulated profiles, as a fraction of rho_max
-FD_STEP_FACTOR = 1e-5
 # the usable |q| range keeps F(q) above this margin
 F_MARGIN = 0.01
 
@@ -177,28 +175,6 @@ def sphere_cap(radius: float, rho_max: float) -> SurfaceProfile:
         return -(radius ** 2) / (radius ** 2 - r ** 2) ** 1.5
 
     return SurfaceProfile("sphere-cap", S, S_rho, S_rhorho, rho_max)
-
-
-def from_height_function(name: str, S: Callable, rho_max: float) -> SurfaceProfile:
-    """Profile with derivatives by central differences (step 1e-5 * rho_max).
-
-    Intended for tabulated or otherwise non-analytic generators.  S is
-    extended evenly across the axis, which keeps S_rho(0) = 0 exactly.
-    """
-    h = FD_STEP_FACTOR * rho_max
-
-    def S_even(r):
-        return np.asarray(S(np.abs(_farr(r))), dtype=float)
-
-    def S_rho(r):
-        r = _farr(r)
-        return (S_even(r + h) - S_even(r - h)) / (2.0 * h)
-
-    def S_rhorho(r):
-        r = _farr(r)
-        return (S_even(r + h) - 2.0 * S_even(r) + S_even(r - h)) / (h * h)
-
-    return SurfaceProfile(name, S_even, S_rho, S_rhorho, rho_max)
 
 
 def catalog(rho_max: float = 1.0) -> dict:

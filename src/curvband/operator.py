@@ -41,7 +41,7 @@ from .fields import VectorPotentialSpec
 from .geometry import SurfaceProfile, _chart_factor, _positive, _surface, curvatures
 
 MODES = ("as-written", "hermitian-corrected")
-RECOMMENDED_MIN_POINTS = 16
+MIN_N_POINTS = 16
 
 
 @dataclass(frozen=True)
@@ -148,9 +148,9 @@ def build_tangential(profile: SurfaceProfile, A: VectorPotentialSpec, m: int,
     if mode not in MODES:
         raise DomainError(f"mode must be one of {MODES}, got {mode!r}")
     m = _whole("azimuthal index m", m)
-    if grid.n_points < RECOMMENDED_MIN_POINTS:
+    if grid.n_points < MIN_N_POINTS:
         warnings.warn(
-            f"n_points = {grid.n_points} < {RECOMMENDED_MIN_POINTS}; "
+            f"n_points = {grid.n_points} < {MIN_N_POINTS}; "
             "spectra will be poorly resolved",
             CoarseGridWarning, stacklevel=2,
         )
@@ -158,21 +158,23 @@ def build_tangential(profile: SurfaceProfile, A: VectorPotentialSpec, m: int,
     n = grid.n_points
     dr = grid.spacing
     rho = grid.nodes
-    # the surface at the nodes plus ghost radii at the axis and at the wall
+    # the surface and the field at the nodes plus ghost radii at the axis and at the wall
     rho_ext = np.concatenate(([0.0], rho, [grid.rho_max]))
     surf = _surface(profile, rho_ext)
+    a1_ext, a2_ext, a3_ext = (np.asarray(v, dtype=float) for v in A.components(rho_ext, 0.0))
     inner = slice(1, n + 1)
     Z, H, K = (v[inner] for v in surf.curvatures())
     wt = rho * Z
 
-    # flux coefficients of the corrected kinetic block (g(0) = 0 exactly)
-    g_ext = rho_ext / surf.Z
-    gbar_up = 0.5 * (g_ext[1:n + 1] + g_ext[2:n + 2])
-    gbar_lo = 0.5 * (g_ext[0:n] + g_ext[1:n + 1])
+    # means above and below each node of the face coefficients: rho/Z of the
+    # corrected kinetic flux (0 exactly on the axis) and rho*A1 of the radial field
+    faces = np.array([rho_ext / surf.Z, rho_ext * a1_ext])
+    gbar_up, sbar_up = 0.5 * (faces[:, 1:-1] + faces[:, 2:])
+    gbar_lo, sbar_lo = 0.5 * (faces[:, :-2] + faces[:, 1:-1])
 
     up = -gbar_up / (2.0 * wt * dr * dr)          # coupling to chi_{j+1}
     lo = -gbar_lo / (2.0 * wt * dr * dr)          # coupling to chi_{j-1}
-    diag = ((gbar_up + gbar_lo) / (2.0 * wt * dr * dr)).astype(complex)
+    diag = (gbar_up + gbar_lo) / (2.0 * wt * dr * dr)
 
     if mode == "as-written":
         # difference between the printed coefficients and the corrected
@@ -186,19 +188,12 @@ def build_tangential(profile: SurfaceProfile, A: VectorPotentialSpec, m: int,
             - delta_drift / (2.0 * dr)
         diag = diag + delta_kin / dr ** 2
 
-    up = up.astype(complex)
-    lo = lo.astype(complex)
-
     # radial field term -i e (A1/Z) d/drho, written in the skew form
     # whose midpoint coefficients are means of rho*A1; exactly
     # anti-self-adjoint under the surface measure.  The axis face carries
     # no flux: at m = 0 the fold below closes it like the axis itself,
     # where rho*A1 is 0 (its mean, drho A1(drho)/2, would put an O(1/drho)
     # imaginary entry on diag[0]); at m != 0 lo[0] is dropped anyway
-    a1_ext, a2_ext, a3_ext = (np.asarray(v, dtype=float) for v in A.components(rho_ext, 0.0))
-    s_ext = rho_ext * a1_ext
-    sbar_up = 0.5 * (s_ext[1:n + 1] + s_ext[2:n + 2])
-    sbar_lo = 0.5 * (s_ext[0:n] + s_ext[1:n + 1])
     sbar_lo[0] = 0.0
     up = up - 1j * e * sbar_up / (2.0 * dr * wt)
     lo = lo + 1j * e * sbar_lo / (2.0 * dr * wt)

@@ -134,7 +134,13 @@ def _tridiag_solver(lower, diag, upper):
 
 def _weighted(operator: TangentialOperator):
     """W^1/2 and M_w = W^1/2 M W^-1/2 off its diagonal, which is M's, with off_gap, scale, gap
-    and hermitian = gap <= HERMITIAN_RTOL scale, the one test of measure-Hermiticity."""
+    and hermitian = gap <= HERMITIAN_RTOL scale, the one test of measure-Hermiticity.
+    SolveError names a band whose length disagrees with diag's or that is not finite."""
+    n = operator.n
+    for name, size in (("lower", n - 1), ("upper", n - 1), ("measure_weights", n)):
+        got = len(getattr(operator, name))
+        if got != size:
+            raise SolveError(f"operator band {name} has {got} entries, not {size}: diag has {n}")
     for name, band in zip(("lower", "diag", "upper"), operator.bands):
         if not np.isfinite(band).all():
             raise SolveError(f"operator band {name} has a nan or inf entry")
@@ -262,17 +268,24 @@ def _certified_pairs(operator: TangentialOperator, located, shift, s, tol, basis
     disc (radius s + tol) may lie nearer a neighbour's eigenvalue than its
     own, so that round is factored at the disc's centre.  Each pair must end
     inside its disc and its measure-normalized vector meet the contract, or
-    RefinementError is raised.
+    RefinementError is raised; it says so where the level stopped at the floor.
+    CertificateError names the off-diagonal pairs whose product has a negative
+    real part: there sqrt(upper_j lower_j) is imaginary and enters s.
     """
     k, gaps = len(basis), np.diff(located)
+    lower, diag, upper = operator.bands
     if gaps.size and gaps.min() <= 2.0 * s + tol:
         j = int(np.argmin(gaps))
-        raise CertificateError(
+        message = (
             f"cannot certify the {k} smallest real parts: levels {j} and {j + 1} of the real "
             f"symmetric part are {gaps[j]:.6g} apart, not more than 2 s + tol, where every "
             f"eigenvalue lies within s = {s:.6g} of a level plus {shift.imag:.6g}i "
             f"(tol = {tol:.3g})")
-    lower, diag, upper = operator.bands
+        flips = int(np.count_nonzero((upper * lower).real < 0.0))
+        if flips:
+            message += (f"; Re(upper_j lower_j) < 0 on {flips} of the {upper.size} off-diagonal "
+                        "pairs, where sqrt(upper_j lower_j) is imaginary and widens the discs")
+        raise CertificateError(message)
     d2 = np.concatenate(([1.0], np.cumprod(upper / lower)))
 
     def steps(x, sigma, count):
@@ -287,7 +300,7 @@ def _certified_pairs(operator: TangentialOperator, located, shift, s, tol, basis
         mx = _matvec(lower, diag, upper, x)
         return left @ mx, mx
 
-    values, far = np.empty(k, dtype=complex), np.empty(k)
+    values, far, floor = np.empty(k, dtype=complex), np.empty(k), np.zeros(k, dtype=bool)
     for i, lam in enumerate(located[:k] + shift):
         x = steps(basis[i], lam, INVERSE_STEPS)
         q, res = quotient(x)[0], math.inf
@@ -299,6 +312,7 @@ def _certified_pairs(operator: TangentialOperator, located, shift, s, tol, basis
             y_q, my = quotient(y)
             y_res = _residual(my, y, y_q)
             if inside and y_res >= res:
+                floor[i] = True
                 break
             x, q, res = y, y_q, y_res
         basis[i], values[i], far[i] = x, q, abs(q - lam)
@@ -306,6 +320,11 @@ def _certified_pairs(operator: TangentialOperator, located, shift, s, tol, basis
     failed = (residuals >= RESIDUAL_TOL) | (far > s + tol)
     if failed.any():
         i = int(np.argmax(failed))
+        if floor[i]:
+            raise RefinementError(
+                f"level {i} stopped at the float64 rounding floor, where a further round no "
+                f"longer lowers its residual: residual {residuals[i]:.3e} (contract "
+                f"{RESIDUAL_TOL}) at {values[i]:.6g}")
         ratio = gaps.min(initial=math.inf) / (2.0 * s) if s else math.inf
         raise RefinementError(
             f"level {i} did not converge inside its disc: residual {residuals[i]:.3e} "

@@ -16,7 +16,6 @@ from curvband import (
     eval_geometry,
     flat,
     frame_vectors,
-    from_height_function,
     gaussian_bump,
     paraboloid,
     scale_factors,
@@ -185,15 +184,6 @@ def test_curvatures_match_finite_difference_oracle():
         assert np.abs(H - H_fd).max() < 1e-6
         assert np.abs(K - K_fd).max() < 1e-6
         assert np.abs(Z - Z_fd).max() < 1e-6
-
-
-def test_height_function_profile_matches_analytic_derivatives():
-    analytic = gaussian_bump(0.3, 0.5, 1.0)
-    tabulated = from_height_function("bump", analytic.S, 1.0)
-    assert tabulated.S_rho(0.0) == 0.0
-    rho = np.linspace(0.0, 0.95, 97)
-    assert np.abs(tabulated.S_rho(rho) - analytic.S_rho(rho)).max() < 1e-8
-    assert np.abs(tabulated.S_rhorho(rho) - analytic.S_rhorho(rho)).max() < 1e-5
 
 
 def test_central_difference_truncation_is_second_order():

@@ -204,6 +204,29 @@ def test_radial_field_term_is_measure_antihermitian():
     assert np.abs(mw - mw.conj().T).max() < 1e-10
 
 
+@pytest.mark.parametrize("m", [0, 1])
+def test_as_written_levels_depend_on_the_radial_gauge(m):
+    # a radial A1 is a pure gauge, which the corrected levels follow to
+    # O(drho^2) (test_radial_a1_is_a_pure_gauge); the as-written correction
+    # stencils use a plain d/drho, so its levels move by a grid-independent
+    # amount: max |dRe| = 0.0146 (m = 0) and 0.0168 (m = 1), max |dIm| = 0.209
+    # and 0.242 at n = 250, 1000 and 4000.  A known property of the mode as
+    # printed: changing it needs the printed equation
+    prof = paraboloid(0.5, 1.0)
+    shifts = []
+    for n in (250, 1000):
+        grid = RadialGrid(n, 1.0)
+        gauged, plain = (eigen_solve(build_tangential(prof, field, m, grid, mode="as-written"),
+                                     3).eigenvalues
+                         for field in (frame_synthetic(a1=0.3), zero_field()))
+        shift = gauged - plain
+        assert np.all(np.abs(shift.real) > 0.01) and np.all(np.abs(shift.imag) > 0.1), shift
+        shifts.append(shift)
+    for part in (np.real, np.imag):
+        coarse, fine = np.abs(part(shifts[0])), np.abs(part(shifts[1]))
+        assert np.all(np.abs(coarse - fine) < 0.01 * fine), (coarse, fine)
+
+
 def test_constant_coupling_shifts_spectrum_exactly():
     # uniform c = e a3 H on the umbilic cap: every eigenvalue moves by
     # i e c + e^2 a3^2 / 2

@@ -327,6 +327,26 @@ def test_non_finite_band_is_a_named_error(entry, bad, band):
     assert "max" not in str(caught.value)
 
 
+@pytest.mark.parametrize("band", ["lower", "diag", "upper", "measure_weights"])
+@pytest.mark.parametrize("entry", ["eigen_solve", "evolve", "hermiticity_report",
+                                   "weighted_coupling"])
+def test_band_of_the_wrong_length_is_a_named_error(entry, band):
+    # a short diag leaves lower, the first band checked against it, too long
+    op = build_tangential(paraboloid(0.5, 1.0), zero_field(), 1, RadialGrid(50, 1.0))
+    broken = dataclasses.replace(op, **{band: getattr(op, band)[:-1]})
+    n = broken.n
+    call = {"eigen_solve": lambda: eigen_solve(broken, 3),
+            "evolve": lambda: evolve(broken, np.ones(n), dt=1e-3, steps=10),
+            "hermiticity_report": lambda: hermiticity_report(broken),
+            "weighted_coupling": lambda: weighted_coupling(broken, np.ones(n))}[entry]
+    named, size, expected = {"lower": ("lower", 48, 49), "diag": ("lower", 49, 48),
+                             "upper": ("upper", 48, 49),
+                             "measure_weights": ("measure_weights", 49, 50)}[band]
+    with pytest.raises(SolveError, match=f"^operator band {named} has {size} entries, "
+                                         f"not {expected}: diag has {n}$"):
+        call()
+
+
 def test_report_flags_as_written_asymmetry():
     op = build_tangential(paraboloid(0.5, 1.0), zero_field(), 0,
                           RadialGrid(200, 1.0), mode="as-written")

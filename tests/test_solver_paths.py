@@ -208,15 +208,37 @@ def test_steep_cap_channel_meets_contract_on_every_pair():
 def test_levels_at_the_rounding_floor_meet_the_contract_or_name_the_refinement(m):
     # residuals here sit near 1e-8, all rounding: m = 2 was once accepted at
     # just under 1e-8 on its unnormalized vector and read 1.008e-08 normalized;
-    # m = 0 meets the contract at 9.79e-09
+    # m = 0 meets the contract at 9.79e-09.  Levels 3 (m = 1) and 1 (m = 2)
+    # stop inside discs of radius 0 at 1.132e-08 and 1.007e-08, where a round
+    # no longer lowers the residual: the error names that floor, not the disc
     op = build_tangential(paraboloid(0.5, 1.0), zero_field(), m, RadialGrid(8000, 1.0),
                           mode="as-written")
     try:
         spec = eigen_solve(op, 6)
-    except RefinementError:
+    except RefinementError as caught:
         assert m > 0, "m = 0 meets the contract"
+        stated = (rf"^level {(None, 3, 1)[m]} stopped at the float64 rounding floor, where a "
+                  r"further round no longer lowers its residual: residual (\S+) "
+                  r"\(contract 1e-08\) at \S+$")
+        found = re.match(stated, str(caught))
+        assert found, str(caught)
+        assert float(found.group(1)) >= 1e-8
         return
     assert spec.residuals.max() < 1e-8
+
+
+def test_steep_profile_certificate_error_names_the_sign_change():
+    # on a steep paraboloid the as-written off-diagonal products upper_j lower_j
+    # turn negative near the axis; their imaginary square roots widen the discs
+    # to s = 3.23e7 and 6.97e7, far beyond the level gap
+    for n, flips in ((250, 127), (2000, 24)):
+        op = build_tangential(paraboloid(4.0, 1.0), zero_field(), 1, RadialGrid(n, 1.0),
+                              mode="as-written")
+        stated = (rf"levels 0 and 1 .*; Re\(upper_j lower_j\) < 0 on {flips} of the {n - 1} "
+                  r"off-diagonal pairs, where sqrt\(upper_j lower_j\) is imaginary")
+        with pytest.raises(CertificateError, match=stated) as info:
+            eigen_solve(op, 6)
+        assert re.search(r"max [0-9]", str(info.value)) is None
 
 
 def test_uncertified_selection_raises():
@@ -245,6 +267,8 @@ def test_certificate_error_states_the_gap_and_the_disc_radius():
             eigen_solve(spread, k)
         # perfbench's tracer reads "max <number>" in a failed solve's message as its residual
         assert re.search(r"max [0-9]", str(info.value)) is None
+        # every off-diagonal product is positive here, so no sign change is named
+        assert "upper_j lower_j" not in str(info.value)
 
 
 def test_full_spectrum_of_a_small_non_normal_channel_matches_dense():
