@@ -2,10 +2,12 @@
 
 Simulates a particle squeezed onto an axisymmetric surface z = S(rho) in a
 static vector potential.  The geometry module supplies curvatures and the
-adapted frame, fields handles frame components and the gauge diagnostic,
-operator discretizes the per-channel radial Hamiltonian (including the
-curvature well -(H^2-K)/2 and the imaginary coupling i e A3 H), and solver
-provides verified spectra plus Crank-Nicolson norm tracking.
+offset-chart scale factors, fields handles frame components (projecting
+Cartesian fields onto the adapted frame) and the gauge diagnostic, operator
+discretizes the per-channel radial Hamiltonian (including the curvature well
+-(H^2-K)/2 and the imaginary coupling i e A3 H) and gives the normal ladder
+omega (n + 1/2), and solver provides verified spectra plus Crank-Nicolson
+norm tracking.
 """
 
 from .errors import (
@@ -21,18 +23,12 @@ from .errors import (
     SolveError,
 )
 from .geometry import (
-    GeometrySample,
-    ScaleFactors,
     SurfaceProfile,
     catalog,
-    curvature_potential,
     curvatures,
-    eval_geometry,
     flat,
-    frame_vectors,
     gaussian_bump,
     paraboloid,
-    scale_factors,
     sphere_cap,
 )
 from .fields import (
@@ -40,22 +36,18 @@ from .fields import (
     VectorPotentialSpec,
     axial_uniform,
     cartesian_constant,
-    coupling_profile,
     divergence,
     frame_synthetic,
     from_cartesian,
     is_coulomb_gauge,
-    project_to_frame,
     zero_field,
 )
 from .operator import (
     DecouplingReport,
-    NormalChannel,
     RadialGrid,
     TangentialOperator,
     build_tangential,
     decoupling_check,
-    normal_channel,
     normal_energy,
 )
 from .solver import (
@@ -66,7 +58,6 @@ from .solver import (
     evolve,
     ground_state,
     hermiticity_report,
-    total_energy,
     weighted_coupling,
 )
 from .config import RunConfig, parse_config, serialize_config

@@ -118,11 +118,11 @@ def run_command(config: cfgmod.RunConfig, command: str, output_dir=None) -> int:
         write_csv(out / "spectrum.csv", ["m", "index", "re_E", "im_E", "residual"],
                   [(op.m, idx, val.real, val.imag, res) for op, spec in results
                    for idx, (val, res) in enumerate(zip(spec.eigenvalues, spec.residuals))])
-        channel = operator.normal_channel(config.omega, config.n_normal)
+        E_q = operator.normal_energy(config.omega, config.n_normal)
         ground = results[0][1].eigenvalues[0]
-        combined = solver.total_energy(results[0][1], channel)[0]
+        combined = ground + E_q
         extra.append(f"normal channel: omega={_fmt(config.omega)} "
-                     f"n={config.n_normal} E_q={_fmt(channel.energy)}")
+                     f"n={config.n_normal} E_q={_fmt(E_q)}")
         extra.append(f"ground total (m={config.m_list[0]}): "
                      f"re={_fmt(combined.real)} im={_fmt(combined.imag)} "
                      f"tangential re={_fmt(ground.real)}")

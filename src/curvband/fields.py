@@ -21,8 +21,8 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import ChartDegenerateError, DomainError, EvaluationError
-from .geometry import (SurfaceProfile, _chart_factor, _farr, _finite, _positive, _surface,
-                       curvatures, offset_scale_factors)
+from .geometry import (SurfaceProfile, _farr, _finite, _positive, _surface,
+                       offset_scale_factors)
 
 # step for the q-derivative in the divergence
 Q_STEP = 1e-5
@@ -81,7 +81,13 @@ def zero_field() -> VectorPotentialSpec:
 
 def _frame_components(cartesian_field: Callable, profile: SurfaceProfile,
                       rho, phi: float, q):
-    """Project a Cartesian field onto the adapted frame at (rho, phi, q)."""
+    """Project a Cartesian field onto the adapted frame at (rho, phi, q).
+
+    The field is evaluated at r(rho, phi) + q e3 and dotted with the frame
+    e1 = (cos phi, sin phi, S_rho)/Z (along increasing rho), e2 = (-sin phi,
+    cos phi, 0) and e3 = (-S_rho cos phi, -S_rho sin phi, 1)/Z (the unit
+    normal), which is orthonormal and right-handed, e1 x e2 = e3.
+    """
     r = _farr(rho)
     surf = _surface(profile, r, checked=False)
     sr, Z = surf.S_rho, surf.Z
@@ -94,19 +100,6 @@ def _frame_components(cartesian_field: Callable, profile: SurfaceProfile,
     a2 = -fx * s + fy * c
     a3 = (-fx * sr * c - fy * sr * s + fz) / Z
     return a1, a2, a3
-
-
-def project_to_frame(cartesian_field: Callable, profile: SurfaceProfile,
-                     rho: float, phi: float, q: float) -> Tuple[float, float, float]:
-    """Frame components of a Cartesian field at one offset-chart point.
-
-    The field is evaluated at x = r(rho, phi) + q e3 and dotted with the
-    frame there.  Raises ChartDegenerateError outside the valid chart.
-    """
-    _, H, K = curvatures(profile, float(rho))
-    _chart_factor(float(H), float(K), q, rho)
-    a1, a2, a3 = _frame_components(cartesian_field, profile, float(rho), phi, q)
-    return float(a1), float(a2), float(a3)
 
 
 def _projected(cartesian_field: Callable, profile: SurfaceProfile) -> VectorPotentialSpec:
@@ -241,10 +234,3 @@ def is_coulomb_gauge(A: VectorPotentialSpec, profile: SurfaceProfile,
             passed=False, max_violation=float("inf"), at_rho=float("nan"),
             tol=tol, note=f"evaluation failed: {type(exc).__name__}: {exc}",
         )
-
-
-def coupling_profile(A: VectorPotentialSpec, profile: SurfaceProfile, grid) -> np.ndarray:
-    """Per-node product A3(rho, 0) * H(rho), the imaginary-potential source."""
-    nodes = grid.nodes
-    _, H, _ = curvatures(profile, nodes)
-    return np.asarray(A.components(nodes, 0.0)[2], dtype=float) * H

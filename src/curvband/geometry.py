@@ -2,9 +2,10 @@
 
 Everything derives from the generator S and its first two radial
 derivatives: the slope factor Z = sqrt(1 + S_rho^2), the mean curvature H,
-the Gaussian curvature K, the adapted orthonormal frame (e1, e2, e3), the
-normal-offset scale factors (h1, h2, h3), and the attractive well
--(H^2 - K)/2 felt by a particle pressed onto the surface.
+the Gaussian curvature K (curvatures) and the normal-offset scale factors
+h1, h2 (offset_scale_factors; h3 = 1).  The adapted frame (e1, e2, e3) is
+fields._frame_components, and the attractive well -(H^2 - K)/2 felt by a
+particle pressed onto the surface sits on the operator's diagonal.
 
 Key identities used throughout the package and its tests:
 
@@ -27,8 +28,6 @@ from .errors import ChartDegenerateError, DomainError, EvaluationError
 
 # rho below this fraction of rho_max evaluates S_rho/rho by its axis limit
 AXIS_EPS_FACTOR = 1e-8
-# the usable |q| range keeps F(q) above this margin
-F_MARGIN = 0.01
 
 
 def _farr(x) -> np.ndarray:
@@ -69,34 +68,6 @@ class SurfaceProfile:
             raise EvaluationError(
                 f"profile {self.name!r}: S_rho(0) = {slope0} violates axis smoothness"
             )
-
-
-@dataclass(frozen=True, eq=False)
-class GeometrySample:
-    """Pointwise geometric data of a profile at radius rho.
-
-    frame holds the Cartesian components of (e1, e2, e3) as rows.
-    valid_q_range is the largest interval around q = 0 on which
-    F(q) > F_MARGIN, i.e. where the offset chart is comfortably
-    nondegenerate; infinite endpoints mean no restriction.
-    """
-
-    rho: float
-    Z: float
-    H: float
-    K: float
-    frame: np.ndarray
-    valid_q_range: Tuple[float, float]
-
-
-@dataclass(frozen=True)
-class ScaleFactors:
-    """One-form scale factors of the offset chart at normal distance q."""
-
-    h1: float
-    h2: float
-    h3: float
-    q: float
 
 
 # ----------------------------------------------------------------------
@@ -247,52 +218,6 @@ def _chart_factor(H: float, K: float, q: float, rho) -> float:
     return F
 
 
-def _q_interval(H: float, K: float) -> Tuple[float, float]:
-    """Largest interval around 0 with 1 + 2qH + q^2 K > F_MARGIN."""
-    c0 = 1.0 - F_MARGIN
-    roots = []
-    if K == 0.0:
-        if H != 0.0:
-            roots = [-c0 / (2.0 * H)]
-    else:
-        disc = H * H - K * c0
-        if disc >= 0.0:
-            s = math.sqrt(disc)
-            roots = [(-H - s) / K, (-H + s) / K]
-    lo = max((x for x in roots if x < 0.0), default=-math.inf)
-    hi = min((x for x in roots if x > 0.0), default=math.inf)
-    return lo, hi
-
-
-def frame_vectors(profile: SurfaceProfile, rho: float, phi: float):
-    """Adapted orthonormal right-handed frame at (rho, phi).
-
-    e1 points along increasing rho on the surface, e2 along increasing phi,
-    e3 along the unit normal; e1 x e2 = e3 exactly.
-    """
-    surf = _surface(profile, float(rho))
-    sr, Z = float(surf.S_rho), float(surf.Z)
-    c, s = math.cos(phi), math.sin(phi)
-    e1 = np.array([c, s, sr]) / Z
-    e2 = np.array([-s, c, 0.0])
-    e3 = np.array([-sr * c, -sr * s, 1.0]) / Z
-    return e1, e2, e3
-
-
-def eval_geometry(profile: SurfaceProfile, rho: float, phi: float = 0.0) -> GeometrySample:
-    """Full geometric sample at one radius (frame taken at angle phi)."""
-    Z, H, K = curvatures(profile, float(rho))
-    e1, e2, e3 = frame_vectors(profile, float(rho), phi)
-    return GeometrySample(
-        rho=float(rho),
-        Z=float(Z),
-        H=float(H),
-        K=float(K),
-        frame=np.vstack([e1, e2, e3]),
-        valid_q_range=_q_interval(float(H), float(K)),
-    )
-
-
 def offset_scale_factors(profile: SurfaceProfile, rho, q) -> Tuple[np.ndarray, np.ndarray]:
     """Vectorized (h1, h2) of the offset chart; h3 is identically 1.
 
@@ -304,19 +229,3 @@ def offset_scale_factors(profile: SurfaceProfile, rho, q) -> Tuple[np.ndarray, n
     h1 = s.Z - q * s.S_rhorho / s.Z ** 2
     h2 = r * (1.0 - q * s.ratio / s.Z)
     return h1, h2
-
-
-def scale_factors(sample: GeometrySample, profile: SurfaceProfile, q: float) -> ScaleFactors:
-    """Scale factors at normal offset q from the sampled surface point.
-
-    Raises ChartDegenerateError when F(q) = 1 + 2qH + q^2 K <= 0, where the
-    offset chart folds onto itself.
-    """
-    _chart_factor(sample.H, sample.K, q, sample.rho)
-    h1, h2 = offset_scale_factors(profile, sample.rho, q)
-    return ScaleFactors(h1=float(h1), h2=float(h2), h3=1.0, q=q)
-
-
-def curvature_potential(sample: GeometrySample) -> float:
-    """Binding well -(H^2 - K)/2; zero on planes and at umbilic points."""
-    return -0.5 * (sample.H ** 2 - sample.K)

@@ -56,8 +56,10 @@ class RadialGrid:
     rho_max: float
 
     def __post_init__(self):
-        if not isinstance(self.n_points, numbers.Integral) or self.n_points < 1:
-            raise DomainError(f"n_points must be an integer >= 1, got {self.n_points!r}")
+        if isinstance(self.n_points, bool) or not isinstance(self.n_points, numbers.Integral):
+            raise DomainError(f"n_points must be an integer, got {self.n_points!r}")
+        if self.n_points < 1:
+            raise DomainError(f"n_points must be >= 1, got {self.n_points}")
         _positive("rho_max", self.rho_max)
 
     @property
@@ -107,18 +109,11 @@ class TangentialOperator:
         return mat
 
 
-@dataclass(frozen=True)
-class NormalChannel:
-    """One level of the harmonic normal-confinement ladder."""
-
-    omega: float
-    level_n: int
-    energy: float
-
-
 def _whole(name: str, value) -> int:
-    """value as an int; DomainError naming the argument unless finite and whole."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value) and int(value) == value):
+    """value as an int; DomainError naming the argument unless finite and whole (a bool is
+    not an integer here, as in the config)."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)
+                                       and int(value) == value):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -129,10 +124,6 @@ def normal_energy(omega: float, n: int) -> float:
     if _whole("level index n", n) < 0:
         raise DomainError(f"level index n must be non-negative, got {n}")
     return omega * (n + 0.5)
-
-
-def normal_channel(omega: float, n: int) -> NormalChannel:
-    return NormalChannel(omega=omega, level_n=int(n), energy=normal_energy(omega, n))
 
 
 def _finite_on_grid(*components) -> None:

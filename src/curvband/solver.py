@@ -32,7 +32,7 @@ import scipy.linalg as sla
 import scipy.linalg.lapack as lapack
 
 from .errors import CertificateError, InstabilityWarning, RefinementError, SolveError
-from .operator import NormalChannel, TangentialOperator, _whole
+from .operator import TangentialOperator, _whole
 
 RESIDUAL_TOL = 1e-8
 # relative threshold for classifying the weighted matrix as Hermitian
@@ -333,6 +333,23 @@ def _certified_pairs(operator: TangentialOperator, located, shift, s, tol, basis
     return values, vectors, residuals
 
 
+def _weighted_state(name: str, state, d):
+    """z = W^1/2 chi of the state chi and its norm ||z||, the surface norm of chi.
+    SolveError names a shape other than d's, a nan or inf entry, or a norm that is 0 or
+    overflows."""
+    chi = np.asarray(state, dtype=complex)
+    if chi.shape != d.shape:
+        raise SolveError(f"{name} has shape {chi.shape}, expected {d.shape}")
+    bad = np.flatnonzero(~np.isfinite(chi))
+    if bad.size:
+        raise SolveError(f"{name} has a nan or inf entry: {chi[bad[0]]} at index {bad[0]}")
+    z = d * chi
+    norm = math.sqrt(np.vdot(z, z).real)
+    if not 0.0 < norm < math.inf:
+        raise SolveError(f"{name} has norm {norm}, not positive and finite")
+    return z, norm
+
+
 def evolve(operator: TangentialOperator, initial: np.ndarray, dt: float,
            steps: int, record_states: bool = True) -> EvolutionTrace:
     """Crank-Nicolson propagation of an initial state over steps * dt."""
@@ -341,20 +358,16 @@ def evolve(operator: TangentialOperator, initial: np.ndarray, dt: float,
     steps = _whole("steps", steps)
     if steps < 1:
         raise SolveError(f"steps must be >= 1, got {steps}")
-    chi = np.asarray(initial, dtype=complex)
-    n = operator.n
-    if chi.shape != (n,):
-        raise SolveError(f"initial state has shape {chi.shape}, expected ({n},)")
-
     d, lower, upper, *_ = _weighted(operator)
+    z, norm = _weighted_state("initial state", initial, d)
     quarter = 0.25j * dt
     solve = _tridiag_solver(quarter * lower, 0.5 + quarter * operator.diag, quarter * upper)
 
     # step s writes row s of the states, or row s % 2 of a two-row buffer
-    rows = np.empty((steps + 1 if record_states else 2, n), dtype=complex)
-    rows[0] = z = d * chi
+    rows = np.empty((steps + 1 if record_states else 2, operator.n), dtype=complex)
+    rows[0] = z
     norms = np.empty(steps + 1)
-    norms[0] = math.sqrt(np.vdot(z, z).real)
+    norms[0] = norm
     for s in range(1, steps + 1):
         z = np.subtract(solve(z), z, out=rows[s % len(rows)])
         norms[s] = math.sqrt(np.vdot(z, z).real)
@@ -366,6 +379,7 @@ def evolve(operator: TangentialOperator, initial: np.ndarray, dt: float,
         )
     states = np.divide(rows, d, out=rows) if record_states else None
 
+    # a finite start can still overflow
     if not np.all(np.isfinite(norms)) or np.any(norms <= 0.0):
         raise SolveError("propagation produced non-positive or non-finite norms")
 
@@ -391,11 +405,6 @@ def hermiticity_report(operator: TangentialOperator) -> HermiticityReport:
     )
 
 
-def total_energy(spectrum: Spectrum, normal: NormalChannel) -> np.ndarray:
-    """Combined levels E_t + E_q for every tangential eigenvalue."""
-    return spectrum.eigenvalues + normal.energy
-
-
 def weighted_coupling(operator: TangentialOperator, state: np.ndarray) -> float:
     """Surface-measure average of e A3 H, the operator's Im diag, weighted by |chi|^2.
 
@@ -404,10 +413,8 @@ def weighted_coupling(operator: TangentialOperator, state: np.ndarray) -> float:
     for coupling that is uniform over the whole domain.
     """
     d, *_ = _weighted(operator)  # also the band check of the other entry points
-    density = np.abs(d * np.asarray(state)) ** 2
+    density = np.abs(_weighted_state("state", state, d)[0]) ** 2
     total = float(density.sum())
-    if total == 0.0:
-        raise SolveError("state has zero norm")
     # contiguous: BLAS sums a strided vector in another order
     return float((density @ np.ascontiguousarray(operator.diag.imag)) / total)
 

@@ -98,3 +98,14 @@ def fd_curvatures(S, rho: np.ndarray, h: float = 1e-4):
     H = -0.5 * (sr / (Z * rho) + srr / Z ** 3)
     K = sr * srr / (rho * Z ** 4)
     return Z, H, K
+
+
+def open_chart(H, K, q, margin: float = 0.01) -> np.ndarray:
+    """Whether F(t) = 1 + 2 t H + t^2 K stays above margin for t from 0 to q, per point.
+
+    These are the points of the offset chart away from its fold F = 0, where
+    h1 h2 = rho Z F is checked to a relative bound (50 samples of the path).
+    """
+    t = np.linspace(0.0, 1.0, 50) * np.asarray(q)[..., None]
+    F = 1.0 + 2.0 * t * np.asarray(H)[..., None] + t * t * np.asarray(K)[..., None]
+    return F.min(axis=-1) > margin

@@ -1,4 +1,4 @@
-"""Frame projection, gauge diagnostic, and coupling profile."""
+"""Frame projection, gauge diagnostic, and the coupling e A3 H on the diagonal."""
 
 import math
 
@@ -14,20 +14,23 @@ from curvband import (
     build_tangential,
     cartesian_constant,
     catalog,
-    coupling_profile,
     divergence,
-    eval_geometry,
     flat,
     frame_synthetic,
     from_cartesian,
     is_coulomb_gauge,
     paraboloid,
-    project_to_frame,
-    scale_factors,
     zero_field,
 )
+from curvband.fields import _frame_components
+from curvband.geometry import _chart_factor
 
 SQRT2 = math.sqrt(2.0)
+
+
+def project(cartesian_field, profile, rho, phi, q):
+    """Frame components of a Cartesian field at one offset-chart point, as floats."""
+    return tuple(float(v) for v in _frame_components(cartesian_field, profile, rho, phi, q))
 
 
 def axial_gauge(b):
@@ -45,7 +48,7 @@ def test_axial_gauge_projects_to_pure_azimuthal():
     # (B/2)(-y, x, 0) has frame components (0, B rho/2, 0) on the surface;
     # away from phi = 0 the cancellation leaves rounding dust only
     for prof in catalog(1.0).values():
-        a1, a2, a3 = project_to_frame(axial_gauge(2.0), prof, 0.5, 0.9, 0.0)
+        a1, a2, a3 = project(axial_gauge(2.0), prof, 0.5, 0.9, 0.0)
         assert a1 == pytest.approx(0.0, abs=1e-14)
         assert a3 == pytest.approx(0.0, abs=1e-14)
         assert a2 == pytest.approx(0.5, rel=1e-14)
@@ -54,7 +57,7 @@ def test_axial_gauge_projects_to_pure_azimuthal():
 def test_axial_gauge_azimuthal_at_any_offset():
     for prof in catalog(1.0).values():
         for q in (-0.1, 0.05, 0.2):
-            a1, a2, a3 = project_to_frame(axial_gauge(2.0), prof, 0.6, 2.2, q)
+            a1, a2, a3 = project(axial_gauge(2.0), prof, 0.6, 2.2, q)
             assert a1 == pytest.approx(0.0, abs=1e-14)
             assert a3 == pytest.approx(0.0, abs=1e-14)
 
@@ -68,7 +71,7 @@ def test_constant_axial_field_on_paraboloid():
         zz = np.asarray(z, float)
         return np.zeros_like(zz), np.zeros_like(zz), np.full_like(zz, c)
 
-    a1, a2, a3 = project_to_frame(field, prof, 1.0, 0.0, 0.0)
+    a1, a2, a3 = project(field, prof, 1.0, 0.0, 0.0)
     assert a1 == pytest.approx(c / SQRT2, rel=1e-14)
     assert a2 == 0.0
     assert a3 == pytest.approx(c / SQRT2, rel=1e-14)
@@ -79,7 +82,7 @@ def test_zero_field_projects_to_zero():
         zz = np.zeros_like(np.asarray(z, float))
         return zz, zz, zz
 
-    assert project_to_frame(field, flat(1.0), 0.3, 1.0, 0.1) == (0.0, 0.0, 0.0)
+    assert project(field, flat(1.0), 0.3, 1.0, 0.1) == (0.0, 0.0, 0.0)
 
 
 def test_projection_preserves_magnitude():
@@ -91,7 +94,7 @@ def test_projection_preserves_magnitude():
     for prof in catalog(1.0).values():
         for _ in range(50):
             rho, phi, q = rng.uniform(0.05, 0.95), rng.uniform(0, 2 * np.pi), rng.uniform(-0.1, 0.1)
-            a1, a2, a3 = project_to_frame(field, prof, rho, phi, q)
+            a1, a2, a3 = project(field, prof, rho, phi, q)
             sr = float(prof.S_rho(rho))
             Z = math.sqrt(1.0 + sr * sr)
             rad = rho - q * sr / Z
@@ -139,7 +142,7 @@ def test_cartesian_field_is_projected_once_per_point():
     np.testing.assert_array_equal(op.diag, ref.diag)
     # every components call projects once
     for rho, q in ((0.5, 0.0), (0.5, 0.0), (0.5, 0.1), (0.25, 0.1)):
-        assert A.components(rho, q)[1] == project_to_frame(counting, prof, rho, 0.0, q)[1]
+        assert A.components(rho, q)[1] == project(counting, prof, rho, 0.0, q)[1]
     assert len(calls) == 1 + 4 + 4
 
 
@@ -231,13 +234,11 @@ PARABOLOID = paraboloid(0.5, 1.0)
 
 
 @pytest.mark.parametrize("evaluate, name", [
-    (lambda: scale_factors(eval_geometry(PARABOLOID, 0.5), PARABOLOID, math.nan), "q"),
-    (lambda: project_to_frame(axial_gauge(1.0), PARABOLOID, 0.5, 0.0, math.nan), "q"),
+    (lambda: _chart_factor(-1.0, 1.0, math.nan, 0.5), "q"),
     (lambda: divergence(zero_field(), PARABOLOID, 0.5, math.nan), "q"),
     (lambda: divergence(zero_field(), PARABOLOID, 0.5, 0.0, step_rho=0.0), "step_rho"),
     (lambda: divergence(zero_field(), PARABOLOID, 0.5, 0.0, step_rho=math.nan), "step_rho"),
-], ids=["scale-factors-q-nan", "project-q-nan", "divergence-q-nan", "divergence-step-0",
-        "divergence-step-nan"])
+], ids=["chart-factor-q-nan", "divergence-q-nan", "divergence-step-0", "divergence-step-nan"])
 def test_evaluation_argument_is_named_not_nan(evaluate, name):
     with pytest.raises(DomainError, match=f"^{name} must be"):
         evaluate()
@@ -276,23 +277,27 @@ def test_gauge_check_never_raises():
 
 
 # ----------------------------------------------------------------------
-# coupling profile
+# coupling e A3 H, the operator's Im diag
 # ----------------------------------------------------------------------
+
+def coupling(A, profile, grid):
+    return build_tangential(profile, A, 0, grid).diag.imag
+
 
 def test_coupling_vanishes_on_flat_surface():
     grid = RadialGrid(32, 1.0)
-    values = coupling_profile(frame_synthetic(a3=3.0), flat(1.0), grid)
+    values = coupling(frame_synthetic(a3=3.0), flat(1.0), grid)
     np.testing.assert_array_equal(values, np.zeros(32))
 
 
 def test_coupling_vanishes_without_normal_component():
     grid = RadialGrid(32, 1.0)
-    values = coupling_profile(frame_synthetic(a2=1.0), paraboloid(0.5, 1.0), grid)
+    values = coupling(frame_synthetic(a2=1.0), paraboloid(0.5, 1.0), grid)
     np.testing.assert_array_equal(values, np.zeros(32))
 
 
 def test_coupling_value_on_paraboloid():
     grid = RadialGrid(399, 2.0)       # grid over [0, 2] with a node near rho = 1
-    values = coupling_profile(frame_synthetic(a3=1.0), paraboloid(0.5, 2.0), grid)
+    values = coupling(frame_synthetic(a3=1.0), paraboloid(0.5, 2.0), grid)
     j = int(np.argmin(np.abs(grid.nodes - 1.0)))
     assert values[j] == pytest.approx(-3.0 / (4.0 * SQRT2), rel=1e-10)

@@ -11,19 +11,29 @@ from curvband import (
     ChartDegenerateError,
     SurfaceProfile,
     catalog,
-    curvature_potential,
     curvatures,
-    eval_geometry,
     flat,
-    frame_vectors,
     gaussian_bump,
     paraboloid,
-    scale_factors,
     sphere_cap,
 )
-from oracles import fd_curvatures
+from curvband.fields import _frame_components
+from curvband.geometry import _chart_factor, offset_scale_factors
+from oracles import fd_curvatures, open_chart
 
 SQRT2 = math.sqrt(2.0)
+
+
+def frame(profile, rho, phi):
+    """(e1, e2, e3) at (rho, phi), each of shape rho.shape + (3,): the frame components
+    of the Cartesian unit fields x, y and z, the formula that projects every field."""
+    def unit(axis):
+        def field(x, y, z):
+            zero = np.zeros_like(np.asarray(z, float))
+            return tuple(zero + (i == axis) for i in range(3))
+        return field
+    columns = [_frame_components(unit(axis), profile, rho, phi, 0.0) for axis in range(3)]
+    return tuple(np.stack([col[i] for col in columns], axis=-1) for i in range(3))
 
 
 # ----------------------------------------------------------------------
@@ -31,29 +41,26 @@ SQRT2 = math.sqrt(2.0)
 # ----------------------------------------------------------------------
 
 def test_flat_profile_is_curvature_free():
-    s = eval_geometry(flat(1.0), 0.37)
-    assert s.Z == 1.0
-    assert s.H == 0.0
-    assert s.K == 0.0
-    assert curvature_potential(s) == 0.0
+    Z, H, K = curvatures(flat(1.0), 0.37)
+    assert Z == 1.0
+    assert H == 0.0
+    assert K == 0.0
 
 
 def test_paraboloid_values_at_unit_radius():
     # S = rho^2/2 at rho = 1: Z = sqrt(2), H = -3/(4 sqrt(2)), K = 1/4
-    s = eval_geometry(paraboloid(0.5, 2.0), 1.0)
-    assert s.Z == pytest.approx(SQRT2, rel=1e-14)
-    assert s.H == pytest.approx(-3.0 / (4.0 * SQRT2), rel=1e-13)
-    assert s.K == pytest.approx(0.25, rel=1e-13)
-    assert s.H ** 2 - s.K == pytest.approx(1.0 / 32.0, rel=1e-12)
-    assert curvature_potential(s) == pytest.approx(-1.0 / 64.0, rel=1e-12)
+    Z, H, K = curvatures(paraboloid(0.5, 2.0), 1.0)
+    assert Z == pytest.approx(SQRT2, rel=1e-14)
+    assert H == pytest.approx(-3.0 / (4.0 * SQRT2), rel=1e-13)
+    assert K == pytest.approx(0.25, rel=1e-13)
+    assert H ** 2 - K == pytest.approx(1.0 / 32.0, rel=1e-12)
 
 
 def test_paraboloid_axis_is_umbilic():
-    s = eval_geometry(paraboloid(0.5, 2.0), 0.0)
-    assert s.H == pytest.approx(-1.0, abs=1e-13)
-    assert s.K == pytest.approx(1.0, abs=1e-13)
-    assert s.H ** 2 - s.K == pytest.approx(0.0, abs=1e-12)
-    assert curvature_potential(s) == pytest.approx(0.0, abs=1e-12)
+    _, H, K = curvatures(paraboloid(0.5, 2.0), 0.0)
+    assert H == pytest.approx(-1.0, abs=1e-13)
+    assert K == pytest.approx(1.0, abs=1e-13)
+    assert H ** 2 - K == pytest.approx(0.0, abs=1e-12)
 
 
 def test_sphere_cap_curvatures_are_constant():
@@ -67,11 +74,11 @@ def test_sphere_cap_curvatures_are_constant():
 
 def test_axis_limits_are_continuous():
     for prof in catalog(1.0).values():
-        s0 = eval_geometry(prof, 0.0)
+        _, H0, K0 = curvatures(prof, 0.0)
         for rho in (1e-3, 1e-4, 1e-5):
-            s = eval_geometry(prof, rho)
-            assert abs(s.H - s0.H) <= 5.0 * rho * max(1.0, abs(s0.H))
-            assert abs(s.K - s0.K) <= 5.0 * rho * max(1.0, abs(s0.K))
+            _, H, K = curvatures(prof, rho)
+            assert abs(H - H0) <= 5.0 * rho * max(1.0, abs(H0))
+            assert abs(K - K0) <= 5.0 * rho * max(1.0, abs(K0))
 
 
 def test_z_at_least_one_and_bound_states_well_defined():
@@ -88,26 +95,42 @@ def test_z_at_least_one_and_bound_states_well_defined():
 # ----------------------------------------------------------------------
 
 def test_flat_frame_is_cartesian():
-    e1, e2, e3 = frame_vectors(flat(1.0), 0.4, 0.0)
+    e1, e2, e3 = frame(flat(1.0), 0.4, 0.0)
     np.testing.assert_array_equal(e1, [1.0, 0.0, 0.0])
     np.testing.assert_array_equal(e2, [0.0, 1.0, 0.0])
     np.testing.assert_array_equal(e3, [0.0, 0.0, 1.0])
 
 
 def test_paraboloid_frame_at_unit_slope():
-    e1, _, e3 = frame_vectors(paraboloid(0.5, 2.0), 1.0, 0.0)
+    e1, _, e3 = frame(paraboloid(0.5, 2.0), 1.0, 0.0)
     np.testing.assert_allclose(e1, np.array([1.0, 0.0, 1.0]) / SQRT2, rtol=1e-14)
     np.testing.assert_allclose(e3, np.array([-1.0, 0.0, 1.0]) / SQRT2, rtol=1e-14)
 
 
 def test_frame_orthonormal_and_right_handed_on_grid():
+    rho = np.linspace(0.0, 1.0, 100)
     for prof in catalog(1.0).values():
-        for rho in np.linspace(0.0, 1.0, 100):
-            for phi in np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False):
-                e1, e2, e3 = frame_vectors(prof, rho, phi)
-                gram = np.vstack([e1, e2, e3]) @ np.vstack([e1, e2, e3]).T
-                assert np.abs(gram - np.eye(3)).max() < 1e-12
-                assert np.abs(np.cross(e1, e2) - e3).max() < 1e-12
+        for phi in np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False):
+            e1, e2, e3 = frame(prof, rho, phi)
+            rows = np.stack([e1, e2, e3], axis=1)
+            gram = rows @ rows.transpose(0, 2, 1)
+            assert np.abs(gram - np.eye(3)).max() < 1e-12
+            assert np.abs(np.cross(e1, e2) - e3).max() < 1e-12
+
+
+def test_frame_follows_the_surface():
+    # e1 along the central-difference tangent of r(rho) = (rho cos phi, rho sin phi, S),
+    # e2 along phi, e3 normal to both
+    rho, h, phi = np.linspace(0.05, 0.95, 19), 1e-5, 0.7
+    c, s = math.cos(phi), math.sin(phi)
+    for prof in catalog(1.0).values():
+        e1, e2, e3 = frame(prof, rho, phi)
+        dS = (prof.S(rho + h) - prof.S(rho - h)) / (2.0 * h)
+        tangent = np.column_stack([np.full_like(rho, c), np.full_like(rho, s), dS])
+        tangent /= np.linalg.norm(tangent, axis=1)[:, None]
+        assert np.abs(np.sum(e1 * tangent, axis=1) - 1.0).max() < 1e-9
+        assert np.abs(np.sum(e3 * tangent, axis=1)).max() < 1e-9
+        np.testing.assert_allclose(e2, np.broadcast_to([-s, c, 0.0], e2.shape), atol=1e-15)
 
 
 # ----------------------------------------------------------------------
@@ -116,60 +139,44 @@ def test_frame_orthonormal_and_right_handed_on_grid():
 
 def test_scale_factors_on_surface():
     for prof in catalog(1.0).values():
-        s = eval_geometry(prof, 0.55)
-        sf = scale_factors(s, prof, 0.0)
-        assert sf.h1 == pytest.approx(s.Z, rel=1e-14)
-        assert sf.h2 == pytest.approx(0.55, rel=1e-14)
-        assert sf.h3 == 1.0
+        Z, _, _ = curvatures(prof, 0.55)
+        h1, h2 = offset_scale_factors(prof, 0.55, 0.0)
+        assert h1 == pytest.approx(Z, rel=1e-14)
+        assert h2 == pytest.approx(0.55, rel=1e-14)
 
 
 def test_flat_scale_factors_at_any_offset():
-    prof = flat(1.0)
-    s = eval_geometry(prof, 0.7)
     for q in (-0.3, 0.0, 0.2, 5.0):
-        sf = scale_factors(s, prof, q)
-        assert sf.h1 == 1.0
-        assert sf.h2 == pytest.approx(0.7, rel=1e-15)
+        h1, h2 = offset_scale_factors(flat(1.0), 0.7, q)
+        assert h1 == 1.0
+        assert h2 == pytest.approx(0.7, rel=1e-15)
 
 
 def test_paraboloid_offset_jacobian_value():
     # at rho = 1, q = 0.1: F = 1 + 2 q H + q^2 K with the values above
-    prof = paraboloid(0.5, 2.0)
-    s = eval_geometry(prof, 1.0)
-    sf = scale_factors(s, prof, 0.1)
+    h1, h2 = offset_scale_factors(paraboloid(0.5, 2.0), 1.0, 0.1)
     F = 1.0 + 2.0 * 0.1 * (-3.0 / (4.0 * SQRT2)) + 0.01 * 0.25
     assert F == pytest.approx(0.8964339828, rel=1e-9)
-    assert sf.h1 * sf.h2 == pytest.approx(1.0 * SQRT2 * F, rel=1e-12)
+    assert h1 * h2 == pytest.approx(1.0 * SQRT2 * F, rel=1e-12)
 
 
 def test_offset_identity_h1h2_on_random_chart_points():
     rng = np.random.default_rng(42)
     for prof in catalog(1.0).values():
-        for _ in range(250):
-            rho = rng.uniform(1e-3, 1.0)
-            s = eval_geometry(prof, rho)
-            lo, hi = s.valid_q_range
-            q = rng.uniform(max(lo, -0.5) * 0.9, min(hi, 0.5) * 0.9)
-            sf = scale_factors(s, prof, q)
-            F = 1.0 + 2.0 * q * s.H + q * q * s.K
-            assert sf.h1 * sf.h2 == pytest.approx(rho * s.Z * F, rel=1e-12)
+        rho = rng.uniform(1e-3, 1.0, 500)
+        q = 0.9 * rng.uniform(-0.5, 0.5, 500)
+        Z, H, K = curvatures(prof, rho)
+        keep = open_chart(H, K, q)
+        assert keep.sum() >= 250
+        h1, h2 = offset_scale_factors(prof, rho[keep], q[keep])
+        F = 1.0 + 2.0 * q * H + q * q * K
+        np.testing.assert_allclose(h1 * h2, (rho * Z * F)[keep], rtol=1e-12, atol=0.0)
 
 
 def test_chart_degenerates_outside_q_range():
-    prof = sphere_cap(2.0, 1.0)
-    s = eval_geometry(prof, 0.5)      # H = 1/2, K = 1/4: F(q) = (1 + q/2)^2
+    _, H, K = curvatures(sphere_cap(2.0, 1.0), 0.5)   # H = 1/2, K = 1/4: F(q) = (1 + q/2)^2
     with pytest.raises(ChartDegenerateError):
-        scale_factors(s, prof, -2.0)
-
-
-def test_valid_q_range_brackets_zero():
-    for prof in catalog(1.0).values():
-        s = eval_geometry(prof, 0.6)
-        lo, hi = s.valid_q_range
-        assert lo < 0.0 < hi
-        for q in (0.9 * lo if np.isfinite(lo) else -1.0,
-                  0.9 * hi if np.isfinite(hi) else 1.0):
-            assert 1.0 + 2.0 * q * s.H + q * q * s.K > 0.0
+        _chart_factor(float(H), float(K), -2.0, 0.5)
 
 
 # ----------------------------------------------------------------------
@@ -205,9 +212,9 @@ def test_central_difference_truncation_is_second_order():
 def test_rho_outside_domain_rejected():
     prof = paraboloid(0.5, 1.0)
     with pytest.raises(DomainError):
-        eval_geometry(prof, 1.5)
+        curvatures(prof, 1.5)
     with pytest.raises(DomainError):
-        eval_geometry(prof, -0.1)
+        curvatures(prof, -0.1)
     with pytest.raises(DomainError, match="rho = nan outside"):
         curvatures(prof, math.nan)
 

@@ -14,10 +14,10 @@ from curvband import (
     build_tangential,
     decoupling_check,
     eigen_solve,
+    evolve,
     flat,
     frame_synthetic,
     gaussian_bump,
-    normal_channel,
     normal_energy,
     paraboloid,
     sphere_cap,
@@ -282,12 +282,6 @@ def test_ladder_spacing_exact():
         assert normal_energy(3.7, n + 1) - normal_energy(3.7, n) == pytest.approx(3.7, rel=1e-15)
 
 
-def test_normal_channel_record():
-    ch = normal_channel(2.0, 3)
-    assert ch.energy == 7.0
-    assert ch.level_n == 3
-
-
 def test_normal_energy_domain_errors():
     with pytest.raises(DomainError):
         normal_energy(-1.0, 0)
@@ -340,3 +334,17 @@ def test_decoupling_applies_the_ladders_omega_rule(omega):
         normal_energy(omega, 0)
     with pytest.raises(DomainError, match="omega"):
         decoupling_check(omega, frame_synthetic(a3=1.0), flat(1.0), RadialGrid(32, 1.0))
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda op: RadialGrid(True, 1.0), "n_points"),
+    (lambda op: eigen_solve(op, True), "k"),
+    (lambda op: evolve(op, np.ones(op.n), dt=1e-3, steps=True), "steps"),
+    (lambda op: build_tangential(flat(1.0), zero_field(), True, op.grid), "azimuthal index m"),
+    (lambda op: normal_energy(1.0, True), "level index n"),
+], ids=["grid-n-points", "eigen-k", "evolve-steps", "assembly-m", "ladder-n"])
+def test_bool_is_not_an_integer(call, name):
+    # as in the config; before, True ran as 1 at every entry point
+    op = build_tangential(flat(1.0), zero_field(), 0, RadialGrid(20, 1.0))
+    with pytest.raises(DomainError, match=f"^{name} must be an integer, got True$"):
+        call(op)

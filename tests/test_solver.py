@@ -23,10 +23,8 @@ from curvband import (
     frame_synthetic,
     ground_state,
     hermiticity_report,
-    normal_channel,
     paraboloid,
     sphere_cap,
-    total_energy,
     weighted_coupling,
     zero_field,
 )
@@ -235,6 +233,40 @@ def test_evolve_validates_arguments():
         evolve(op, psi[:-1], dt=1e-3, steps=10)
 
 
+@pytest.mark.parametrize("bad, message", [
+    (math.nan, r"^initial state has a nan or inf entry: \(nan\+0j\) at index 5$"),
+    (math.inf, r"^initial state has a nan or inf entry: \(inf\+0j\) at index 5$"),
+    (0.0, "^initial state has norm 0.0, not positive and finite$"),
+    (1e200, "^initial state has norm inf, not positive and finite$"),
+], ids=["nan", "inf", "zero", "overflow"])
+def test_evolve_bad_initial_state_fails_before_any_step(monkeypatch, bad, message):
+    # before, 20 000 steps at n = 400 ran (0.34 s) to end in "non-finite norms"
+    op = build_tangential(flat(1.0), zero_field(), 0, RadialGrid(24, 1.0))
+    psi = ground_state(op)
+    if math.isfinite(bad):
+        psi[:] = bad
+    else:
+        psi[5] = bad
+    monkeypatch.setattr(solver_mod, "_tridiag_solver", None)  # calling it fails the test
+    with pytest.raises(SolveError, match=message):
+        evolve(op, psi, dt=1e-3, steps=20000)
+
+
+@pytest.mark.parametrize("state, message", [
+    (np.ones(23), r"^state has shape \(23,\), expected \(24,\)$"),
+    (np.ones((24, 1)), r"^state has shape \(24, 1\), expected \(24,\)$"),
+    (np.where(np.arange(24) == 9, math.nan, 1.0), r"^state has a nan or inf entry: "
+                                                   r"\(nan\+0j\) at index 9$"),
+    (np.zeros(24), "^state has norm 0.0, not positive and finite$"),
+    (np.full(24, 1e200), "^state has norm inf, not positive and finite$"),
+], ids=["short", "column", "nan", "zero", "overflow"])
+def test_weighted_coupling_checks_its_state(state, message):
+    # before, a wrong shape failed in numpy broadcasting and a nan gave nan
+    op = build_tangential(sphere_cap(2.0, 1.0), frame_synthetic(a3=0.4), 0, RadialGrid(24, 1.0))
+    with pytest.raises(SolveError, match=message):
+        weighted_coupling(op, state)
+
+
 @pytest.mark.parametrize("dt, steps, error, message", [
     (1e-3, 2.5, DomainError, "steps must be an integer, got 2.5"),
     (math.inf, 10, SolveError, "dt must be positive and finite, got inf"),
@@ -354,23 +386,3 @@ def test_report_flags_as_written_asymmetry():
     assert rep.max_asymmetry > 1e-6
     assert not rep.coupling_equality
     assert rep.mode == "as-written"
-
-
-# ----------------------------------------------------------------------
-# combined levels
-# ----------------------------------------------------------------------
-
-def test_total_energy_adds_ladder():
-    grid = RadialGrid(2000, 1.0)
-    spec = eigen_solve(build_tangential(flat(1.0), zero_field(), 0, grid), 2)
-    ground = total_energy(spec, normal_channel(1.0, 0))[0]
-    assert ground.real == pytest.approx(disc_dirichlet_energy(0, 1) + 0.5, rel=1e-4)
-    excited = total_energy(spec, normal_channel(10.0, 1))[0]
-    assert excited.real == pytest.approx(disc_dirichlet_energy(0, 1) + 15.0, rel=1e-4)
-
-
-def test_total_energy_is_pure_shift():
-    grid = RadialGrid(64, 1.0)
-    spec = eigen_solve(build_tangential(flat(1.0), zero_field(), 1, grid), 5)
-    combined = total_energy(spec, normal_channel(2.0, 2))
-    np.testing.assert_allclose(combined - spec.eigenvalues, 5.0, rtol=1e-14)
