@@ -33,7 +33,6 @@ from .geometry import (
 )
 from .fields import (
     GaugeReport,
-    VectorPotentialSpec,
     axial_uniform,
     cartesian_constant,
     divergence,

@@ -35,7 +35,7 @@ exactly.
     charge_e: 1.0
     m_list: [0]
     k_eigen: 6
-    omega: 1.0e6
+    omega: 1.0e+6          # YAML 1.1 reads 1.0e6 and 1e6 as strings
     n_normal: 0
     dt: 1.0e-3
     steps: 1000
@@ -49,7 +49,7 @@ import inspect
 import sys
 from dataclasses import MISSING, asdict, dataclass, field as dc_field, fields as dataclass_fields
 from dataclasses import is_dataclass
-from typing import List, Optional, Union, get_args, get_origin
+from typing import Callable, List, Optional, Union, get_args, get_origin
 
 import yaml
 
@@ -127,6 +127,19 @@ _FOREIGN = {kind: [f for f in dataclass_fields(schema) if f.name not in _PARAMET
             for kind in kinds}
 
 
+def _float_hint(value) -> str:
+    """How to write value, a string such as 1.0e6, 1e6 or 1e-3 that YAML 1.1 (both loaders)
+    reads as a string, as a float; empty unless float() reads it as a finite number."""
+    try:
+        mantissa, e, exponent = repr(float(value)).partition("e")
+    except (TypeError, ValueError):
+        return ""
+    if not isinstance(value, str) or mantissa.lstrip("-") in ("inf", "nan"):
+        return ""
+    return (", which YAML reads as a string: a float needs a dot, and a sign on its exponent; "
+            f"write {mantissa if '.' in mantissa else mantissa + '.0'}{e}{exponent}")
+
+
 def _value(value, typ, rule, key: str):
     """value checked against the type typ and the field's rule; key names it in errors."""
     if get_origin(typ) is Union:  # Optional[X]: null reads as absent
@@ -143,7 +156,7 @@ def _value(value, typ, rule, key: str):
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float) if typ is float else int):
         raise ConfigError(f"{key}: must be {'a number' if typ is float else 'an integer'}, "
-                          f"got {value!r}")
+                          f"got {value!r}{_float_hint(value) if typ is float else ''}")
     if typ is float:
         if not -sys.float_info.max <= value <= sys.float_info.max:  # also ints past float range
             raise ConfigError(f"{key}: must be finite, got {value}")
@@ -249,7 +262,7 @@ def make_profile(config: RunConfig) -> geometry.SurfaceProfile:
     return _build(SURFACE_KINDS, config.surface)
 
 
-def make_field(config: RunConfig, profile: geometry.SurfaceProfile) -> fields.VectorPotentialSpec:
+def make_field(config: RunConfig, profile: geometry.SurfaceProfile) -> Callable:
     return _build(FIELD_KINDS, config.field, profile)
 
 

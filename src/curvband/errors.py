@@ -6,7 +6,7 @@ class CurvbandError(Exception):
 
 
 class DomainError(CurvbandError, ValueError):
-    """Argument outside the mathematical domain (rho, q, quantum numbers)."""
+    """A scalar argument outside its domain, named: rho, q, a constant, an integer, dt."""
 
 
 class EvaluationError(CurvbandError, ArithmeticError):
@@ -14,7 +14,7 @@ class EvaluationError(CurvbandError, ArithmeticError):
 
 
 class ChartDegenerateError(CurvbandError, ValueError):
-    """Normal-offset chart degenerates: F(q) = 1 + 2qH + q^2 K <= 0."""
+    """From divergence: the normal-offset chart degenerates, h1 h2 = rho Z F(q) <= 0."""
 
 
 class ConfigError(CurvbandError, ValueError):
@@ -22,7 +22,7 @@ class ConfigError(CurvbandError, ValueError):
 
 
 class SolveError(CurvbandError, RuntimeError):
-    """Eigen- or linear-solve failed, or a solution failed verification."""
+    """A solve failed or failed verification, or a band, state or norm is unusable."""
 
 
 class CertificateError(SolveError):

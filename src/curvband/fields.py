@@ -1,7 +1,7 @@
 """Static vector potentials in the surface-adapted frame.
 
-A field is carried as one vectorized map (rho, q) -> (A1, A2, A3) of its
-physical components along the adapted frame (e1, e2, e3).  Components must
+A field is one vectorized map (rho, q) -> (A1, A2, A3) of its physical
+components along the adapted frame (e1, e2, e3).  Components must
 be axisymmetric; Cartesian fields are admitted through projection and
 checked for axisymmetry at construction.
 
@@ -28,19 +28,8 @@ from .geometry import (SurfaceProfile, _farr, _finite, _positive, _surface,
 Q_STEP = 1e-5
 
 
-@dataclass(frozen=True, eq=False)
-class VectorPotentialSpec:
-    """Axisymmetric vector potential by frame components.
-
-    components maps (rho, q) to the arrays (A1, A2, A3), the physical
-    components along e1, e2, e3 at those points.
-    """
-
-    components: Callable
-
-
 def frame_synthetic(a1=0.0, a2=0.0, a3=0.0,
-                    gamma_interval: Optional[Tuple[float, float]] = None) -> VectorPotentialSpec:
+                    gamma_interval: Optional[Tuple[float, float]] = None) -> Callable:
     """Field given directly by frame components (constants or callables).
 
     gamma_interval = (lo, hi) restricts the support to lo <= rho <= hi with
@@ -68,10 +57,10 @@ def frame_synthetic(a1=0.0, a2=0.0, a3=0.0,
                 value *= mask
         return out
 
-    return VectorPotentialSpec(components)
+    return components
 
 
-def zero_field() -> VectorPotentialSpec:
+def zero_field() -> Callable:
     return frame_synthetic(0.0, 0.0, 0.0)
 
 
@@ -102,15 +91,13 @@ def _frame_components(cartesian_field: Callable, profile: SurfaceProfile,
     return a1, a2, a3
 
 
-def _projected(cartesian_field: Callable, profile: SurfaceProfile) -> VectorPotentialSpec:
-    """Spec sampling an axisymmetric Cartesian field at phi = 0, one
-    projection per components call."""
-    return VectorPotentialSpec(
-        lambda rho, q: _frame_components(cartesian_field, profile, rho, 0.0, q))
+def _projected(cartesian_field: Callable, profile: SurfaceProfile) -> Callable:
+    """Field sampling an axisymmetric Cartesian field at phi = 0, one projection per call."""
+    return lambda rho, q: _frame_components(cartesian_field, profile, rho, 0.0, q)
 
 
-def from_cartesian(cartesian_field: Callable, profile: SurfaceProfile) -> VectorPotentialSpec:
-    """Field spec from a Cartesian field (x, y, z) -> (fx, fy, fz).
+def from_cartesian(cartesian_field: Callable, profile: SurfaceProfile) -> Callable:
+    """Field from a Cartesian field (x, y, z) -> (fx, fy, fz).
 
     Components are sampled at phi = 0, which is exact only when the frame
     components carry no phi dependence; a spot check at several angles
@@ -129,7 +116,7 @@ def from_cartesian(cartesian_field: Callable, profile: SurfaceProfile) -> Vector
     return _projected(cartesian_field, profile)
 
 
-def axial_uniform(b: float, profile: SurfaceProfile) -> VectorPotentialSpec:
+def axial_uniform(b: float, profile: SurfaceProfile) -> Callable:
     """Symmetric gauge of a uniform axial magnetic field: (B/2)(-y, x, 0).
 
     Purely azimuthal in the adapted frame (A1 = A3 = 0 identically), hence
@@ -143,7 +130,7 @@ def axial_uniform(b: float, profile: SurfaceProfile) -> VectorPotentialSpec:
     return _projected(field, profile)
 
 
-def cartesian_constant(c: float, profile: SurfaceProfile) -> VectorPotentialSpec:
+def cartesian_constant(c: float, profile: SurfaceProfile) -> Callable:
     """Constant Cartesian field (0, 0, c) projected onto the frame."""
     _finite("c", c)
 
@@ -158,7 +145,7 @@ def cartesian_constant(c: float, profile: SurfaceProfile) -> VectorPotentialSpec
 # divergence diagnostic
 # ----------------------------------------------------------------------
 
-def divergence(A: VectorPotentialSpec, profile: SurfaceProfile,
+def divergence(A: Callable, profile: SurfaceProfile,
                rho, q: float = 0.0,
                step_rho: Optional[float] = None):
     """Numeric divergence of A at (rho, q) by central differences.
@@ -177,11 +164,11 @@ def divergence(A: VectorPotentialSpec, profile: SurfaceProfile,
 
     def radial_flux(rr):
         _, h2 = offset_scale_factors(profile, rr, q)
-        return h2 * A.components(rr, q)[0]
+        return h2 * A(rr, q)[0]
 
     def normal_flux(qq):
         h1, h2 = offset_scale_factors(profile, r, qq)
-        return h1 * h2 * A.components(r, qq)[2]
+        return h1 * h2 * A(r, qq)[2]
 
     d_rho = (radial_flux(r + h) - radial_flux(r - h)) / (2.0 * h)
     d_q = (normal_flux(q + Q_STEP) - normal_flux(q - Q_STEP)) / (2.0 * Q_STEP)
@@ -210,7 +197,7 @@ class GaugeReport:
     values: Optional[np.ndarray] = dc_field(default=None, compare=False)
 
 
-def is_coulomb_gauge(A: VectorPotentialSpec, profile: SurfaceProfile,
+def is_coulomb_gauge(A: Callable, profile: SurfaceProfile,
                      grid, tol: float) -> GaugeReport:
     """Check |div A| <= tol at every grid node (on-surface, q = 0).
 

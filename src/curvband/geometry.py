@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Tuple
 
 import numpy as np
 
-from .errors import ChartDegenerateError, DomainError, EvaluationError
+from .errors import DomainError, EvaluationError
 
 # rho below this fraction of rho_max evaluates S_rho/rho by its axis limit
 AXIS_EPS_FACTOR = 1e-8
@@ -207,15 +207,6 @@ def curvatures(profile: SurfaceProfile, rho) -> Tuple[np.ndarray, np.ndarray, np
     with the axis limits H(0) = -S_rhorho(0), K(0) = S_rhorho(0)^2.
     """
     return _surface(profile, rho).curvatures()
-
-
-def _chart_factor(H: float, K: float, q: float, rho) -> float:
-    """F(q) = 1 + 2qH + q^2 K at radius rho; ChartDegenerateError if F <= 0."""
-    _finite("q", q)
-    F = 1.0 + 2.0 * q * H + q * q * K
-    if F <= 0.0:
-        raise ChartDegenerateError(f"chart degenerate at rho={rho}, q={q}: F={F}")
-    return F
 
 
 def offset_scale_factors(profile: SurfaceProfile, rho, q) -> Tuple[np.ndarray, np.ndarray]:

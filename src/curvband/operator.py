@@ -33,12 +33,12 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .errors import ChartDegenerateError, CoarseGridWarning, DomainError, EvaluationError
-from .fields import VectorPotentialSpec
-from .geometry import SurfaceProfile, _chart_factor, _positive, _surface, curvatures
+from .errors import CoarseGridWarning, DomainError, EvaluationError
+from .geometry import SurfaceProfile, _positive, _surface, offset_scale_factors
 
 MODES = ("as-written", "hermitian-corrected")
 MIN_N_POINTS = 16
@@ -56,10 +56,7 @@ class RadialGrid:
     rho_max: float
 
     def __post_init__(self):
-        if isinstance(self.n_points, bool) or not isinstance(self.n_points, numbers.Integral):
-            raise DomainError(f"n_points must be an integer, got {self.n_points!r}")
-        if self.n_points < 1:
-            raise DomainError(f"n_points must be >= 1, got {self.n_points}")
+        _whole("n_points", self.n_points, 1)
         _positive("rho_max", self.rho_max)
 
     @property
@@ -109,21 +106,20 @@ class TangentialOperator:
         return mat
 
 
-def _whole(name: str, value) -> int:
-    """value as an int; DomainError naming the argument unless finite and whole (a bool is
-    not an integer here, as in the config)."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)
-                                       and int(value) == value):
+def _whole(name: str, value, minimum=None) -> int:
+    """value as an int; DomainError naming the argument unless it is an integer type (a bool
+    or a whole float is not, as in the config) and, if minimum is given, at least minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise DomainError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
 
 
 def normal_energy(omega: float, n: int) -> float:
     """Analytic confinement ladder omega (n + 1/2); no discretization."""
     _positive("omega", omega)
-    if _whole("level index n", n) < 0:
-        raise DomainError(f"level index n must be non-negative, got {n}")
-    return omega * (n + 0.5)
+    return omega * (_whole("level index n", n, 0) + 0.5)
 
 
 def _finite_on_grid(*components) -> None:
@@ -132,7 +128,7 @@ def _finite_on_grid(*components) -> None:
         raise EvaluationError("vector potential components non-finite on the grid")
 
 
-def build_tangential(profile: SurfaceProfile, A: VectorPotentialSpec, m: int,
+def build_tangential(profile: SurfaceProfile, A: Callable, m: int,
                      grid: RadialGrid, mode: str = "hermitian-corrected",
                      e: float = 1.0) -> TangentialOperator:
     """Assemble the three bands of the complex tangential operator at q = 0."""
@@ -152,7 +148,7 @@ def build_tangential(profile: SurfaceProfile, A: VectorPotentialSpec, m: int,
     # the surface and the field at the nodes plus ghost radii at the axis and at the wall
     rho_ext = np.concatenate(([0.0], rho, [grid.rho_max]))
     surf = _surface(profile, rho_ext)
-    a1_ext, a2_ext, a3_ext = (np.asarray(v, dtype=float) for v in A.components(rho_ext, 0.0))
+    a1_ext, a2_ext, a3_ext = (np.asarray(v, dtype=float) for v in A(rho_ext, 0.0))
     inner = slice(1, n + 1)
     Z, H, K = (v[inner] for v in surf.curvatures())
     wt = rho * Z
@@ -213,7 +209,8 @@ class DecouplingReport:
     Compares the confinement energy V_n at the ground-state width
     q* = omega^(-1/2) against the worst normal-field drive
     |A3| * |d/dq ln chi_n(q*)| = |A3| * omega * q*.  Separation is rated
-    adequate when the ratio reaches 100.
+    adequate when the ratio reaches 100.  chart_ok is h1 h2 > 0 at q* at
+    the node of the worst drive.
     """
 
     omega: float
@@ -226,25 +223,21 @@ class DecouplingReport:
     chart_ok: bool
 
 
-def decoupling_check(omega: float, A: VectorPotentialSpec,
+def decoupling_check(omega: float, A: Callable,
                      profile: SurfaceProfile, grid: RadialGrid) -> DecouplingReport:
     """Ratio test for tangential/normal separation at confinement omega."""
     _positive("omega", omega)
     q_star = omega ** -0.5
     v_n = 0.5 * omega ** 2 * q_star ** 2
-    a3 = np.abs(np.asarray(A.components(grid.nodes, 0.0)[2], dtype=float))
+    a3 = np.abs(np.asarray(A(grid.nodes, 0.0)[2], dtype=float))
     _finite_on_grid(a3)
     worst = int(np.argmax(a3))
     max_a3 = float(a3[worst])
     drive = max_a3 * omega * q_star
     ratio = math.inf if drive == 0.0 else v_n / drive
-    _, H, K = curvatures(profile, grid.nodes[worst])
-    try:
-        _chart_factor(float(H), float(K), q_star, grid.nodes[worst])
-        chart_ok = True
-    except ChartDegenerateError:
-        chart_ok = False
+    _surface(profile, grid.nodes[worst])  # a node past the profile is named, as in assembly
+    h1, h2 = offset_scale_factors(profile, grid.nodes[worst], q_star)
     return DecouplingReport(
         omega=omega, q_star=q_star, v_n=v_n, max_abs_a3=max_a3,
-        drive=drive, ratio=ratio, passed=bool(ratio >= 100.0), chart_ok=chart_ok,
+        drive=drive, ratio=ratio, passed=bool(ratio >= 100.0), chart_ok=bool(h1 * h2 > 0.0),
     )

@@ -31,7 +31,8 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.linalg.lapack as lapack
 
-from .errors import CertificateError, InstabilityWarning, RefinementError, SolveError
+from .errors import CertificateError, DomainError, InstabilityWarning, RefinementError, SolveError
+from .geometry import _positive
 from .operator import TangentialOperator, _whole
 
 RESIDUAL_TOL = 1e-8
@@ -45,6 +46,9 @@ LOCATE_RTOL, INVERSE_STEPS, PROJECT_SPAN, REFINE_STEPS = 1e-3, 3, 1e5, 2
 # a refined non-normal level is refactored at its new quotient while its residual is
 # above REFINE_TARGET, a decade inside the contract, at most REFINE_ROUNDS more times
 REFINE_TARGET, REFINE_ROUNDS = 1e-9, 4
+# the shortest run evolve accepts, sqrt of the smallest normal float: the slope fit
+# scales its time column by sqrt(sum t^2) >= dt * steps, so the sum stays a normal float
+MIN_SPAN = math.sqrt(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,9 +190,9 @@ def eigen_solve(operator: TangentialOperator, k: int) -> Spectrum:
     i c (_hermitian_pairs), and one more for the certificate otherwise
     (_certified_pairs).  Level j starts from row j of one fixed random basis.
     """
-    n, k = operator.n, _whole("k", k)
-    if not 1 <= k <= n:
-        raise SolveError(f"k = {k} not in [1, {n}]")
+    n, k = operator.n, _whole("k", k, 1)
+    if k > n:
+        raise DomainError(f"k = {k} exceeds the operator's n = {n}")
     hermitian, shift, off, s, scale = _symmetric_form(operator)
     tol = LOCATE_RTOL * (off.max(initial=0.0) or scale) / n ** 2
     count = k if hermitian else min(k + 1, n)
@@ -353,11 +357,11 @@ def _weighted_state(name: str, state, d):
 def evolve(operator: TangentialOperator, initial: np.ndarray, dt: float,
            steps: int, record_states: bool = True) -> EvolutionTrace:
     """Crank-Nicolson propagation of an initial state over steps * dt."""
-    if not (dt > 0 and math.isfinite(dt)):
-        raise SolveError(f"dt must be positive and finite, got {dt}")
-    steps = _whole("steps", steps)
-    if steps < 1:
-        raise SolveError(f"steps must be >= 1, got {steps}")
+    _positive("dt", dt)
+    steps = _whole("steps", steps, 1)
+    if dt * steps < MIN_SPAN:
+        raise DomainError(f"dt * steps must be >= {MIN_SPAN:.6g} for the log-norm fit, got "
+                          f"dt = {dt}, steps = {steps}")
     d, lower, upper, *_ = _weighted(operator)
     z, norm = _weighted_state("initial state", initial, d)
     quarter = 0.25j * dt
@@ -377,11 +381,10 @@ def evolve(operator: TangentialOperator, initial: np.ndarray, dt: float,
             f"norm changed by more than 10x in one step at t = {(int(jumps[0]) + 1) * dt}",
             InstabilityWarning, stacklevel=2,
         )
-    states = np.divide(rows, d, out=rows) if record_states else None
-
-    # a finite start can still overflow
+    # a finite start can still overflow; checked before the states are unweighted
     if not np.all(np.isfinite(norms)) or np.any(norms <= 0.0):
         raise SolveError("propagation produced non-positive or non-finite norms")
+    states = np.divide(rows, d, out=rows) if record_states else None
 
     times = dt * np.arange(steps + 1)
     slope = float(np.polyfit(times, np.log(norms), 1)[0])

@@ -122,6 +122,14 @@ def test_gamma_interval_validated():
         parse_config(MINIMAL + "field:\n  kind: frame-synthetic\n  gamma_interval: [0.9, 0.2]\n")
 
 
+def test_rules_across_keys_are_named():
+    with pytest.raises(ConfigError, match=r"^surface\.sigma: must be > 0, got 0\.0$"):
+        parse_config("surface:\n  kind: gaussian-bump\n  amplitude: 0.3\n  sigma: 0.0\n")
+    with pytest.raises(ConfigError, match=r"^field\.gamma_interval: must be a \[lo, hi\] pair, "
+                                          r"got \[0\.2, 0\.4, 0\.6\]$"):
+        parse_config(MINIMAL + "field:\n  gamma_interval: [0.2, 0.4, 0.6]\n")
+
+
 def test_sphere_cap_radius_must_exceed_rho_max():
     with pytest.raises(ConfigError, match="radius"):
         parse_config("surface:\n  kind: sphere-cap\n  rho_max: 1.0\n  radius: 0.8\n")
@@ -233,6 +241,28 @@ steps: 1000
                        delimiter=",")
     assert trace.shape == (1001, 3)
     assert trace[-1, 1] / trace[0, 1] == pytest.approx(math.exp(0.2), rel=1e-4)
+
+
+def test_summary_states_a_folded_chart(tmp_path):
+    # paraboloid a = 4 with a3 on [0.5, 0.6] at omega = 1: q* = 1 lies past a focal point
+    body = ("surface: {kind: paraboloid, a: 4.0}\n"
+            "field: {kind: frame-synthetic, a3: 1.0, gamma_interval: [0.5, 0.6]}\n"
+            "grid: {n_points: 64}\nomega: 1.0\n")
+    code, out = run_cli(tmp_path, body, "geometry")
+    assert code == 0
+    assert "decoupling: omega=1 ratio=0.5 passed=False chart_ok=False" in \
+        (out / "run_summary.txt").read_text().splitlines()
+
+
+def test_evolve_below_the_shortest_span_names_dt(tmp_path, capsys):
+    # before, every step ran and np.polyfit raised LinAlgError
+    code, out = run_cli(tmp_path, MINIMAL + "grid: {n_points: 64}\ndt: 1.0e-200\nsteps: 10\n",
+                        "evolve")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == ("error: evolve: dt * steps must be >= 1.49167e-154 for the log-norm fit, "
+                   "got dt = 1e-200, steps = 10\n")
+    assert list(out.iterdir()) == []
 
 
 def test_gauge_check_command(tmp_path):

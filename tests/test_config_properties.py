@@ -197,6 +197,24 @@ def test_libyaml_and_pure_python_dumpers_agree(surface_kind, field_kind, data, o
     assert parse_config(echo) == cfg
 
 
+@pytest.mark.parametrize("text, written", [("1.0e6", "1000000.0"), ("1e6", "1000000.0"),
+                                           ("1e-3", "0.001"), ("1e-200", "1.0e-200")])
+def test_a_number_yaml_reads_as_a_string_says_how_to_write_it(text, written):
+    # YAML 1.1 reads a float only with a dot and a signed exponent, under both loaders
+    for classes in (PURE_YAML, LIBYAML):
+        with mock.patch.multiple(config, _Loader=classes[0], _Dumper=classes[1]):
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"config.omega: must be a number, got '{text}', which YAML reads as a "
+                    f"string: a float needs a dot, and a sign on its exponent; write {written}")):
+                parse_config(f"surface: {{kind: flat}}\nomega: {text}\n")
+            assert parse_config(f"surface: {{kind: flat}}\nomega: {written}\n").omega == \
+                float(text)
+    # a string float() cannot read, or reads as inf, keeps the plain message
+    for text in ("fast", "inf", "1e400"):
+        with pytest.raises(ConfigError, match=f"^config.omega: must be a number, got '{text}'$"):
+            parse_config(f"surface: {{kind: flat}}\nomega: {text}\n")
+
+
 @kinds
 @PROPERTY
 @given(data=st.data())
@@ -339,7 +357,7 @@ def test_kind_from_config_is_its_constructor_call(kind):
     else:
         built, ref = make_field(cfg, profile), direct(profile)
         for q in (0.0, 0.01):
-            assert bits(built.components(rho, q)) == bits(ref.components(rho, q))
+            assert bits(built(rho, q)) == bits(ref(rho, q))
 
 
 @pytest.mark.parametrize("schema, kinds", [(SurfaceConfig, SURFACE_KINDS),

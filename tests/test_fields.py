@@ -23,7 +23,6 @@ from curvband import (
     zero_field,
 )
 from curvband.fields import _frame_components
-from curvband.geometry import _chart_factor
 
 SQRT2 = math.sqrt(2.0)
 
@@ -109,7 +108,7 @@ def test_projection_preserves_magnitude():
 def test_axial_uniform_constructor_matches_projection():
     for prof in catalog(1.0).values():
         A = axial_uniform(2.0, prof)
-        a1, a2, a3 = A.components(0.5, 0.0)
+        a1, a2, a3 = A(0.5, 0.0)
         assert float(a2) == pytest.approx(0.5, rel=1e-14)
         assert float(a1) == 0.0
         assert float(a3) == 0.0
@@ -118,7 +117,7 @@ def test_axial_uniform_constructor_matches_projection():
 def test_cartesian_constant_constructor():
     prof = paraboloid(0.5, 2.0)
     A = cartesian_constant(1.0, prof)
-    a1, _, a3 = A.components(1.0, 0.0)
+    a1, _, a3 = A(1.0, 0.0)
     assert float(a1) == pytest.approx(1.0 / SQRT2, rel=1e-14)
     assert float(a3) == pytest.approx(1.0 / SQRT2, rel=1e-14)
 
@@ -140,9 +139,9 @@ def test_cartesian_field_is_projected_once_per_point():
     assert calls == [(42,)]
     ref = build_tangential(prof, axial_uniform(1.0, prof), 1, grid)
     np.testing.assert_array_equal(op.diag, ref.diag)
-    # every components call projects once
+    # every call of the field projects once
     for rho, q in ((0.5, 0.0), (0.5, 0.0), (0.5, 0.1), (0.25, 0.1)):
-        assert A.components(rho, q)[1] == project(counting, prof, rho, 0.0, q)[1]
+        assert A(rho, q)[1] == project(counting, prof, rho, 0.0, q)[1]
     assert len(calls) == 1 + 4 + 4
 
 
@@ -175,7 +174,7 @@ def test_non_axisymmetric_cartesian_field_rejected():
 def test_gamma_interval_masks_support():
     A = frame_synthetic(a3=1.5, gamma_interval=(0.3, 0.6))
     rho = np.array([0.1, 0.3, 0.45, 0.6, 0.8])
-    np.testing.assert_array_equal(A.components(rho, 0.0)[2], [0.0, 1.5, 1.5, 1.5, 0.0])
+    np.testing.assert_array_equal(A(rho, 0.0)[2], [0.0, 1.5, 1.5, 1.5, 0.0])
 
 
 @pytest.mark.parametrize("make, name", [
@@ -234,11 +233,10 @@ PARABOLOID = paraboloid(0.5, 1.0)
 
 
 @pytest.mark.parametrize("evaluate, name", [
-    (lambda: _chart_factor(-1.0, 1.0, math.nan, 0.5), "q"),
     (lambda: divergence(zero_field(), PARABOLOID, 0.5, math.nan), "q"),
     (lambda: divergence(zero_field(), PARABOLOID, 0.5, 0.0, step_rho=0.0), "step_rho"),
     (lambda: divergence(zero_field(), PARABOLOID, 0.5, 0.0, step_rho=math.nan), "step_rho"),
-], ids=["chart-factor-q-nan", "divergence-q-nan", "divergence-step-0", "divergence-step-nan"])
+], ids=["divergence-q-nan", "divergence-step-0", "divergence-step-nan"])
 def test_evaluation_argument_is_named_not_nan(evaluate, name):
     with pytest.raises(DomainError, match=f"^{name} must be"):
         evaluate()

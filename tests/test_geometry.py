@@ -12,13 +12,15 @@ from curvband import (
     SurfaceProfile,
     catalog,
     curvatures,
+    divergence,
     flat,
     gaussian_bump,
     paraboloid,
     sphere_cap,
+    zero_field,
 )
 from curvband.fields import _frame_components
-from curvband.geometry import _chart_factor, offset_scale_factors
+from curvband.geometry import offset_scale_factors
 from oracles import fd_curvatures, open_chart
 
 SQRT2 = math.sqrt(2.0)
@@ -174,9 +176,15 @@ def test_offset_identity_h1h2_on_random_chart_points():
 
 
 def test_chart_degenerates_outside_q_range():
-    _, H, K = curvatures(sphere_cap(2.0, 1.0), 0.5)   # H = 1/2, K = 1/4: F(q) = (1 + q/2)^2
-    with pytest.raises(ChartDegenerateError):
-        _chart_factor(float(H), float(K), -2.0, 0.5)
+    # paraboloid a = 4 at rho = 0.55: F(1) = 1 + 2H + K < 0, past a focal point; the
+    # divergence applies the one chart test, h1 h2 <= 0
+    steep = paraboloid(4.0, 1.0)
+    _, H, K = curvatures(steep, 0.55)
+    assert 1.0 + 2.0 * H + K < 0.0
+    h1, h2 = offset_scale_factors(steep, 0.55, 1.0)
+    assert h1 * h2 < 0.0
+    with pytest.raises(ChartDegenerateError, match="^chart degenerate at rho=0.55, q=1.0$"):
+        divergence(zero_field(), steep, 0.55, 1.0)
 
 
 # ----------------------------------------------------------------------

@@ -23,6 +23,7 @@ from curvband import (
     sphere_cap,
     zero_field,
 )
+from curvband.geometry import offset_scale_factors
 
 SQRT2 = math.sqrt(2.0)
 
@@ -348,3 +349,42 @@ def test_bool_is_not_an_integer(call, name):
     op = build_tangential(flat(1.0), zero_field(), 0, RadialGrid(20, 1.0))
     with pytest.raises(DomainError, match=f"^{name} must be an integer, got True$"):
         call(op)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda op: RadialGrid(16.0, 1.0), "n_points must be an integer, got 16.0"),
+    (lambda op: eigen_solve(op, 6.0), "k must be an integer, got 6.0"),
+    (lambda op: build_tangential(flat(1.0), zero_field(), 1.0, op.grid),
+     "azimuthal index m must be an integer, got 1.0"),
+    (lambda op: normal_energy(1.0, 2.0), "level index n must be an integer, got 2.0"),
+    (lambda op: RadialGrid(0, 1.0), "n_points must be >= 1, got 0"),
+    (lambda op: normal_energy(1.0, -2), "level index n must be >= 0, got -2"),
+], ids=["grid-n-points", "eigen-k", "assembly-m", "ladder-n", "grid-minimum", "ladder-minimum"])
+def test_one_integer_rule(call, message):
+    # a whole float is not an integer, as for RadialGrid and the config; before, eigen_solve,
+    # build_tangential and normal_energy ran 6.0 as 6
+    op = build_tangential(flat(1.0), zero_field(), 0, RadialGrid(20, 1.0))
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        call(op)
+    assert eigen_solve(op, np.int64(2)).eigenvalues.size == 2
+
+
+def test_decoupling_chart_ok_is_the_product_h1_h2():
+    # paraboloid a = 4, a3 on [0.5, 0.6] and q* = 1: at the node of largest |A3| the
+    # offset q* lies past a focal point, where F(q*) = h1 h2 / (rho Z) < 0
+    grid = RadialGrid(64, 1.0)
+    field = frame_synthetic(a3=1.0, gamma_interval=(0.5, 0.6))
+    steep = paraboloid(4.0, 1.0)
+    report = decoupling_check(1.0, field, steep, grid)
+    assert report.q_star == 1.0 and not report.chart_ok
+    node = grid.nodes[int(np.argmax(field(grid.nodes, 0.0)[2]))]
+    h1, h2 = offset_scale_factors(steep, node, 1.0)
+    assert h1 * h2 < 0.0
+    assert decoupling_check(1.0, field, flat(1.0), grid).chart_ok
+
+
+def test_decoupling_names_a_node_past_the_profile():
+    # the node of largest |A3| is checked against the profile, as in assembly
+    field = frame_synthetic(a3=1.0, gamma_interval=(1.5, 1.9))
+    with pytest.raises(DomainError, match="^rho = 1.50769.* outside \\[0, 1.0\\]"):
+        decoupling_check(1.0, field, flat(1.0), RadialGrid(64, 2.0))

@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvband import (CertificateError, RadialGrid, VectorPotentialSpec, axial_uniform,
+from curvband import (CertificateError, RadialGrid, axial_uniform,
                       build_tangential, cartesian_constant, eigen_solve, evolve, flat,
                       frame_synthetic, gaussian_bump, hermiticity_report, paraboloid,
                       sphere_cap, zero_field)
@@ -139,8 +139,7 @@ def test_strong_field_channels_meet_the_contract_or_name_the_certificate(channel
 
 def negated(field):
     """The field with every frame component negated."""
-    return VectorPotentialSpec(components=lambda rho, q: tuple(
-        -np.asarray(c, dtype=float) for c in field.components(rho, q)))
+    return lambda rho, q: tuple(-np.asarray(c, dtype=float) for c in field(rho, q))
 
 
 @PROPERTY

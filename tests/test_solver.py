@@ -105,9 +105,9 @@ def test_complex_shift_covariance_on_nonhermitian_operator():
 
 def test_k_out_of_range_rejected():
     op = build_tangential(flat(1.0), zero_field(), 0, RadialGrid(32, 1.0))
-    with pytest.raises(SolveError):
+    with pytest.raises(DomainError, match="^k = 33 exceeds the operator's n = 32$"):
         eigen_solve(op, 33)
-    with pytest.raises(SolveError):
+    with pytest.raises(DomainError, match="^k must be >= 1, got 0$"):
         eigen_solve(op, 0)
 
 
@@ -225,9 +225,9 @@ def test_singular_crank_nicolson_matrix_is_a_named_error():
 def test_evolve_validates_arguments():
     op = build_tangential(flat(1.0), zero_field(), 0, RadialGrid(24, 1.0))
     psi = ground_state(op)
-    with pytest.raises(SolveError):
+    with pytest.raises(DomainError):
         evolve(op, psi, dt=-1e-3, steps=10)
-    with pytest.raises(SolveError):
+    with pytest.raises(DomainError):
         evolve(op, psi, dt=1e-3, steps=0)
     with pytest.raises(SolveError):
         evolve(op, psi[:-1], dt=1e-3, steps=10)
@@ -269,8 +269,13 @@ def test_weighted_coupling_checks_its_state(state, message):
 
 @pytest.mark.parametrize("dt, steps, error, message", [
     (1e-3, 2.5, DomainError, "steps must be an integer, got 2.5"),
-    (math.inf, 10, SolveError, "dt must be positive and finite, got inf"),
-    (math.nan, 10, SolveError, "dt must be positive and finite, got nan"),
+    (math.inf, 10, DomainError, "dt must be positive and finite, got inf"),
+    (math.nan, 10, DomainError, "dt must be positive and finite, got nan"),
+    (1e-3, 0, DomainError, "steps must be >= 1, got 0"),
+    (1e-3, 6.0, DomainError, "steps must be an integer, got 6.0"),
+    (1e-200, 10, DomainError,
+     "dt \\* steps must be >= 1.49167e-154 for the log-norm fit, got dt = 1e-200, steps = 10"),
+    (np.nextafter(solver_mod.MIN_SPAN, 0.0), 1, DomainError, "dt \\* steps must be >= "),
 ])
 def test_evolve_arguments_fail_before_any_step(monkeypatch, dt, steps, error, message):
     op = build_tangential(flat(1.0), zero_field(), 0, RadialGrid(24, 1.0))
@@ -282,6 +287,36 @@ def test_evolve_arguments_fail_before_any_step(monkeypatch, dt, steps, error, me
             evolve(op, psi, dt=dt, steps=steps)
     # perfbench reads "max <number>" in a SolveError as a residual
     assert "max" not in str(caught.value)
+
+
+@pytest.mark.parametrize("steps", [1, 10])
+def test_evolve_at_the_shortest_span_fits_the_slope(steps):
+    # dt * steps at MIN_SPAN and at twice it: sum t^2 in the fit is a normal float. Before,
+    # at dt = 1e-200 every t^2 underflowed to 0, np.polyfit divided its time column by that
+    # zero norm, and lstsq raised LinAlgError
+    op = build_tangential(flat(1.0), zero_field(), 0, RadialGrid(64, 1.0))
+    dt = solver_mod.MIN_SPAN if steps == 1 else 2.0 * solver_mod.MIN_SPAN / steps
+    assert dt * steps >= solver_mod.MIN_SPAN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = evolve(op, ground_state(op), dt=dt, steps=steps, record_states=False)
+    assert math.isfinite(trace.log_norm_slope)
+    assert trace.times[-1] == dt * steps
+
+
+@pytest.mark.parametrize("record_states", [True, False])
+def test_overflowing_norms_are_a_named_error(record_states):
+    # |g| = 1.9 / 0.1 = 19 per step, so the norm overflows within 400 steps; before,
+    # unweighting the recorded states raised an overflow RuntimeWarning first
+    op = build_tangential(flat(1.0), zero_field(), 0, RadialGrid(24, 1.0))
+    psi = ground_state(op)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.warns(InstabilityWarning, match="at t = 0.001$"):
+            with pytest.raises(SolveError, match="^propagation produced non-positive or "
+                                                 "non-finite norms$"):
+                evolve(shifted_copy(op, 1800j), psi, dt=1e-3, steps=400,
+                       record_states=record_states)
 
 
 # ----------------------------------------------------------------------
