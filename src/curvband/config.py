@@ -11,8 +11,8 @@ constructor: it reads the keys named by the constructor's parameters and
 requires those without a default, and a key only other kinds read must keep
 its default.  Other rules that tie keys together stay explicit: gaussian-bump
 sigma > 0, sphere-cap radius > rho_max, gamma_interval a [lo, hi] pair within
-[0, rho_max], k_eigen <= n_points.  serialize_config/parse_config round-trip
-exactly.
+[0, rho_max], k_eigen <= n_points, dt * steps >= solver.MIN_SPAN.
+serialize_config/parse_config round-trip exactly.
 
     surface:
       kind: flat | paraboloid | gaussian-bump | sphere-cap
@@ -53,7 +53,7 @@ from typing import Callable, List, Optional, Union, get_args, get_origin
 
 import yaml
 
-from . import fields, geometry
+from . import fields, geometry, solver
 from .errors import ConfigError
 from .operator import MIN_N_POINTS, MODES, RadialGrid
 
@@ -201,6 +201,9 @@ def _check_across_keys(config: RunConfig) -> None:
     if config.k_eigen > config.grid.n_points:
         raise ConfigError(f"config.k_eigen: must be <= grid.n_points = {config.grid.n_points}, "
                           f"got {config.k_eigen}")
+    if config.dt * config.steps < solver.MIN_SPAN:
+        raise ConfigError(f"config.dt, config.steps: dt * steps must be >= {solver.MIN_SPAN:.6g} "
+                          f"for the log-norm fit, got dt = {config.dt}, steps = {config.steps}")
     s = config.surface
     if s.kind == "gaussian-bump" and s.sigma <= 0:
         raise ConfigError(f"surface.sigma: must be > 0, got {s.sigma}")

@@ -235,7 +235,8 @@ def decoupling_check(omega: float, A: Callable,
     max_a3 = float(a3[worst])
     drive = max_a3 * omega * q_star
     ratio = math.inf if drive == 0.0 else v_n / drive
-    _surface(profile, grid.nodes[worst])  # a node past the profile is named, as in assembly
+    # the radii assembly checks, every node and the wall, past the worst node, named first
+    _surface(profile, np.concatenate(([grid.nodes[worst]], grid.nodes, [grid.rho_max])))
     h1, h2 = offset_scale_factors(profile, grid.nodes[worst], q_star)
     return DecouplingReport(
         omega=omega, q_star=q_star, v_n=v_n, max_abs_a3=max_a3,

@@ -5,9 +5,10 @@ verified: every reported pair must satisfy the residual contract
 ||M v - lambda v|| / ||v|| < 1e-8 or the solve raises.  Bisection locates
 the lowest levels of a real symmetric tridiagonal R coarsely, and inverse
 iteration on M's own bands gives each pair, by one route per structure
-class (eigen_solve); where the operator is non-normal, Bauer-Fike discs
-certify the selection.  The routes use LAPACK's tridiagonal routines and
-one-dimensional products only, and leave scipy's BLAS thread count alone.
+class (eigen_solve): from R's stein vectors where M is Hermitian up to i c,
+else from a random basis, with Bauer-Fike discs to certify the selection.
+The routes use LAPACK's tridiagonal routines and one-dimensional products
+only, and leave scipy's BLAS thread count alone.
 
 Propagation is Crank-Nicolson,
 
@@ -39,10 +40,12 @@ RESIDUAL_TOL = 1e-8
 # relative threshold for classifying the weighted matrix as Hermitian
 # (possibly up to a constant imaginary diagonal)
 HERMITIAN_RTOL = 1e-13
-# bisection tolerance in units of max |off(R)| / n^2 ~ 1 / (2 R^2) (the level
-# spacing), inverse-iteration steps, span of projected levels in tolerances,
-# and steps after a non-normal level is refactored at its Rayleigh quotient
-LOCATE_RTOL, INVERSE_STEPS, PROJECT_SPAN, REFINE_STEPS = 1e-3, 3, 1e5, 2
+# bisection tolerance in units of max |off(R)| / n^2 ~ 1 / (2 R^2) (the level spacing);
+# inverse-iteration steps of a non-normal level, and after it is refactored at its quotient;
+# a Hermitian level's one step is factored STEP_OFFSET tol below it: other levels shrink by
+# STEP_OFFSET tol / gap (at 100, a channel at n = 8000 missed the contract), and a pair split
+# by < tol mixes as ~1 / STEP_OFFSET (at 1, twins missed W-orthonormality); 2-30 held both
+LOCATE_RTOL, INVERSE_STEPS, REFINE_STEPS, STEP_OFFSET = 1e-3, 3, 2, 8.0
 # a refined non-normal level is refactored at its new quotient while its residual is
 # above REFINE_TARGET, a decade inside the contract, at most REFINE_ROUNDS more times
 REFINE_TARGET, REFINE_ROUNDS = 1e-9, 4
@@ -159,7 +162,7 @@ def _weighted(operator: TangentialOperator):
 
 
 def _symmetric_form(operator: TangentialOperator):
-    """(hermitian, i c, off, s, max |M_w|): the eigenvalues of M - i c lie
+    """(i c, off, s, max |M_w|, gauge): the eigenvalues of M - i c lie
     within s of those of the real symmetric tridiagonal R = (Re diag, off).
 
     A diagonal similarity with off-diagonals sqrt(upper_j lower_j) makes M
@@ -167,41 +170,44 @@ def _symmetric_form(operator: TangentialOperator):
     and by Bauer-Fike (Numer. Math. 2 (1960) 137) every eigenvalue of M - i c
     lies within s = ||J - c||_inf >= ||J - c||_2 of one of R's; c minimizes s.
     Where M_w passes _weighted's test and Im diag is constant to HERMITIAN_RTOL
-    of max |M_w|, hermitian is True, c is that constant (exactly 0 if M_w is
-    Hermitian), R is the real part of M_w and s = 0.
+    of max |M_w|, c is that constant (exactly 0 if M_w is Hermitian), s = 0 and
+    gauge = e^{i phi} / sqrt(w), phi_0 = 0, phi_{j+1} = phi_j - arg(upper_w +
+    conj(lower_w))_j, maps R's eigenvectors to M's; otherwise gauge is None.
     """
-    _, lower, upper, _, scale, _, hermitian = _weighted(operator)
+    d, lower, upper, _, scale, _, hermitian = _weighted(operator)
     diag = operator.diag
     if hermitian:
         for c in (0.0, float(np.mean(diag.imag))):
             if np.abs(diag.imag - c).max() <= HERMITIAN_RTOL * scale:
-                return True, 1j * c, np.abs(upper + lower.conj()) / 2, 0.0, scale
+                off = upper + lower.conj()
+                phi = -np.concatenate(([0.0], np.cumsum(np.angle(off))))
+                return 1j * c, np.abs(off) / 2, 0.0, scale, np.exp(1j * phi) / d
     off = np.sqrt(upper * lower)
     radii = np.abs(np.append(off.imag, 0.0)) + np.abs(np.append(0.0, off.imag))
     top, bottom = float((diag.imag + radii).max()), float((diag.imag - radii).min())
-    return False, 0.5j * (top + bottom), off.real, 0.5 * (top - bottom), scale
+    return 0.5j * (top + bottom), off.real, 0.5 * (top - bottom), scale, None
 
 
 def eigen_solve(operator: TangentialOperator, k: int) -> Spectrum:
     """k verified eigenpairs with smallest real parts.
 
-    Bisection locates the lowest levels of R (_symmetric_form) to within
-    tol = LOCATE_RTOL max(off) / n^2, k of them where M_w is Hermitian up to
-    i c (_hermitian_pairs), and one more for the certificate otherwise
-    (_certified_pairs).  Level j starts from row j of one fixed random basis.
+    Bisection (stebz) locates the lowest levels of R (_symmetric_form) to
+    within tol = LOCATE_RTOL max(off) / n^2: k of them with their stein vectors
+    where M_w is Hermitian up to i c (_hermitian_pairs), and one more for the
+    certificate otherwise (_certified_pairs).
     """
     n, k = operator.n, _whole("k", k, 1)
     if k > n:
         raise DomainError(f"k = {k} exceeds the operator's n = {n}")
-    hermitian, shift, off, s, scale = _symmetric_form(operator)
+    shift, off, s, scale, gauge = _symmetric_form(operator)
     tol = LOCATE_RTOL * (off.max(initial=0.0) or scale) / n ** 2
-    count = k if hermitian else min(k + 1, n)
-    located = sla.eigh_tridiagonal(operator.diag.real, off, eigvals_only=True, select="i",
-                                   select_range=(0, count - 1), tol=tol)
-    basis = np.random.default_rng(0).uniform(-1.0, 1.0, (k, n)).astype(complex)
+    count = min(k + 1, n) if gauge is None else k
+    located = sla.eigh_tridiagonal(operator.diag.real, off, eigvals_only=gauge is None,
+                                   select="i", select_range=(0, count - 1), tol=tol,
+                                   lapack_driver="stebz")
     values, vectors, residuals = (
-        _hermitian_pairs(operator, located, shift, tol, basis) if hermitian
-        else _certified_pairs(operator, located, shift, s, tol, basis))
+        _certified_pairs(operator, located, shift, s, tol, k) if gauge is None
+        else _hermitian_pairs(operator, *located, gauge, shift, tol))
     if not np.all(residuals < RESIDUAL_TOL):
         raise SolveError(f"eigen residual contract violated: max {residuals.max():.3e} "
                          f">= {RESIDUAL_TOL}")
@@ -224,36 +230,24 @@ def _normalized(operator: TangentialOperator, values, basis):
                               for lam, v in zip(values, vectors.T)])
 
 
-def _hermitian_pairs(operator: TangentialOperator, located, shift, tol, basis):
-    """Pairs where M_w is Hermitian up to i c.
-
-    Each level takes INVERSE_STEPS steps of inverse iteration on M's bands
-    through one factorization at lev + i c - tol.  The levels found within
-    PROJECT_SPAN tol are projected out before each step in the measure inner
-    product sum w conj(u) x; farther levels shrink by (1.5 / PROJECT_SPAN)^3
-    unaided.  The eigenvalue is the real measure Rayleigh quotient plus i c.
+def _hermitian_pairs(operator: TangentialOperator, located, vectors, gauge, shift, tol):
+    """Pairs where M_w is Hermitian up to i c, from R's levels and their stein vectors y,
+    reorthogonalized where levels are close.  Each gauge y takes one inverse-iteration step
+    on M's bands at lev + i c - STEP_OFFSET tol, which damps y's rounding as W^-1/2 scales
+    it near the axis, by ~1 / drho.  The eigenvalue is the real measure quotient plus i c.
     """
     w, (lower, diag, upper) = operator.measure_weights, operator.bands
-    # lefts[i] = w conj(x_i) / sum w |x_i|^2 projects out x_i
-    lefts, quotients = np.empty_like(basis), np.empty(len(basis), dtype=complex)
+    basis = gauge * vectors.T
+    quotients = np.empty(len(basis), dtype=complex)
     for i, lam in enumerate(located + shift):
-        # lam - tol is tol/2 to 3 tol/2 off the level, too far for the solve's rounding
-        # to set the residual; projecting before each solve lets it damp their rounding
-        solve = _tridiag_solver(lower, diag - (lam - tol), upper)
-        x = basis[i]
-        near = np.searchsorted(located, located[i] - PROJECT_SPAN * tol)
-        for _ in range(INVERSE_STEPS):
-            for left, u in zip(lefts[near:i], basis[near:i]):
-                x -= (left @ x) * u
-            x = solve(x)
-        basis[i] = x
-        lefts[i] = w * x.conj() / np.vdot(x, w * x).real
-        quotients[i] = lefts[i] @ _matvec(lower, diag, upper, x)
+        solve = _tridiag_solver(lower, diag - (lam - STEP_OFFSET * tol), upper)
+        x = basis[i] = solve(basis[i])
+        quotients[i] = np.vdot(x, w * _matvec(lower, diag, upper, x)) / np.vdot(x, w * x).real
     values = quotients.real + shift
     return (values, *_normalized(operator, values, basis))
 
 
-def _certified_pairs(operator: TangentialOperator, located, shift, s, tol, basis):
+def _certified_pairs(operator: TangentialOperator, located, shift, s, tol, k):
     """Pairs of a non-normal channel, certified to be those of smallest real part.
 
     The discs of radius s around lev + i c, up to the (k+1)-th, must be
@@ -276,7 +270,7 @@ def _certified_pairs(operator: TangentialOperator, located, shift, s, tol, basis
     CertificateError names the off-diagonal pairs whose product has a negative
     real part: there sqrt(upper_j lower_j) is imaginary and enters s.
     """
-    k, gaps = len(basis), np.diff(located)
+    gaps = np.diff(located)
     lower, diag, upper = operator.bands
     if gaps.size and gaps.min() <= 2.0 * s + tol:
         j = int(np.argmin(gaps))
@@ -291,6 +285,7 @@ def _certified_pairs(operator: TangentialOperator, located, shift, s, tol, basis
                         "pairs, where sqrt(upper_j lower_j) is imaginary and widens the discs")
         raise CertificateError(message)
     d2 = np.concatenate(([1.0], np.cumprod(upper / lower)))
+    basis = np.random.default_rng(0).uniform(-1.0, 1.0, (k, operator.n)).astype(complex)
 
     def steps(x, sigma, count):
         solve = _tridiag_solver(lower, diag - (sigma - tol), upper)

@@ -128,6 +128,13 @@ def test_rules_across_keys_are_named():
     with pytest.raises(ConfigError, match=r"^field\.gamma_interval: must be a \[lo, hi\] pair, "
                                           r"got \[0\.2, 0\.4, 0\.6\]$"):
         parse_config(MINIMAL + "field:\n  gamma_interval: [0.2, 0.4, 0.6]\n")
+    # evolve's shortest span binds dt and steps together, at its exact boundary
+    half = curvband.solver.MIN_SPAN / 2
+    assert parse_config(MINIMAL + f"dt: {half!r}\nsteps: 2\n").steps == 2
+    with pytest.raises(ConfigError, match=r"^config\.dt, config\.steps: dt \* steps must be >= "
+                                          r"1\.49167e-154 for the log-norm fit, got "
+                                          rf"dt = {half!r}, steps = 1$"):
+        parse_config(MINIMAL + f"dt: {half!r}\nsteps: 1\n")
 
 
 def test_sphere_cap_radius_must_exceed_rho_max():
@@ -255,13 +262,16 @@ def test_summary_states_a_folded_chart(tmp_path):
 
 
 def test_evolve_below_the_shortest_span_names_dt(tmp_path, capsys):
-    # before, every step ran and np.polyfit raised LinAlgError
+    # before, every step ran and np.polyfit raised LinAlgError; the config rejects
+    # the pair before any solve, and the output directory, made beforehand as in
+    # CI, stays empty
+    (tmp_path / "out").mkdir()
     code, out = run_cli(tmp_path, MINIMAL + "grid: {n_points: 64}\ndt: 1.0e-200\nsteps: 10\n",
                         "evolve")
     assert code == 1
     err = capsys.readouterr().err
-    assert err == ("error: evolve: dt * steps must be >= 1.49167e-154 for the log-norm fit, "
-                   "got dt = 1e-200, steps = 10\n")
+    assert err == ("error: evolve: config.dt, config.steps: dt * steps must be >= 1.49167e-154 "
+                   "for the log-norm fit, got dt = 1e-200, steps = 10\n")
     assert list(out.iterdir()) == []
 
 

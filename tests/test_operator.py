@@ -388,3 +388,15 @@ def test_decoupling_names_a_node_past_the_profile():
     field = frame_synthetic(a3=1.0, gamma_interval=(1.5, 1.9))
     with pytest.raises(DomainError, match="^rho = 1.50769.* outside \\[0, 1.0\\]"):
         decoupling_check(1.0, field, flat(1.0), RadialGrid(64, 2.0))
+
+
+def test_decoupling_rejects_a_grid_that_assembly_rejects():
+    # the largest |A3| sits inside the profile, but the grid runs past it to rho = 2:
+    # the check names the first node outside, as build_tangential does
+    field = frame_synthetic(a3=1.0, gamma_interval=(0.1, 0.5))
+    grid = RadialGrid(64, 2.0)
+    stated = "^rho = 1.01538.* outside \\[0, 1.0\\]"
+    with pytest.raises(DomainError, match=stated):
+        build_tangential(flat(1.0), field, 0, grid)
+    with pytest.raises(DomainError, match=stated):
+        decoupling_check(1e4, field, flat(1.0), grid)

@@ -7,6 +7,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import curvband.operator as operator_mod
 import curvband.solver as solver_mod
@@ -399,6 +401,51 @@ def test_degenerate_levels_get_orthonormal_eigenvectors(coupling):
     gram = v.conj().T @ (op.measure_weights[:, None] * v)
     assert np.abs(gram - np.eye(6)).max() < 1e-10
     assert spec.residuals.max() < 1e-8
+
+
+@pytest.mark.parametrize("k", [1, 6])
+def test_tunnelling_doublet_meets_the_contract(k):
+    # a barrier a3^2 / 2 = 188.5 on [0.30, 0.60] splits the disc into a core and an
+    # annulus: levels 0 and 1 are 0.100 apart, 187 tol, and level 0's vector must
+    # carry no more of level 1's than the contract allows
+    field = frame_synthetic(a3=19.417868840237567,
+                            gamma_interval=(0.29613570389872346, 0.5971578823257306))
+    op = build_tangential(flat(1.0), field, 0, RadialGrid(200, 1.0), mode="as-written")
+    spec = eigen_solve(op, k)
+    assert spec.residuals.max() < 1e-8
+    np.testing.assert_allclose(spec.eigenvalues, smallest_real_parts(op.matrix, k),
+                               rtol=1e-9, atol=0.0)
+
+
+def test_hermitian_route_makes_no_random_draw(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("random draw on the Hermitian route")
+
+    monkeypatch.setattr(solver_mod.np.random, "default_rng", refuse)
+    for name, op in structured_cases(200, ms=(1,)):
+        assert eigen_solve(op, 6).residuals.max() < 1e-8, name
+
+
+@st.composite
+def double_wells(draw):
+    """(operator, k): a flat disc split by a barrier a3^2 / 2 of random height
+    and place (frame a3 on gamma_interval), which makes near-degenerate pairs
+    of a core and an annulus level; m, n, k in {1, 6} and the mode drawn too."""
+    lo = draw(st.floats(0.1, 0.7))
+    hi = draw(st.floats(lo + 0.05, min(lo + 0.4, 0.95)))
+    field = frame_synthetic(a3=draw(st.floats(5.0, 30.0) | st.floats(-30.0, -5.0)),
+                            gamma_interval=(lo, hi))
+    op = build_tangential(flat(1.0), field, draw(st.integers(0, 2)),
+                          RadialGrid(draw(st.integers(200, 1000)), 1.0),
+                          mode=draw(st.sampled_from(MODES)))
+    return op, draw(st.sampled_from((1, 6)))
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(double_wells())
+def test_double_wells_meet_the_contract(well):
+    op, k = well
+    assert eigen_solve(op, k).residuals.max() < 1e-8
 
 
 def test_readme_cap_spectrum_at_n2500_exits_zero(tmp_path):
