@@ -213,7 +213,8 @@ def offset_scale_factors(profile: SurfaceProfile, rho, q) -> Tuple[np.ndarray, n
     """Vectorized (h1, h2) of the offset chart; h3 is identically 1.
 
     h1 = Z (1 - q S_rhorho / Z^3) and h2 = rho (1 - q S_rho/(Z rho)),
-    written in forms regular at the axis.
+    written in forms regular at the axis.  The domain is not checked: the
+    divergence stencil's outer point can round past rho_max (n = 92, 116).
     """
     r = _farr(rho)
     s = _surface(profile, r, checked=False)

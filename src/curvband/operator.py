@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CoarseGridWarning, DomainError, EvaluationError
-from .geometry import SurfaceProfile, _positive, _surface, offset_scale_factors
+from .geometry import SurfaceProfile, _finite, _positive, _surface, offset_scale_factors
 
 MODES = ("as-written", "hermitian-corrected")
 MIN_N_POINTS = 16
@@ -135,6 +135,7 @@ def build_tangential(profile: SurfaceProfile, A: Callable, m: int,
     if mode not in MODES:
         raise DomainError(f"mode must be one of {MODES}, got {mode!r}")
     m = _whole("azimuthal index m", m)
+    _finite("e", e)
     if grid.n_points < MIN_N_POINTS:
         warnings.warn(
             f"n_points = {grid.n_points} < {MIN_N_POINTS}; "

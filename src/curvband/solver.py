@@ -41,13 +41,14 @@ RESIDUAL_TOL = 1e-8
 # (possibly up to a constant imaginary diagonal)
 HERMITIAN_RTOL = 1e-13
 # bisection tolerance in units of max |off(R)| / n^2 ~ 1 / (2 R^2) (the level spacing);
-# inverse-iteration steps of a non-normal level, and after it is refactored at its quotient;
+# inverse-iteration steps of each round of a non-normal level;
 # a Hermitian level's one step is factored STEP_OFFSET tol below it: other levels shrink by
 # STEP_OFFSET tol / gap (at 100, a channel at n = 8000 missed the contract), and a pair split
 # by < tol mixes as ~1 / STEP_OFFSET (at 1, twins missed W-orthonormality); 2-30 held both
-LOCATE_RTOL, INVERSE_STEPS, REFINE_STEPS, STEP_OFFSET = 1e-3, 3, 2, 8.0
-# a refined non-normal level is refactored at its new quotient while its residual is
-# above REFINE_TARGET, a decade inside the contract, at most REFINE_ROUNDS more times
+LOCATE_RTOL, INVERSE_STEPS, STEP_OFFSET = 1e-3, 3, 8.0
+# a non-normal level takes rounds, the first factored at its disc's centre and each later
+# one at its last quotient, until its residual is at most REFINE_TARGET, a decade inside
+# the contract: round 0, one at its first quotient, and at most REFINE_ROUNDS more
 REFINE_TARGET, REFINE_ROUNDS = 1e-9, 4
 # the shortest run evolve accepts, sqrt of the smallest normal float: the slope fit
 # scales its time column by sqrt(sum t^2) >= dt * steps, so the sum stays a normal float
@@ -255,18 +256,20 @@ def _certified_pairs(operator: TangentialOperator, located, shift, s, tol, k):
     move continuously along R + i t (J - c), t in [0, 1], each disc then holds
     exactly one, and the k lowest discs hold those of smallest real part; if
     not, CertificateError is raised.  The levels are separated, so nothing is
-    projected: each takes INVERSE_STEPS steps of inverse iteration through one
-    factorization at lev + i c - tol, then rounds of REFINE_STEPS steps, each
-    factored at its two-sided Rayleigh quotient minus tol.  The quotient's left
-    vector is D^2 x, where D M D^-1 is complex symmetric, (D_{j+1} / D_j)^2 =
-    upper_j / lower_j: the left eigenvector's form, so the eigenvalue's error
-    is quadratic in the vector's.  Rounds go on while the residual is above
-    REFINE_TARGET, up to 1 + REFINE_ROUNDS; one that does not lower it is
-    dropped, as the level is at the rounding floor.  A quotient outside the
-    disc (radius s + tol) may lie nearer a neighbour's eigenvalue than its
-    own, so that round is factored at the disc's centre.  Each pair must end
-    inside its disc and its measure-normalized vector meet the contract, or
-    RefinementError is raised; it says so where the level stopped at the floor.
+    projected: each runs one loop of equal rounds from a row of a random basis.
+    A round factors once, at lev + i c - tol in round 0 and at the last
+    two-sided Rayleigh quotient minus tol after it, takes INVERSE_STEPS steps
+    of inverse iteration, and ends with the new quotient and its residual.  The
+    quotient's left vector is D^2 x, where D M D^-1 is complex symmetric,
+    (D_{j+1} / D_j)^2 = upper_j / lower_j: the left eigenvector's form, so the
+    eigenvalue's error is quadratic in the vector's.  Rounds go on while the
+    residual is above REFINE_TARGET, up to 2 + REFINE_ROUNDS; one inside the
+    disc that does not lower it is dropped, as the level is at the rounding
+    floor.  A quotient outside the disc (radius s + tol) may lie nearer a
+    neighbour's eigenvalue than its own, so the round after it is factored at
+    the disc's centre.  Each pair must end inside its disc and its
+    measure-normalized vector meet the contract, or RefinementError is raised;
+    it says so where the level stopped at the floor.
     CertificateError names the off-diagonal pairs whose product has a negative
     real part: there sqrt(upper_j lower_j) is imaginary and enters s.
     """
@@ -287,28 +290,20 @@ def _certified_pairs(operator: TangentialOperator, located, shift, s, tol, k):
     d2 = np.concatenate(([1.0], np.cumprod(upper / lower)))
     basis = np.random.default_rng(0).uniform(-1.0, 1.0, (k, operator.n)).astype(complex)
 
-    def steps(x, sigma, count):
-        solve = _tridiag_solver(lower, diag - (sigma - tol), upper)
-        for _ in range(count):
-            x = solve(x)
-        return x
-
-    def quotient(x):
-        left = d2 * x
-        left /= left @ x
-        mx = _matvec(lower, diag, upper, x)
-        return left @ mx, mx
-
     values, far, floor = np.empty(k, dtype=complex), np.empty(k), np.zeros(k, dtype=bool)
     for i, lam in enumerate(located[:k] + shift):
-        x = steps(basis[i], lam, INVERSE_STEPS)
-        q, res = quotient(x)[0], math.inf
-        for _ in range(1 + REFINE_ROUNDS):
+        x, q, res = basis[i], lam, math.inf
+        for _ in range(2 + REFINE_ROUNDS):
             inside = abs(q - lam) <= s + tol
             if inside and res <= REFINE_TARGET:
                 break
-            y = steps(x, q if inside else lam, REFINE_STEPS)
-            y_q, my = quotient(y)
+            solve = _tridiag_solver(lower, diag - ((q if inside else lam) - tol), upper)
+            y = x
+            for _ in range(INVERSE_STEPS):
+                y = solve(y)
+            left, my = d2 * y, _matvec(lower, diag, upper, y)
+            left /= left @ y
+            y_q = left @ my
             y_res = _residual(my, y, y_q)
             if inside and y_res >= res:
                 floor[i] = True

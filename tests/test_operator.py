@@ -65,6 +65,12 @@ def test_invalid_mode_rejected():
                          mode="sloppy")
 
 
+@pytest.mark.parametrize("e", [math.nan, math.inf, -math.inf])
+def test_non_finite_charge_rejected(e):
+    with pytest.raises(DomainError, match="^e must be finite, got"):
+        build_tangential(flat(1.0), zero_field(), 0, RadialGrid(32, 1.0), e=e)
+
+
 # ----------------------------------------------------------------------
 # structure of the assembled matrix
 # ----------------------------------------------------------------------

@@ -374,6 +374,23 @@ def test_level_meeting_the_target_takes_no_further_round(monkeypatch):
         assert spec.eigenvectors.tobytes() == first.eigenvectors.tobytes()
 
 
+@pytest.mark.parametrize("m", [0, 1])
+def test_level_meeting_the_target_after_round_0_is_factored_once(monkeypatch, m):
+    # as-written on a mild paraboloid with no field: each of the 6 levels meets
+    # REFINE_TARGET after its round at the disc's centre, so takes no second round
+    factored = []
+
+    def counted(lower, diag, upper, factor=solver_mod._tridiag_solver):
+        factored.append(diag.size)
+        return factor(lower, diag, upper)
+
+    op = build_tangential(paraboloid(0.5, 1.0), zero_field(), m, RadialGrid(1000, 1.0),
+                          mode="as-written")
+    monkeypatch.setattr(solver_mod, "_tridiag_solver", counted)
+    eigen_solve(op, 6)
+    assert factored == [1000] * 6
+
+
 def twin_channel(coupling):
     """Two copies of a paraboloid m = 1 channel (n = 400) side by side.  The
     off-diagonal between them is coupling times the copy's last one in M_w,
