@@ -13,7 +13,6 @@ norm tracking.
 from .errors import (
     CertificateError,
     ChartDegenerateError,
-    CoarseGridWarning,
     ConfigError,
     CurvbandError,
     DomainError,

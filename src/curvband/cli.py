@@ -4,7 +4,8 @@ Every run is driven by one YAML config (see config module); selected keys
 can be overridden by flags.  Outputs are deterministic CSV files plus a
 run_summary.txt with the config echo, Hermiticity report and decoupling
 ratio.  Numbers are written with 17 significant digits and no timestamps,
-so identical inputs produce byte-identical files.
+so identical inputs produce byte-identical files.  A run computes all of its
+output before it makes the output directory, so a failed run writes nothing.
 """
 
 from __future__ import annotations
@@ -58,12 +59,22 @@ def write_csv(path: Path, header, rows) -> None:
             fh.write(template * len(block) % tuple(np.ravel(block).tolist()))
 
 
-def _summary_lines(config, profile, field, grid):
-    op = operator.build_tangential(profile, field, config.m_list[0], grid,
-                                   mode=config.mode, e=config.charge_e)
-    herm = solver.hermiticity_report(op)
+def run_command(config: cfgmod.RunConfig, command: str, output_dir=None) -> int:
+    """Execute one subcommand; returns the process exit status.  Every number is
+    computed before anything is written, so a failed run writes nothing, not even
+    its output directory."""
+    if command not in COMMANDS:
+        raise CurvbandError(f"unknown command {command!r}")
+
+    profile = cfgmod.make_profile(config)
+    field = cfgmod.make_field(config, profile)
+    grid = cfgmod.make_grid(config)
+    op0 = operator.build_tangential(profile, field, config.m_list[0], grid,
+                                    mode=config.mode, e=config.charge_e)
+    herm = solver.hermiticity_report(op0)
     dec = operator.decoupling_check(config.omega, field, profile, grid)
     lines = [
+        f"command: {command}",
         f"mode: {config.mode}",
         f"hermiticity: max_asymmetry={_fmt(herm.max_asymmetry)} "
         f"relative={_fmt(herm.relative_asymmetry)} "
@@ -72,39 +83,23 @@ def _summary_lines(config, profile, field, grid):
         f"decoupling: omega={_fmt(dec.omega)} ratio={_fmt(dec.ratio)} "
         f"passed={dec.passed} chart_ok={dec.chart_ok}",
     ]
-    return lines, op
-
-
-def run_command(config: cfgmod.RunConfig, command: str, output_dir=None) -> int:
-    """Execute one subcommand; returns the process exit status."""
-    if command not in COMMANDS:
-        raise CurvbandError(f"unknown command {command!r}")
-    out = Path(output_dir if output_dir is not None else config.output_path)
-    out.mkdir(parents=True, exist_ok=True)
-
-    profile = cfgmod.make_profile(config)
-    field = cfgmod.make_field(config, profile)
-    grid = cfgmod.make_grid(config)
-
-    summary, op0 = _summary_lines(config, profile, field, grid)
-    extra = []
 
     if command == "geometry":
         nodes = grid.nodes
         Z, H, K = geometry.curvatures(profile, nodes)
         # scalar h ** 2 is libm pow; an array H ** 2 (np.square) moves a few last digits
         hsq_minus_k = [h ** 2 - k for h, k in zip(H.tolist(), K.tolist())]
-        write_csv(out / "geometry.csv", ["rho", "Z", "H", "K", "Hsq_minus_K", "F_at_q0"],
-                  np.column_stack([nodes, Z, H, K, hsq_minus_k, np.ones_like(nodes)]))
-        extra.append(f"geometry.csv: {len(nodes)} nodes")
+        name, header = "geometry.csv", ["rho", "Z", "H", "K", "Hsq_minus_K", "F_at_q0"]
+        table = np.column_stack([nodes, Z, H, K, hsq_minus_k, np.ones_like(nodes)])
+        lines.append(f"geometry.csv: {len(nodes)} nodes")
 
     elif command == "gauge-check":
         report = fieldmod.is_coulomb_gauge(field, profile, grid, GAUGE_TOL)
         if report.values is None:
             raise CurvbandError(f"gauge check: {report.note}")
-        write_csv(out / "gauge_check.csv", ["rho", "divergence"],
-                  np.column_stack([grid.nodes, report.values]))
-        extra.append(
+        name, header = "gauge_check.csv", ["rho", "divergence"]
+        table = np.column_stack([grid.nodes, report.values])
+        lines.append(
             f"gauge-check: passed={report.passed} "
             f"max_violation={_fmt(report.max_violation)} "
             f"at_rho={_fmt(report.at_rho)} tol={_fmt(report.tol)}"
@@ -115,15 +110,15 @@ def run_command(config: cfgmod.RunConfig, command: str, output_dir=None) -> int:
                                                  mode=config.mode, e=config.charge_e)
                        for m in config.m_list[1:]]
         results = [(op, solver.eigen_solve(op, config.k_eigen)) for op in ops]
-        write_csv(out / "spectrum.csv", ["m", "index", "re_E", "im_E", "residual"],
-                  [(op.m, idx, val.real, val.imag, res) for op, spec in results
-                   for idx, (val, res) in enumerate(zip(spec.eigenvalues, spec.residuals))])
+        name, header = "spectrum.csv", ["m", "index", "re_E", "im_E", "residual"]
+        table = [(op.m, idx, val.real, val.imag, res) for op, spec in results
+                 for idx, (val, res) in enumerate(zip(spec.eigenvalues, spec.residuals))]
         E_q = operator.normal_energy(config.omega, config.n_normal)
         ground = results[0][1].eigenvalues[0]
         combined = ground + E_q
-        extra.append(f"normal channel: omega={_fmt(config.omega)} "
+        lines.append(f"normal channel: omega={_fmt(config.omega)} "
                      f"n={config.n_normal} E_q={_fmt(E_q)}")
-        extra.append(f"ground total (m={config.m_list[0]}): "
+        lines.append(f"ground total (m={config.m_list[0]}): "
                      f"re={_fmt(combined.real)} im={_fmt(combined.imag)} "
                      f"tangential re={_fmt(ground.real)}")
 
@@ -131,16 +126,19 @@ def run_command(config: cfgmod.RunConfig, command: str, output_dir=None) -> int:
         initial = solver.ground_state(op0)
         trace = solver.evolve(op0, initial, config.dt, config.steps,
                               record_states=False)
-        write_csv(out / "trace.csv", ["t", "norm", "log_norm"],
-                  np.column_stack([trace.times, trace.norms, np.log(trace.norms)]))
+        name, header = "trace.csv", ["t", "norm", "log_norm"]
+        table = np.column_stack([trace.times, trace.norms, np.log(trace.norms)])
         avg = solver.weighted_coupling(op0, initial)
-        extra.append(f"log-norm slope: {_fmt(trace.log_norm_slope)}")
-        extra.append(f"weighted coupling <e A3 H>: {_fmt(avg)}")
-        extra.append(f"norm ratio: {_fmt(trace.norms[-1] / trace.norms[0])}")
+        lines.append(f"log-norm slope: {_fmt(trace.log_norm_slope)}")
+        lines.append(f"weighted coupling <e A3 H>: {_fmt(avg)}")
+        lines.append(f"norm ratio: {_fmt(trace.norms[-1] / trace.norms[0])}")
 
-    echo = ["config:"] + ["  " + line for line in cfgmod.serialize_config(config).splitlines()]
+    lines += ["config:"] + ["  " + line for line in cfgmod.serialize_config(config).splitlines()]
+    out = Path(output_dir if output_dir is not None else config.output_path)
+    out.mkdir(parents=True, exist_ok=True)
+    write_csv(out / name, header, table)
     with _replacing(out / "run_summary.txt") as fh:
-        fh.write("\n".join([f"command: {command}", *summary, *extra, *echo]) + "\n")
+        fh.write("\n".join(lines) + "\n")
     return 0
 
 

@@ -157,9 +157,10 @@ def _value(value, typ, rule, key: str):
     if isinstance(value, bool) or not isinstance(value, (int, float) if typ is float else int):
         raise ConfigError(f"{key}: must be {'a number' if typ is float else 'an integer'}, "
                           f"got {value!r}{_float_hint(value) if typ is float else ''}")
+    if not -sys.float_info.max <= value <= sys.float_info.max:  # nan, inf, ints past float range
+        raise ConfigError(f"{key}: must be finite and at most {sys.float_info.max:.6g} in "
+                          f"magnitude, got {value}")
     if typ is float:
-        if not -sys.float_info.max <= value <= sys.float_info.max:  # also ints past float range
-            raise ConfigError(f"{key}: must be finite, got {value}")
         value = float(value)
     if rule.get("positive") and value <= 0:
         raise ConfigError(f"{key}: must be > 0, got {value}")

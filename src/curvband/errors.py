@@ -35,9 +35,5 @@ class RefinementError(SolveError):
     cap, to an eigenpair that meets the contract inside its own disc."""
 
 
-class CoarseGridWarning(UserWarning):
-    """Radial grid too coarse for trustworthy spectra."""
-
-
 class InstabilityWarning(UserWarning):
     """Time stepping shows signs of numerical instability."""

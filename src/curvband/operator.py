@@ -31,17 +31,18 @@ from __future__ import annotations
 
 import math
 import numbers
-import warnings
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import CoarseGridWarning, DomainError, EvaluationError
+from .errors import DomainError, EvaluationError
 from .geometry import SurfaceProfile, _finite, _positive, _surface, offset_scale_factors
 
 MODES = ("as-written", "hermitian-corrected")
 MIN_N_POINTS = 16
+OMEGA_MAX = math.sqrt(sys.float_info.max)  # decoupling_check squares omega
 
 
 @dataclass(frozen=True)
@@ -49,14 +50,15 @@ class RadialGrid:
     """Uniform radial grid of interior nodes j*spacing, j = 1..n_points.
 
     No node sits at the axis; the outer boundary rho = rho_max carries a
-    Dirichlet condition.
+    Dirichlet condition.  n_points must be at least MIN_N_POINTS, as in the
+    config, so every operator on a grid has at least that many rows.
     """
 
     n_points: int
     rho_max: float
 
     def __post_init__(self):
-        _whole("n_points", self.n_points, 1)
+        _whole("n_points", self.n_points, MIN_N_POINTS)
         _positive("rho_max", self.rho_max)
 
     @property
@@ -108,9 +110,12 @@ class TangentialOperator:
 
 def _whole(name: str, value, minimum=None) -> int:
     """value as an int; DomainError naming the argument unless it is an integer type (a bool
-    or a whole float is not, as in the config) and, if minimum is given, at least minimum."""
+    or a whole float is not, as in the config) within float range and, if minimum is given,
+    at least minimum."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise DomainError(f"{name} must be an integer, got {value!r}")
+    if abs(value) > sys.float_info.max:  # math.log10 reads an int of any size
+        raise DomainError(f"{name} exceeds float range: about 10^{math.log10(abs(value)):.0f}")
     if minimum is not None and value < minimum:
         raise DomainError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
@@ -119,7 +124,10 @@ def _whole(name: str, value, minimum=None) -> int:
 def normal_energy(omega: float, n: int) -> float:
     """Analytic confinement ladder omega (n + 1/2); no discretization."""
     _positive("omega", omega)
-    return omega * (_whole("level index n", n, 0) + 0.5)
+    energy = omega * (_whole("level index n", n, 0) + 0.5)
+    if not math.isfinite(energy):
+        raise DomainError(f"omega (n + 1/2) overflows: omega = {omega}, n = {float(n):.6g}")
+    return energy
 
 
 def _finite_on_grid(*components) -> None:
@@ -136,12 +144,6 @@ def build_tangential(profile: SurfaceProfile, A: Callable, m: int,
         raise DomainError(f"mode must be one of {MODES}, got {mode!r}")
     m = _whole("azimuthal index m", m)
     _finite("e", e)
-    if grid.n_points < MIN_N_POINTS:
-        warnings.warn(
-            f"n_points = {grid.n_points} < {MIN_N_POINTS}; "
-            "spectra will be poorly resolved",
-            CoarseGridWarning, stacklevel=2,
-        )
 
     n = grid.n_points
     dr = grid.spacing
@@ -188,7 +190,11 @@ def build_tangential(profile: SurfaceProfile, A: Callable, m: int,
 
     a1, a2, a3 = a1_ext[inner], a2_ext[inner], a3_ext[inner]
     _finite_on_grid(a1_ext, a2, a3)
-    diag = diag + 0.5 * m * m / rho ** 2 \
+    centrifugal = 0.5 * m * m / rho ** 2      # largest at the first node, m^2 / (2 drho^2)
+    if centrifugal[0] == math.inf:
+        raise DomainError(f"azimuthal index m = {float(m):.6g} is too large for the grid: "
+                          f"m^2 / (2 drho^2) overflows at drho = {dr:.6g}")
+    diag = diag + centrifugal \
         - 0.5 * (H ** 2 - K) \
         + e * m * a2 / rho \
         + 1j * (e * a3 * H) \
@@ -228,6 +234,8 @@ def decoupling_check(omega: float, A: Callable,
                      profile: SurfaceProfile, grid: RadialGrid) -> DecouplingReport:
     """Ratio test for tangential/normal separation at confinement omega."""
     _positive("omega", omega)
+    if omega > OMEGA_MAX:
+        raise DomainError(f"omega must be <= {OMEGA_MAX:.6g} for a finite omega^2, got {omega}")
     q_star = omega ** -0.5
     v_n = 0.5 * omega ** 2 * q_star ** 2
     a3 = np.abs(np.asarray(A(grid.nodes, 0.0)[2], dtype=float))

@@ -126,30 +126,26 @@ def _matvec(lower, diag, upper, x) -> np.ndarray:
 
 def _tridiag_solver(lower, diag, upper):
     """Solver for one right-hand side from one LAPACK gttrf factorization;
-    SolveError if the matrix is exactly singular.  Fewer than 3 rows, which
-    the wrapper rejects, are padded with decoupled identity rows."""
-    n, pad = diag.size, np.zeros(max(0, 3 - diag.size))
-    if n < 3:
-        lower, diag, upper = np.append(lower, pad), np.append(diag, pad + 1), np.append(upper, pad)
+    SolveError if the matrix is exactly singular.  Its callers pass the bands
+    _weighted has checked against a grid, so the matrix has at least
+    MIN_N_POINTS rows, more than the 3 the wrapper needs."""
     *lu, info = lapack.zgttrf(lower, diag, upper)
     if info:
         raise SolveError(f"the tridiagonal matrix is singular: gttrf's pivot {info} is 0")
-
-    def solve(b):
-        return lapack.zgttrs(*lu, np.append(b, pad) if n < 3 else b)[0][:n]
-    return solve
+    return lambda b: lapack.zgttrs(*lu, b)[0]
 
 
 def _weighted(operator: TangentialOperator):
     """W^1/2 and M_w = W^1/2 M W^-1/2 off its diagonal, which is M's, with off_gap, scale, gap
     and hermitian = gap <= HERMITIAN_RTOL scale, the one test of measure-Hermiticity.
-    SolveError names a band whose length disagrees with diag's or that is not finite."""
-    n = operator.n
-    for name, size in (("lower", n - 1), ("upper", n - 1), ("measure_weights", n)):
-        got = len(getattr(operator, name))
-        if got != size:
-            raise SolveError(f"operator band {name} has {got} entries, not {size}: diag has {n}")
-    for name, band in zip(("lower", "diag", "upper"), operator.bands):
+    SolveError names a band or the measure weights where its length disagrees with the
+    grid's node count or an entry is not finite."""
+    n = operator.grid.n_points
+    for name, size in (("diag", n), ("lower", n - 1), ("upper", n - 1), ("measure_weights", n)):
+        band = getattr(operator, name)
+        if len(band) != size:
+            raise SolveError(f"operator band {name} has {len(band)} entries, not {size}: "
+                             f"the grid has {n} nodes")
         if not np.isfinite(band).all():
             raise SolveError(f"operator band {name} has a nan or inf entry")
     d = np.sqrt(operator.measure_weights)

@@ -497,7 +497,80 @@ def test_failed_run_leaves_no_summary(tmp_path, monkeypatch):
     monkeypatch.setattr("curvband.config.serialize_config", fail)
     with pytest.raises(RuntimeError, match="serializer lost"):
         run_cli(tmp_path, MINIMAL + "grid:\n  n_points: 32\n", "geometry")
-    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["geometry.csv"]
+    # the config echo is computed before the output directory is made
+    assert not (tmp_path / "out").exists()
+
+
+def assert_failed_cleanly(tmp_path, capsys, body, command, message):
+    """The run exits 1 with one error line holding message and makes no output directory."""
+    code, out = run_cli(tmp_path, body, command)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {command}: ") and err.count("\n") == 1, err
+    assert message in err, err
+    assert not out.exists()
+
+
+def test_failure_after_the_solve_writes_nothing(tmp_path, capsys, monkeypatch):
+    # before, spectrum.csv was written before the normal ladder was evaluated
+    def fail(*args, **kwargs):
+        raise curvband.DomainError("ladder unavailable")
+
+    monkeypatch.setattr("curvband.operator.normal_energy", fail)
+    assert_failed_cleanly(tmp_path, capsys, MINIMAL + "grid:\n  n_points: 32\n", "spectrum",
+                          "ladder unavailable")
+
+
+def test_gauge_check_that_cannot_evaluate_writes_nothing(tmp_path, capsys, monkeypatch):
+    # is_coulomb_gauge reports the failure with values None; before, the empty
+    # output directory was left behind
+    def fail(*args, **kwargs):
+        raise curvband.EvaluationError("stencil unavailable")
+
+    monkeypatch.setattr("curvband.fields.divergence", fail)
+    assert_failed_cleanly(tmp_path, capsys, MINIMAL + "grid:\n  n_points: 32\n", "gauge-check",
+                          "gauge check: evaluation failed: EvaluationError: stencil unavailable")
+
+
+BEYOND_FLOAT = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+@pytest.mark.parametrize("line, key", [
+    (f"steps: {BEYOND_FLOAT}", "config.steps"),
+    (f"grid: {{n_points: {BEYOND_FLOAT}}}", "grid.n_points"),
+    (f"m_list: [{BEYOND_FLOAT}]", "config.m_list"),
+    (f"n_normal: {BEYOND_FLOAT}", "config.n_normal"),
+], ids=["steps", "n-points", "m-list", "n-normal"])
+def test_integer_beyond_float_range_is_a_config_error(tmp_path, capsys, command, line, key):
+    # before, each died with an uncaught OverflowError, in parsing or in assembly, or
+    # (n_normal) in spectrum after spectrum.csv was written
+    assert_failed_cleanly(tmp_path, capsys, MINIMAL + line + "\n", command,
+                          f"{key}: must be finite and at most 1.79769e+308 in magnitude, "
+                          f"got {BEYOND_FLOAT}")
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+@pytest.mark.parametrize("body, message", [
+    (MINIMAL + "omega: 1.0e+200\n", "omega must be <= 1.34078e+154 for a finite omega^2"),
+    (MINIMAL + f"m_list: [1{'0' * 200}]\n", "azimuthal index m = 1e+200 is too large"),
+    pytest.param("surface: {kind: flat, rho_max: 1.0e+200}\n",
+                 "operator band measure_weights has a nan or inf entry",
+                 # assembly still overflows on its way to the infinite weights
+                 marks=pytest.mark.filterwarnings(
+                     "ignore:overflow encountered:RuntimeWarning")),
+], ids=["omega", "m", "rho-max"])
+def test_overflow_in_an_accepted_config_is_named(tmp_path, capsys, command, body, message):
+    # before: an uncaught OverflowError from omega ** 2; the band, not m; and for
+    # rho_max a ValueError from LAPACK, or exit 0 for geometry and gauge-check
+    assert_failed_cleanly(tmp_path, capsys, body + "grid: {n_points: 32}\n", command, message)
+
+
+def test_normal_energy_that_overflows_is_named(tmp_path, capsys):
+    # before, spectrum exited 0 with E_q=inf
+    assert_failed_cleanly(tmp_path, capsys, MINIMAL + f"n_normal: 1{'0' * 306}\ngrid: {{n_points: 32}}\n",
+                          "spectrum",
+                          "omega (n + 1/2) overflows: omega = 1000000.0, n = 1e+306")
 
 
 def test_unwritable_output_is_a_named_error(tmp_path, capsys):

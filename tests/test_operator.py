@@ -1,12 +1,13 @@
 """Assembly of the tangential operator and the normal channel."""
 
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
 
 from curvband import (
-    CoarseGridWarning,
     DomainError,
     EvaluationError,
     RadialGrid,
@@ -54,9 +55,13 @@ def test_grid_rejects_bad_parameters():
         RadialGrid(10.5, 1.0)
 
 
-def test_coarse_grid_warns():
-    with pytest.warns(CoarseGridWarning):
-        build_tangential(flat(1.0), zero_field(), 0, RadialGrid(8, 1.0))
+def test_coarse_grid_is_a_named_error():
+    # the config's rule: every operator on a grid has at least MIN_N_POINTS = 16 rows
+    with pytest.raises(DomainError, match="^n_points must be >= 16, got 8$"):
+        RadialGrid(8, 1.0)
+    with pytest.raises(DomainError, match="^n_points must be >= 16, got 15$"):
+        RadialGrid(15, 1.0)
+    assert RadialGrid(16, 1.0).n_points == 16
 
 
 def test_invalid_mode_rejected():
@@ -363,7 +368,7 @@ def test_bool_is_not_an_integer(call, name):
     (lambda op: build_tangential(flat(1.0), zero_field(), 1.0, op.grid),
      "azimuthal index m must be an integer, got 1.0"),
     (lambda op: normal_energy(1.0, 2.0), "level index n must be an integer, got 2.0"),
-    (lambda op: RadialGrid(0, 1.0), "n_points must be >= 1, got 0"),
+    (lambda op: RadialGrid(0, 1.0), "n_points must be >= 16, got 0"),
     (lambda op: normal_energy(1.0, -2), "level index n must be >= 0, got -2"),
 ], ids=["grid-n-points", "eigen-k", "assembly-m", "ladder-n", "grid-minimum", "ladder-minimum"])
 def test_one_integer_rule(call, message):
@@ -373,6 +378,50 @@ def test_one_integer_rule(call, message):
     with pytest.raises(DomainError, match=f"^{message}$"):
         call(op)
     assert eigen_solve(op, np.int64(2)).eigenvalues.size == 2
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda op: RadialGrid(10 ** 400, 1.0), "n_points"),
+    (lambda op: build_tangential(flat(1.0), zero_field(), 10 ** 400, op.grid),
+     "azimuthal index m"),
+    (lambda op: build_tangential(flat(1.0), zero_field(), -10 ** 400, op.grid),
+     "azimuthal index m"),
+    (lambda op: evolve(op, np.ones(op.n), dt=1e-3, steps=10 ** 400), "steps"),
+    (lambda op: normal_energy(1.0, 10 ** 400), "level index n"),
+], ids=["grid-n-points", "assembly-m", "assembly-negative-m", "evolve-steps", "ladder-n"])
+def test_integer_beyond_float_range_is_named(call, name):
+    # before, each raised OverflowError where the integer met a float: the grid's spacing,
+    # the centrifugal term, dt * steps and omega (n + 1/2)
+    op = build_tangential(flat(1.0), zero_field(), 0, RadialGrid(20, 1.0))
+    with pytest.raises(DomainError, match=f"^{name} exceeds float range: about 10\\^400$"):
+        call(op)
+
+
+def test_normal_energy_that_overflows_is_named():
+    assert normal_energy(1.0, 10 ** 306) == 1e306
+    with pytest.raises(DomainError, match=r"^omega \(n \+ 1/2\) overflows: omega = 1000000.0, "
+                                          r"n = 1e\+306$"):
+        normal_energy(1e6, 10 ** 306)
+
+
+def test_omega_whose_square_overflows_is_named():
+    omega_max = math.sqrt(sys.float_info.max)
+    grid = RadialGrid(32, 1.0)
+    assert decoupling_check(omega_max, frame_synthetic(a3=1.0), flat(1.0), grid).passed
+    for omega in (math.nextafter(omega_max, math.inf), 1e200):
+        message = f"omega must be <= {omega_max:.6g} for a finite omega^2, got {omega}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            decoupling_check(omega, frame_synthetic(a3=1.0), flat(1.0), grid)
+
+
+def test_centrifugal_overflow_names_m():
+    # before, the diagonal held inf and eigen_solve named the band, not m
+    grid = RadialGrid(32, 1.0)
+    build_tangential(flat(1.0), zero_field(), 10 ** 150, grid)
+    with pytest.raises(DomainError, match=r"^azimuthal index m = 1e\+200 is too large for the "
+                                          r"grid: m\^2 / \(2 drho\^2\) overflows at drho = "
+                                          r"0\.030303$"):
+        build_tangential(flat(1.0), zero_field(), 10 ** 200, grid)
 
 
 def test_decoupling_chart_ok_is_the_product_h1_h2():

@@ -214,12 +214,13 @@ def test_instability_warning_on_violent_growth():
 
 
 def test_singular_crank_nicolson_matrix_is_a_named_error():
-    # one node with M = 2i: at dt = 1, I + i dt/2 M is exactly 0
-    op = TangentialOperator(m=0, mode="hermitian-corrected", measure_weights=np.ones(1),
-                            grid=RadialGrid(1, 1.0), lower=np.zeros(0, dtype=complex),
-                            diag=np.array([2j]), upper=np.zeros(0, dtype=complex))
+    # uncoupled nodes with M = 2i: at dt = 1, I + i dt/2 M is exactly 0
+    n = 16
+    op = TangentialOperator(m=0, mode="hermitian-corrected", measure_weights=np.ones(n),
+                            grid=RadialGrid(n, 1.0), lower=np.zeros(n - 1, dtype=complex),
+                            diag=np.full(n, 2j), upper=np.zeros(n - 1, dtype=complex))
     with pytest.raises(SolveError, match="is singular"):
-        evolve(op, np.ones(1), dt=1.0, steps=1)
+        evolve(op, np.ones(n), dt=1.0, steps=1)
 
 
 def test_evolve_validates_arguments():
@@ -375,7 +376,7 @@ def test_moved_diagonal_is_the_coupling():
     assert hermiticity_report(moved).coupling_equality
 
 
-@pytest.mark.parametrize("band", ["lower", "diag", "upper"])
+@pytest.mark.parametrize("band", ["lower", "diag", "upper", "measure_weights"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize("entry", ["eigen_solve", "evolve", "hermiticity_report",
                                    "weighted_coupling"])
@@ -398,7 +399,7 @@ def test_non_finite_band_is_a_named_error(entry, bad, band):
 @pytest.mark.parametrize("entry", ["eigen_solve", "evolve", "hermiticity_report",
                                    "weighted_coupling"])
 def test_band_of_the_wrong_length_is_a_named_error(entry, band):
-    # a short diag leaves lower, the first band checked against it, too long
+    # each band is checked against the grid, so a short diag is named itself
     op = build_tangential(paraboloid(0.5, 1.0), zero_field(), 1, RadialGrid(50, 1.0))
     broken = dataclasses.replace(op, **{band: getattr(op, band)[:-1]})
     n = broken.n
@@ -406,11 +407,10 @@ def test_band_of_the_wrong_length_is_a_named_error(entry, band):
             "evolve": lambda: evolve(broken, np.ones(n), dt=1e-3, steps=10),
             "hermiticity_report": lambda: hermiticity_report(broken),
             "weighted_coupling": lambda: weighted_coupling(broken, np.ones(n))}[entry]
-    named, size, expected = {"lower": ("lower", 48, 49), "diag": ("lower", 49, 48),
-                             "upper": ("upper", 48, 49),
-                             "measure_weights": ("measure_weights", 49, 50)}[band]
-    with pytest.raises(SolveError, match=f"^operator band {named} has {size} entries, "
-                                         f"not {expected}: diag has {n}$"):
+    size, expected = {"lower": (48, 49), "diag": (49, 50), "upper": (48, 49),
+                      "measure_weights": (49, 50)}[band]
+    with pytest.raises(SolveError, match=f"^operator band {band} has {size} entries, "
+                                         f"not {expected}: the grid has 50 nodes$"):
         call()
 
 

@@ -14,7 +14,6 @@ import curvband.operator as operator_mod
 import curvband.solver as solver_mod
 from curvband import (
     CertificateError,
-    CoarseGridWarning,
     RadialGrid,
     RefinementError,
     SolveError,
@@ -503,20 +502,6 @@ def test_banded_cn_matches_dense_reference():
         ref_norms = np.sqrt((np.abs(ref) ** 2) @ op.measure_weights)
         np.testing.assert_allclose(trace.norms, ref_norms, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(trace.states, ref, rtol=0.0, atol=1e-12)
-
-
-def test_grids_under_three_points_solve_and_evolve():
-    # LAPACK's gttrf wrapper needs 3 rows; smaller systems are padded
-    for n in (1, 2):
-        with pytest.warns(CoarseGridWarning):
-            op = build_tangential(sphere_cap(2.0, 1.0), frame_synthetic(a3=0.4), 1,
-                                  RadialGrid(n, 1.0))
-        spec = eigen_solve(op, n)
-        ref = np.sort_complex(np.linalg.eigvals(op.matrix))
-        np.testing.assert_allclose(spec.eigenvalues, ref, rtol=1e-12)
-        trace = evolve(op, spec.eigenvectors[:, 0], dt=1e-2, steps=5)
-        ref_states = dense_cn(op, spec.eigenvectors[:, 0], 1e-2, 5)
-        np.testing.assert_allclose(trace.states, ref_states, rtol=0.0, atol=1e-12)
 
 
 def test_hermiticity_report_matches_dense_reference():
