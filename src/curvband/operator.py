@@ -42,6 +42,10 @@ from .geometry import SurfaceProfile, _finite, _positive, _surface, offset_scale
 
 MODES = ("as-written", "hermitian-corrected")
 MIN_N_POINTS = 16
+# up to it the last node, n spacing = n R / (n + 1) rounded twice, lies inside the wall R:
+# with a normal spacing each rounding is within u = 2^-53, and (1 + u)^2 < 1 + 1/n for every
+# n < 2^52; at n = 2^53 and R = 1 the last node is the wall itself
+MAX_N_POINTS = 2 ** 52 - 1
 OMEGA_MAX = math.sqrt(sys.float_info.max)  # decoupling_check squares omega
 
 
@@ -51,14 +55,17 @@ class RadialGrid:
 
     No node sits at the axis; the outer boundary rho = rho_max carries a
     Dirichlet condition.  n_points must be at least MIN_N_POINTS, as in the
-    config, so every operator on a grid has at least that many rows.
+    config, so every operator on a grid has at least that many rows, and at
+    most MAX_N_POINTS, so every node lies inside the wall.
     """
 
     n_points: int
     rho_max: float
 
     def __post_init__(self):
-        _whole("n_points", self.n_points, MIN_N_POINTS)
+        if _whole("n_points", self.n_points, MIN_N_POINTS) > MAX_N_POINTS:
+            raise DomainError(f"n_points must be <= {MAX_N_POINTS} (2^52 - 1), so that the last "
+                              f"node lies inside the wall, got {self.n_points}")
         _positive("rho_max", self.rho_max)
 
     @property
@@ -172,11 +179,14 @@ def build_tangential(profile: SurfaceProfile, A: Callable, m: int,
         sr, srr = surf.S_rho[inner], surf.S_rhorho[inner]
         delta_kin = Z ** 2 - 1.0 / Z ** 2
         delta_drift = 0.5 * sr * srr * (Z ** 4 - 1.0 / Z ** 4)
-        up = up - 0.5 * delta_kin * (1.0 / dr ** 2 + 1.0 / (2.0 * rho * dr)) \
+        # libm's pow, as a Python float's ** calls it, but overflowing to inf, not raising:
+        # the weights rho Z dr >= dr^2 are infinite then, which the solver names
+        dr2 = np.float64(dr) ** 2
+        up = up - 0.5 * delta_kin * (1.0 / dr2 + 1.0 / (2.0 * rho * dr)) \
             + delta_drift / (2.0 * dr)
-        lo = lo - 0.5 * delta_kin * (1.0 / dr ** 2 - 1.0 / (2.0 * rho * dr)) \
+        lo = lo - 0.5 * delta_kin * (1.0 / dr2 - 1.0 / (2.0 * rho * dr)) \
             - delta_drift / (2.0 * dr)
-        diag = diag + delta_kin / dr ** 2
+        diag = diag + delta_kin / dr2
 
     # radial field term -i e (A1/Z) d/drho, written in the skew form
     # whose midpoint coefficients are means of rho*A1; exactly

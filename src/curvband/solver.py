@@ -8,7 +8,9 @@ iteration on M's own bands gives each pair, by one route per structure
 class (eigen_solve): from R's stein vectors where M is Hermitian up to i c,
 else from a random basis, with Bauer-Fike discs to certify the selection.
 The routes use LAPACK's tridiagonal routines and one-dimensional products
-only, and leave scipy's BLAS thread count alone.
+only, and leave scipy's BLAS thread count alone.  The routines come from
+scipy's LAPACK extension, which _flapack loads from its file: the
+scipy.linalg package is never imported.
 
 Propagation is Crank-Nicolson,
 
@@ -23,14 +25,16 @@ one solve with A / 2, factored once per run, and one subtraction.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.linalg.lapack as lapack
 
 from .errors import CertificateError, DomainError, InstabilityWarning, RefinementError, SolveError
 from .geometry import _positive
@@ -53,6 +57,40 @@ REFINE_TARGET, REFINE_ROUNDS = 1e-9, 4
 # the shortest run evolve accepts, sqrt of the smallest normal float: the slope fit
 # scales its time column by sqrt(sum t^2) >= dt * steps, so the sum stays a normal float
 MIN_SPAN = math.sqrt(np.finfo(float).tiny)
+
+
+def _flapack():
+    """scipy's LAPACK extension, scipy/linalg/_flapack, loaded from its file.
+
+    The scipy.linalg package takes ~0.3 s to import, most of a command's wall
+    time, and the extension alone ~10 ms.  Neither scipy nor scipy.linalg is
+    imported, and sys.modules is left as it was, so a later import of
+    scipy.linalg runs as if this one had not happened.  ImportError names the
+    directory searched where the extension is missing.
+    """
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("curvband needs scipy's LAPACK extension, and scipy is not installed")
+    where = os.path.join(scipy.submodule_search_locations[0], "linalg")
+    suffixes = importlib.machinery.EXTENSION_SUFFIXES
+    finder = importlib.machinery.FileFinder(
+        where, (importlib.machinery.ExtensionFileLoader, suffixes))
+    spec = finder.find_spec("scipy.linalg._flapack")
+    if spec is None:
+        raise ImportError(f"scipy's LAPACK extension is missing: no _flapack with a suffix in "
+                          f"{suffixes} in {where}")
+    previous = sys.modules.get(spec.name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # CPython enters a single-phase extension module in sys.modules as it creates it
+    if previous is None:
+        sys.modules.pop(spec.name, None)
+    else:
+        sys.modules[spec.name] = previous
+    return module
+
+
+lapack = _flapack()
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,20 +235,37 @@ def eigen_solve(operator: TangentialOperator, k: int) -> Spectrum:
     if k > n:
         raise DomainError(f"k = {k} exceeds the operator's n = {n}")
     shift, off, s, scale, gauge = _symmetric_form(operator)
+    if not np.isfinite(off).all():
+        raise SolveError("the off-diagonal of the real symmetric part has a nan or inf entry")
     tol = LOCATE_RTOL * (off.max(initial=0.0) or scale) / n ** 2
+    d = operator.diag.real
     count = min(k + 1, n) if gauge is None else k
-    located = sla.eigh_tridiagonal(operator.diag.real, off, eigvals_only=gauge is None,
-                                   select="i", select_range=(0, count - 1), tol=tol,
-                                   lapack_driver="stebz")
-    values, vectors, residuals = (
-        _certified_pairs(operator, located, shift, s, tol, k) if gauge is None
-        else _hermitian_pairs(operator, *located, gauge, shift, tol))
+    # levels 1..count, in order for the certificate, in blocks for stein's vectors
+    found, levels, block, split = _lapack_call("dstebz", d, off, 2, 0.0, 1.0, 1, count, tol,
+                                               "E" if gauge is None else "B")
+    levels = levels[:found]
+    if gauge is None:
+        values, vectors, residuals = _certified_pairs(operator, levels, shift, s, tol, k)
+    else:
+        (y,) = _lapack_call("dstein", d, off, levels, block, split)
+        order = np.argsort(levels)
+        values, vectors, residuals = _hermitian_pairs(operator, levels[order], y[:, order],
+                                                      gauge, shift, tol)
     if not np.all(residuals < RESIDUAL_TOL):
         raise SolveError(f"eigen residual contract violated: max {residuals.max():.3e} "
                          f">= {RESIDUAL_TOL}")
     order = np.lexsort((values.imag, values.real))
     return Spectrum(m=operator.m, eigenvalues=values[order], eigenvectors=vectors[:, order],
                     residuals=residuals[order])
+
+
+def _lapack_call(routine: str, *args):
+    """The outputs of the LAPACK routine but its info; SolveError names the routine and a
+    nonzero info: < 0 an illegal argument, > 0 levels or vectors that did not converge."""
+    *out, info = getattr(lapack, routine)(*args)
+    if info:
+        raise SolveError(f"LAPACK {routine} failed with info = {info}")
+    return out
 
 
 def _residual(mx, x, lam) -> float:

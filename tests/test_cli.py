@@ -559,11 +559,28 @@ def test_integer_beyond_float_range_is_a_config_error(tmp_path, capsys, command,
                  # assembly still overflows on its way to the infinite weights
                  marks=pytest.mark.filterwarnings(
                      "ignore:overflow encountered:RuntimeWarning")),
-], ids=["omega", "m", "rho-max"])
+    pytest.param("surface: {kind: flat, rho_max: 1.0e+200}\nmode: as-written\n",
+                 "operator band measure_weights has a nan or inf entry",
+                 marks=pytest.mark.filterwarnings(
+                     "ignore:overflow encountered:RuntimeWarning")),
+    # the infinite Z of the curved profile makes the as-written diagonal nan first
+    pytest.param("surface: {kind: paraboloid, a: 0.5, rho_max: 1.0e+200}\nmode: as-written\n",
+                 "operator band diag has a nan or inf entry",
+                 marks=pytest.mark.filterwarnings(
+                     "ignore:(overflow|invalid value) encountered:RuntimeWarning")),
+], ids=["omega", "m", "rho-max", "rho-max-as-written", "rho-max-as-written-curved"])
 def test_overflow_in_an_accepted_config_is_named(tmp_path, capsys, command, body, message):
-    # before: an uncaught OverflowError from omega ** 2; the band, not m; and for
-    # rho_max a ValueError from LAPACK, or exit 0 for geometry and gauge-check
+    # before: an uncaught OverflowError from omega ** 2; the band, not m; for rho_max
+    # a ValueError from LAPACK, or exit 0 for geometry and gauge-check, and in as-written
+    # mode an uncaught OverflowError from the Python float dr ** 2
     assert_failed_cleanly(tmp_path, capsys, body + "grid: {n_points: 32}\n", command, message)
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_grid_past_the_node_bound_is_named(tmp_path, capsys, command):
+    # before, every command died with a ValueError from np.arange
+    assert_failed_cleanly(tmp_path, capsys, MINIMAL + "grid: {n_points: 100000000000000000000}\n",
+                          command, "n_points must be <= 4503599627370495 (2^52 - 1)")
 
 
 def test_normal_energy_that_overflows_is_named(tmp_path, capsys):
@@ -593,15 +610,19 @@ from curvband import cli, solver
 for command in ("geometry", "gauge-check", "spectrum", "evolve"):
     assert cli.main([command, "--config", sys.argv[1], "--output", sys.argv[2]]) == 0, command
 assert "scipy.sparse" not in sys.modules, "a CLI run loaded scipy.sparse"
+assert "scipy.linalg" not in sys.modules, "a CLI run loaded scipy.linalg"
 spla = solver.spla
 import scipy.sparse.linalg
 assert spla is scipy.sparse.linalg
+import scipy.linalg
+assert scipy.linalg.eigh_tridiagonal([2.0, 2.0], [1.0], eigvals_only=True).tolist() == [1.0, 3.0]
 """
 
 
 def test_cli_runs_never_load_scipy_sparse(tmp_path):
-    # a fresh interpreter, as each curvband command is; solver.spla, which only
-    # the benchmark reads, loads scipy.sparse.linalg on first use
+    # a fresh interpreter, as each curvband command is; the solver loads only scipy's
+    # LAPACK extension, and solver.spla, which only the benchmark reads, loads
+    # scipy.sparse.linalg on first use; both packages import as usual afterwards
     cfg = tmp_path / "run.yaml"
     cfg.write_text("surface: {kind: paraboloid, a: 0.5}\n"
                    "field: {kind: frame-synthetic, a3: 0.4, gamma_interval: [0.2, 0.6]}\n"

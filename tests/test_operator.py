@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvband import (
     DomainError,
@@ -25,6 +27,7 @@ from curvband import (
     zero_field,
 )
 from curvband.geometry import offset_scale_factors
+from curvband.operator import MAX_N_POINTS, MIN_N_POINTS
 
 SQRT2 = math.sqrt(2.0)
 
@@ -62,6 +65,26 @@ def test_coarse_grid_is_a_named_error():
     with pytest.raises(DomainError, match="^n_points must be >= 16, got 15$"):
         RadialGrid(15, 1.0)
     assert RadialGrid(16, 1.0).n_points == 16
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(MIN_N_POINTS, MAX_N_POINTS) | st.just(MAX_N_POINTS),
+       st.floats(1e-200, 1e200))
+def test_last_node_lies_inside_the_wall_up_to_the_node_bound(n, rho_max):
+    grid = RadialGrid(n, rho_max)
+    # the last entry of grid.nodes, which would take n floats to build
+    assert 0.0 < grid.spacing * np.float64(n) < rho_max
+
+
+def test_grid_past_the_node_bound_is_a_named_error():
+    # before, every use of the grid's nodes died with a ValueError from np.arange
+    for n in (MAX_N_POINTS + 1, 10 ** 20):
+        with pytest.raises(DomainError, match=f"^n_points must be <= {MAX_N_POINTS} "
+                                              rf"\(2\^52 - 1\), so that the last node lies "
+                                              f"inside the wall, got {n}$"):
+            RadialGrid(n, 1.0)
+    # past the bound the last node can be the wall itself
+    assert 1.0 / (2 ** 53 + 1) * np.float64(2 ** 53) == 1.0
 
 
 def test_invalid_mode_rejected():

@@ -3,7 +3,9 @@
 import dataclasses
 import itertools
 import math
+import re
 import warnings
+from importlib.machinery import ModuleSpec
 
 import numpy as np
 import pytest
@@ -113,9 +115,38 @@ def test_k_out_of_range_rejected():
 
 def test_non_integer_k_is_a_named_error_before_solving(monkeypatch):
     op = build_tangential(flat(1.0), zero_field(), 0, RadialGrid(32, 1.0))
-    monkeypatch.setattr(solver_mod.sla, "eigh_tridiagonal", None)  # calling it fails the test
+    monkeypatch.setattr(solver_mod.lapack, "dstebz", None)  # calling it fails the test
     with pytest.raises(DomainError, match="k must be an integer, got 2.5"):
         eigen_solve(op, 2.5)
+
+
+@pytest.mark.parametrize("routine", ["dstebz", "dstein"])
+def test_lapack_failure_is_a_named_error(monkeypatch, routine):
+    # before, scipy raised numpy's LinAlgError, which the CLI does not catch
+    run = getattr(solver_mod.lapack, routine)
+    monkeypatch.setattr(solver_mod.lapack, routine, lambda *args: (*run(*args)[:-1], 1))
+    op = build_tangential(flat(1.0), zero_field(), 0, RadialGrid(32, 1.0))  # takes stein's vectors
+    with pytest.raises(SolveError, match=f"^LAPACK {routine} failed with info = 1$"):
+        eigen_solve(op, 2)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_infinite_symmetric_part_is_a_named_error():
+    # finite bands whose measure weighting overflows: scipy's finiteness check raised a
+    # ValueError here, and LAPACK is never handed an inf
+    op = build_tangential(flat(1.0), zero_field(), 0, RadialGrid(32, 1.0))
+    big = np.full(31, -1.5e308, dtype=complex)
+    with pytest.raises(SolveError, match="^the off-diagonal of the real symmetric part has a "
+                                         "nan or inf entry$"):
+        eigen_solve(dataclasses.replace(op, lower=big, upper=big), 2)
+
+
+def test_missing_lapack_extension_names_the_directory(monkeypatch, tmp_path):
+    scipy = ModuleSpec("scipy", None, is_package=True)
+    scipy.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.setattr(solver_mod.importlib.util, "find_spec", lambda name: scipy)
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
+        solver_mod._flapack()
 
 
 def test_both_routes_agree_with_dense():

@@ -52,6 +52,10 @@ steps: 1000
 """
 
 
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def weighted(op):
     """Dense M_w = W^1/2 M W^-1/2; a diagonal similarity leaves M's diagonal as it is."""
     d = np.sqrt(op.measure_weights)
@@ -142,6 +146,36 @@ def test_certified_route_agrees_with_dense_on_non_normal_operator():
     np.testing.assert_allclose(spec.eigenvalues, smallest_real_parts(op.matrix, 4),
                                rtol=1e-9, atol=1e-9)
     assert np.all(spec.residuals < 1e-8)
+
+
+def test_located_levels_and_vectors_are_scipys_bit_for_bit(monkeypatch):
+    # the solver calls LAPACK's stebz and stein itself, as scipy.linalg's
+    # eigh_tridiagonal does, and scipy.linalg still imports beside it
+    import scipy.linalg as sla
+
+    located = {}
+    for route in ("_hermitian_pairs", "_certified_pairs"):
+        def spy(op, *args, route=route, run=getattr(solver_mod, route)):
+            located[route] = args
+            return run(op, *args)
+        monkeypatch.setattr(solver_mod, route, spy)
+    grid = RadialGrid(400, 1.0)
+    cap = build_tangential(sphere_cap(2.0, 1.0), frame_synthetic(a3=0.4), 1, grid)
+    eigen_solve(cap, 6)
+    levels, vectors, *_, tol = located["_hermitian_pairs"]
+    expected = sla.eigh_tridiagonal(cap.diag.real, solver_mod._symmetric_form(cap)[1],
+                                    select="i", select_range=(0, 5), tol=tol,
+                                    lapack_driver="stebz")
+    assert same_bits(levels, expected[0]) and same_bits(vectors, expected[1])
+
+    as_written = build_tangential(paraboloid(0.5, 1.0), zero_field(), 0, grid, mode="as-written")
+    eigen_solve(as_written, 6)
+    levels, _, _, tol, _ = located["_certified_pairs"]
+    expected = sla.eigh_tridiagonal(as_written.diag.real,
+                                    solver_mod._symmetric_form(as_written)[1],
+                                    eigvals_only=True, select="i", select_range=(0, 6), tol=tol,
+                                    lapack_driver="stebz")
+    assert same_bits(levels, expected)
 
 
 def test_certified_route_is_deterministic():
