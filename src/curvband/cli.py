@@ -10,12 +10,12 @@ output before it makes the output directory, so a failed run writes nothing.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from contextlib import contextmanager
 from itertools import islice
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -142,6 +142,72 @@ def run_command(config: cfgmod.RunConfig, command: str, output_dir=None) -> int:
     return 0
 
 
+# the positional command and the seven flags: converter, choices, metavar, help
+ARGUMENTS = {
+    "command": (str, COMMANDS, None, "what to compute and write"),
+    "--config": (str, None, "FILE", "YAML run configuration (required)"),
+    "--output": (str, None, "DIR", "output directory, in place of output_path"),
+    "--mode": (str, operator.MODES, None, "operator mode, in place of mode"),
+    "--m": (str, None, "M,...", "azimuthal indices, e.g. 0,1,2, in place of m_list"),
+    "--n-points": (int, None, "N", "radial nodes, in place of grid.n_points"),
+    "--dt": (float, None, "DT", "time step, in place of dt"),
+    "--steps": (int, None, "S", "number of time steps, in place of steps"),
+}
+REQUIRED = ("command", "--config")
+HELP = ("-h", "--help")
+
+
+def _parse_args(argv) -> SimpleNamespace:
+    """The command and the flag values (None where absent) of argv, each flag given as
+    --flag value or --flag=value, by its exact name, the last one winning.  -h or --help
+    prints the usage and every argument to stdout and exits 0; a malformed command line
+    prints the usage and the reason to stderr and exits 2."""
+    shown = {}
+    for name, (_, choices, metavar, _) in ARGUMENTS.items():
+        word = f"{{{','.join(choices)}}}" if choices else metavar
+        shown[name] = word if name == "command" else f"{name} {word}"
+    usage = "usage: curvband " + " ".join(
+        shown[name] if name in REQUIRED else f"[{shown[name]}]" for name in ARGUMENTS)
+
+    def refuse(reason):
+        print(usage, f"curvband: error: {reason}", sep="\n", file=sys.stderr)
+        raise SystemExit(2)
+
+    values = dict.fromkeys(ARGUMENTS)
+    rest = iter(argv)
+    for arg in rest:
+        if arg in HELP:
+            print(usage, "", "Spectra and norm dynamics of a charged particle bound to an "
+                  "axisymmetric curved surface in a static vector potential.", "",
+                  *(f"  {shown[name]:<40} {text}" for name, (*_, text) in ARGUMENTS.items()),
+                  f"  {', '.join(HELP):<40} show this help and exit", sep="\n")
+            raise SystemExit(0)
+        name, eq, value = arg.partition("=")
+        if not arg.startswith("--"):
+            name, value = "command", arg
+            if values["command"] is not None:
+                refuse(f"unrecognized arguments: {arg}")
+        elif name not in ARGUMENTS:
+            refuse(f"unrecognized arguments: {arg}")
+        elif not eq:
+            value = next(rest, None)
+            if value is None or value.startswith("--") or value in HELP:
+                refuse(f"argument {name}: expected one argument")
+        convert, choices = ARGUMENTS[name][:2]
+        try:
+            values[name] = convert(value)
+        except ValueError:
+            refuse(f"argument {name}: invalid {convert.__name__} value: {value!r}")
+        if choices is not None and value not in choices:
+            refuse(f"argument {name}: invalid choice: {value!r} "
+                   f"(choose from {', '.join(map(repr, choices))})")
+    missing = [name for name in REQUIRED if values[name] is None]
+    if missing:
+        refuse(f"the following arguments are required: {', '.join(missing)}")
+    return SimpleNamespace(**{name.lstrip("-").replace("-", "_"): value
+                              for name, value in values.items()})
+
+
 def _overrides(args) -> dict:
     """Config keys set by flags; parse_config validates them like the YAML."""
     doc = {key: getattr(args, key) for key in ("mode", "dt", "steps")
@@ -157,23 +223,7 @@ def _overrides(args) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="curvband",
-        description="Spectra and norm dynamics of a charged particle bound "
-                    "to an axisymmetric curved surface in a static vector potential",
-    )
-    # one flat parser: a subparser per command would build five parsers for
-    # seven flags that every command shares
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--config", required=True, help="YAML run configuration")
-    parser.add_argument("--output", default=None, help="output directory")
-    parser.add_argument("--mode", default=None, choices=list(operator.MODES))
-    parser.add_argument("--m", default=None,
-                        help="comma-separated azimuthal indices, e.g. 0,1,2")
-    parser.add_argument("--n-points", type=int, default=None)
-    parser.add_argument("--dt", type=float, default=None)
-    parser.add_argument("--steps", type=int, default=None)
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
 
     try:
         text = Path(args.config).read_text(encoding="utf-8")

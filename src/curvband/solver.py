@@ -177,9 +177,10 @@ def _weighted(operator: TangentialOperator):
     """W^1/2 and M_w = W^1/2 M W^-1/2 off its diagonal, which is M's, with off_gap, scale, gap
     and hermitian = gap <= HERMITIAN_RTOL scale, the one test of measure-Hermiticity.
     SolveError names a band or the measure weights where its length disagrees with the
-    grid's node count or an entry is not finite."""
+    grid's node count or an entry is not finite; the weights come first, since bands built
+    from infinite weights are a symptom of them."""
     n = operator.grid.n_points
-    for name, size in (("diag", n), ("lower", n - 1), ("upper", n - 1), ("measure_weights", n)):
+    for name, size in (("measure_weights", n), ("diag", n), ("lower", n - 1), ("upper", n - 1)):
         band = getattr(operator, name)
         if len(band) != size:
             raise SolveError(f"operator band {name} has {len(band)} entries, not {size}: "

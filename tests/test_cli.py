@@ -373,26 +373,82 @@ def test_flags_are_validated_like_config_keys(tmp_path, capsys, flag, value, key
 FLAGS = ("--config", "--output", "--mode", "--m", "--n-points", "--dt", "--steps")
 
 
+README_USAGE = next(line for line in (Path(__file__).resolve().parents[1] / "README.md")
+                    .read_text(encoding="utf-8").splitlines() if line.startswith("curvband {"))
+
+
 @pytest.mark.parametrize("command", cli.COMMANDS)
 def test_help_lists_every_flag(command, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main([command, "--help"])
     assert exit_info.value.code == 0
-    out = capsys.readouterr().out
-    for flag in FLAGS:
+    out, err = capsys.readouterr()
+    assert out.splitlines()[0] == "usage: " + README_USAGE
+    assert err == ""
+    for flag in FLAGS + ("-h",):
         assert flag in out
+    with pytest.raises(SystemExit) as exit_info:
+        main(["-h", command])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == out
+
+
+def assert_exits_two(tmp_path, capsys, argv, *named):
+    """The command line is refused with exit 2, the usage and one error line naming each of
+    named on stderr, nothing on stdout, and no output directory."""
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--output", str(out), *argv])
+    assert exit_info.value.code == 2
+    stdout, err = capsys.readouterr()
+    usage, error, *rest = err.splitlines()
+    assert (stdout, rest) == ("", [])
+    assert usage == "usage: " + README_USAGE
+    assert error.startswith("curvband: error: ")
+    for word in named:
+        assert word in error, error
+    assert not out.exists()
 
 
 def test_unknown_command_exits_two_naming_the_choices(tmp_path, capsys):
     cfg = tmp_path / "run.yaml"
     cfg.write_text(MINIMAL, encoding="utf-8")
-    with pytest.raises(SystemExit) as exit_info:
-        main(["spectra", "--config", str(cfg)])
-    assert exit_info.value.code == 2
-    err = capsys.readouterr().err
-    assert "'spectra'" in err
-    for command in cli.COMMANDS:
-        assert repr(command) in err
+    assert_exits_two(tmp_path, capsys, ["spectra", "--config", str(cfg)],
+                     "'spectra'", *map(repr, cli.COMMANDS))
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--config", "{cfg}"], ["command"]),
+    (["spectrum"], ["--config"]),
+    (["spectrum", "--config", "{cfg}", "--dt"], ["--dt"]),
+    (["spectrum", "--m", "--config", "{cfg}"], ["--m"]),
+    (["spectrum", "--conf", "{cfg}"], ["--conf"]),
+    (["spectrum", "--config", "{cfg}", "--n_points", "64"], ["--n_points"]),
+    (["spectrum", "evolve", "--config", "{cfg}"], ["evolve"]),
+    (["spectrum", "--config", "{cfg}", "--n-points", "64.0"], ["--n-points", "'64.0'"]),
+    (["evolve", "--config", "{cfg}", "--steps=ten"], ["--steps", "'ten'"]),
+    (["evolve", "--config", "{cfg}", "--dt", "fast"], ["--dt", "'fast'"]),
+    (["spectrum", "--config", "{cfg}", "--mode", "hermitian"],
+     ["--mode", "'hermitian'", *map(repr, operator.MODES)]),
+], ids=["no-command", "no-config", "no-value", "flag-as-value", "prefix", "underscore",
+        "second-command", "n-points-float", "steps-word", "dt-word", "mode"])
+def test_malformed_command_line_exits_two(tmp_path, capsys, argv, named):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(MINIMAL + "grid: {n_points: 32}\n", encoding="utf-8")
+    assert_exits_two(tmp_path, capsys, [arg.format(cfg=cfg) for arg in argv], *named)
+
+
+def test_flag_equals_value_and_last_flag_win(tmp_path):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(MINIMAL + "grid: {n_points: 32}\n", encoding="utf-8")
+    spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+    assert main(["spectrum", "--config", str(cfg), "--output", str(spaced), "--m", "-1,1",
+                 "--n-points", "48", "--mode", "as-written"]) == 0
+    assert main(["--n-points=24", "spectrum", f"--config={cfg}", f"--output={joined}",
+                 "--m=-1,1", "--mode=as-written", "--n-points", "48"]) == 0
+    for name in ("spectrum.csv", "run_summary.txt"):
+        assert (spaced / name).read_bytes() == (joined / name).read_bytes()
+    assert "n_points: 48" in (joined / "run_summary.txt").read_text(encoding="utf-8")
 
 
 def test_flags_before_the_command_give_the_same_outputs(tmp_path):
@@ -563,9 +619,8 @@ def test_integer_beyond_float_range_is_a_config_error(tmp_path, capsys, command,
                  "operator band measure_weights has a nan or inf entry",
                  marks=pytest.mark.filterwarnings(
                      "ignore:overflow encountered:RuntimeWarning")),
-    # the infinite Z of the curved profile makes the as-written diagonal nan first
     pytest.param("surface: {kind: paraboloid, a: 0.5, rho_max: 1.0e+200}\nmode: as-written\n",
-                 "operator band diag has a nan or inf entry",
+                 "operator band measure_weights has a nan or inf entry",
                  marks=pytest.mark.filterwarnings(
                      "ignore:(overflow|invalid value) encountered:RuntimeWarning")),
 ], ids=["omega", "m", "rho-max", "rho-max-as-written", "rho-max-as-written-curved"])
@@ -611,6 +666,8 @@ for command in ("geometry", "gauge-check", "spectrum", "evolve"):
     assert cli.main([command, "--config", sys.argv[1], "--output", sys.argv[2]]) == 0, command
 assert "scipy.sparse" not in sys.modules, "a CLI run loaded scipy.sparse"
 assert "scipy.linalg" not in sys.modules, "a CLI run loaded scipy.linalg"
+for name in ("argparse", "gettext", "locale"):
+    assert name not in sys.modules, f"a CLI run loaded {name}"
 spla = solver.spla
 import scipy.sparse.linalg
 assert spla is scipy.sparse.linalg
