@@ -1,16 +1,14 @@
 """Spectra and time evolution of the tangential operator.
 
-All work is done on the operator's three bands.  Eigensolves are
-verified: every reported pair must satisfy the residual contract
-||M v - lambda v|| / ||v|| < 1e-8 or the solve raises.  Bisection locates
-the lowest levels of a real symmetric tridiagonal R coarsely, and inverse
-iteration on M's own bands gives each pair, by one route per structure
-class (eigen_solve): from R's stein vectors where M is Hermitian up to i c,
-else from a random basis, with Bauer-Fike discs to certify the selection.
-The routes use LAPACK's tridiagonal routines and one-dimensional products
-only, and leave scipy's BLAS thread count alone.  The routines come from
-scipy's LAPACK extension, which _flapack loads from its file: the
-scipy.linalg package is never imported.
+All work is done on the operator's three bands.  Eigensolves are verified: every
+reported pair must satisfy the residual contract ||M v - lambda v|| / ||v|| < 1e-8 or
+the solve raises.  Bisection locates the lowest levels of a real symmetric tridiagonal R
+coarsely, and inverse iteration on M's own bands gives each pair from R's stein vectors,
+by one route per structure class (eigen_solve): mapped by a gauge where M is Hermitian up
+to i c, else by D^-1, with Bauer-Fike discs to certify the selection.  The routes use
+LAPACK's tridiagonal routines and one-dimensional products only, and leave scipy's BLAS
+thread count alone.  The routines come from scipy's LAPACK extension, which _flapack
+loads from its file: the scipy.linalg package is never imported.
 
 Propagation is Crank-Nicolson,
 
@@ -49,11 +47,10 @@ HERMITIAN_RTOL = 1e-13
 # a Hermitian level's one step is factored STEP_OFFSET tol below it: other levels shrink by
 # STEP_OFFSET tol / gap (at 100, a channel at n = 8000 missed the contract), and a pair split
 # by < tol mixes as ~1 / STEP_OFFSET (at 1, twins missed W-orthonormality); 2-30 held both
-LOCATE_RTOL, INVERSE_STEPS, STEP_OFFSET = 1e-3, 3, 8.0
-# a non-normal level takes rounds, the first factored at its disc's centre and each later
-# one at its last quotient, until its residual is at most REFINE_TARGET, a decade inside
-# the contract: round 0, one at its first quotient, and at most REFINE_ROUNDS more
-REFINE_TARGET, REFINE_ROUNDS = 1e-9, 4
+LOCATE_RTOL, INVERSE_STEPS, STEP_OFFSET = 1e-3, 2, 8.0
+# a non-normal level takes rounds, each factored at its last quotient, until its residual
+# is at most REFINE_TARGET, a decade inside the contract, or for REFINE_ROUNDS rounds
+REFINE_TARGET, REFINE_ROUNDS = 1e-9, 6
 # the shortest run evolve accepts, sqrt of the smallest normal float: the slope fit
 # scales its time column by sqrt(sum t^2) >= dt * steps, so the sum stays a normal float
 MIN_SPAN = math.sqrt(np.finfo(float).tiny)
@@ -198,17 +195,17 @@ def _weighted(operator: TangentialOperator):
 
 
 def _symmetric_form(operator: TangentialOperator):
-    """(i c, off, s, max |M_w|, gauge): the eigenvalues of M - i c lie
-    within s of those of the real symmetric tridiagonal R = (Re diag, off).
+    """(i c, off, s, max |M_w|, gauge): the eigenvalues of M - i c lie within s of those
+    of the real symmetric tridiagonal R = (Re diag, Re off).
 
-    A diagonal similarity with off-diagonals sqrt(upper_j lower_j) makes M
-    complex symmetric, R + iJ with R and J real symmetric and M's diagonal,
-    and by Bauer-Fike (Numer. Math. 2 (1960) 137) every eigenvalue of M - i c
-    lies within s = ||J - c||_inf >= ||J - c||_2 of one of R's; c minimizes s.
-    Where M_w passes _weighted's test and Im diag is constant to HERMITIAN_RTOL
-    of max |M_w|, c is that constant (exactly 0 if M_w is Hermitian), s = 0 and
-    gauge = e^{i phi} / sqrt(w), phi_0 = 0, phi_{j+1} = phi_j - arg(upper_w +
-    conj(lower_w))_j, maps R's eigenvectors to M's; otherwise gauge is None.
+    A diagonal similarity D, D_0 = 1, D_{j+1} / D_j = upper_j / off_j with off_j =
+    sqrt(upper_j lower_j), makes M complex symmetric, R + iJ with R and J real symmetric,
+    and by Bauer-Fike (Numer. Math. 2 (1960) 137) every eigenvalue of M - i c lies within
+    s = ||J - c||_inf >= ||J - c||_2 of one of R's; c minimizes s.  Where M_w passes
+    _weighted's test and Im diag is constant to HERMITIAN_RTOL of max |M_w|, c is that
+    constant (exactly 0 if M_w is Hermitian), s = 0, off is real and gauge = e^{i phi} /
+    sqrt(w), phi_0 = 0, phi_{j+1} = phi_j - arg(upper_w + conj(lower_w))_j, maps R's
+    eigenvectors to M's; otherwise gauge is None.
     """
     d, lower, upper, _, scale, _, hermitian = _weighted(operator)
     diag = operator.diag
@@ -221,37 +218,37 @@ def _symmetric_form(operator: TangentialOperator):
     off = np.sqrt(upper * lower)
     radii = np.abs(np.append(off.imag, 0.0)) + np.abs(np.append(0.0, off.imag))
     top, bottom = float((diag.imag + radii).max()), float((diag.imag - radii).min())
-    return 0.5j * (top + bottom), off.real, 0.5 * (top - bottom), scale, None
+    return 0.5j * (top + bottom), off, 0.5 * (top - bottom), scale, None
 
 
 def eigen_solve(operator: TangentialOperator, k: int) -> Spectrum:
     """k verified eigenpairs with smallest real parts.
 
-    Bisection (stebz) locates the lowest levels of R (_symmetric_form) to
-    within tol = LOCATE_RTOL max(off) / n^2: k of them with their stein vectors
-    where M_w is Hermitian up to i c (_hermitian_pairs), and one more for the
-    certificate otherwise (_certified_pairs).
+    Bisection (stebz) locates the lowest levels of R (_symmetric_form) to within tol =
+    LOCATE_RTOL max(Re off) / n^2: k, and one more for the certificate (_certify) where M_w
+    is not Hermitian up to i c; then stein gives the vectors of the k lowest.
     """
     n, k = operator.n, _whole("k", k, 1)
     if k > n:
         raise DomainError(f"k = {k} exceeds the operator's n = {n}")
     shift, off, s, scale, gauge = _symmetric_form(operator)
-    if not np.isfinite(off).all():
+    d, e = operator.diag.real, off.real
+    if not np.isfinite(e).all():
         raise SolveError("the off-diagonal of the real symmetric part has a nan or inf entry")
-    tol = LOCATE_RTOL * (off.max(initial=0.0) or scale) / n ** 2
-    d = operator.diag.real
-    count = min(k + 1, n) if gauge is None else k
-    # levels 1..count, in order for the certificate, in blocks for stein's vectors
-    found, levels, block, split = _lapack_call("dstebz", d, off, 2, 0.0, 1.0, 1, count, tol,
-                                               "E" if gauge is None else "B")
-    levels = levels[:found]
+    tol = LOCATE_RTOL * (e.max(initial=0.0) or scale) / n ** 2
+    count = k if gauge is not None else min(k + 1, n)
+    found, levels, block, split = _lapack_call("dstebz", d, e, 2, 0.0, 1.0, 1, count, tol, "B")
+    order = np.argsort(levels[:found])
     if gauge is None:
-        values, vectors, residuals = _certified_pairs(operator, levels, shift, s, tol, k)
-    else:
-        (y,) = _lapack_call("dstein", d, off, levels, block, split)
-        order = np.argsort(levels)
-        values, vectors, residuals = _hermitian_pairs(operator, levels[order], y[:, order],
-                                                      gauge, shift, tol)
+        _certify(operator, levels[order], shift, s, tol, k)
+    # the k lowest, in blocks as stebz gave them: stein reads only block's first k entries
+    take = np.sort(order[:k])
+    block[:take.size] = block[take]
+    (y,) = _lapack_call("dstein", d, e, levels[take], block, split)
+    y = y[:, np.argsort(levels[take])]
+    values, vectors, residuals = (
+        _certified_pairs(operator, levels[order], y, off, shift, s, tol) if gauge is None
+        else _hermitian_pairs(operator, levels[order], y, gauge, shift, tol))
     if not np.all(residuals < RESIDUAL_TOL):
         raise SolveError(f"eigen residual contract violated: max {residuals.max():.3e} "
                          f">= {RESIDUAL_TOL}")
@@ -300,33 +297,13 @@ def _hermitian_pairs(operator: TangentialOperator, located, vectors, gauge, shif
     return (values, *_normalized(operator, values, basis))
 
 
-def _certified_pairs(operator: TangentialOperator, located, shift, s, tol, k):
-    """Pairs of a non-normal channel, certified to be those of smallest real part.
-
-    The discs of radius s around lev + i c, up to the (k+1)-th, must be
-    disjoint: lev[j+1] - lev[j] > 2 s + tol for j < k.  As the eigenvalues
-    move continuously along R + i t (J - c), t in [0, 1], each disc then holds
-    exactly one, and the k lowest discs hold those of smallest real part; if
-    not, CertificateError is raised.  The levels are separated, so nothing is
-    projected: each runs one loop of equal rounds from a row of a random basis.
-    A round factors once, at lev + i c - tol in round 0 and at the last
-    two-sided Rayleigh quotient minus tol after it, takes INVERSE_STEPS steps
-    of inverse iteration, and ends with the new quotient and its residual.  The
-    quotient's left vector is D^2 x, where D M D^-1 is complex symmetric,
-    (D_{j+1} / D_j)^2 = upper_j / lower_j: the left eigenvector's form, so the
-    eigenvalue's error is quadratic in the vector's.  Rounds go on while the
-    residual is above REFINE_TARGET, up to 2 + REFINE_ROUNDS; one inside the
-    disc that does not lower it is dropped, as the level is at the rounding
-    floor.  A quotient outside the disc (radius s + tol) may lie nearer a
-    neighbour's eigenvalue than its own, so the round after it is factored at
-    the disc's centre.  Each pair must end inside its disc and its
-    measure-normalized vector meet the contract, or RefinementError is raised;
-    it says so where the level stopped at the floor.
-    CertificateError names the off-diagonal pairs whose product has a negative
-    real part: there sqrt(upper_j lower_j) is imaginary and enters s.
-    """
+def _certify(operator: TangentialOperator, located, shift, s, tol, k):
+    """CertificateError unless the discs of radius s around lev + i c, up to the (k+1)-th,
+    are disjoint, lev[j+1] - lev[j] > 2 s + tol for j < k: as the eigenvalues move along
+    R + i t (J - c), t in [0, 1], each disc then holds one, the k lowest those of smallest
+    real part.  It names where Re(upper_j lower_j) < 0: sqrt(upper_j lower_j) is imaginary
+    and enters s."""
     gaps = np.diff(located)
-    lower, diag, upper = operator.bands
     if gaps.size and gaps.min() <= 2.0 * s + tol:
         j = int(np.argmin(gaps))
         message = (
@@ -334,44 +311,67 @@ def _certified_pairs(operator: TangentialOperator, located, shift, s, tol, k):
             f"symmetric part are {gaps[j]:.6g} apart, not more than 2 s + tol, where every "
             f"eigenvalue lies within s = {s:.6g} of a level plus {shift.imag:.6g}i "
             f"(tol = {tol:.3g})")
-        flips = int(np.count_nonzero((upper * lower).real < 0.0))
+        upper = operator.upper
+        flips = int(np.count_nonzero((upper * operator.lower).real < 0.0))
         if flips:
             message += (f"; Re(upper_j lower_j) < 0 on {flips} of the {upper.size} off-diagonal "
                         "pairs, where sqrt(upper_j lower_j) is imaginary and widens the discs")
         raise CertificateError(message)
-    d2 = np.concatenate(([1.0], np.cumprod(upper / lower)))
-    basis = np.random.default_rng(0).uniform(-1.0, 1.0, (k, operator.n)).astype(complex)
 
-    values, far, floor = np.empty(k, dtype=complex), np.empty(k), np.zeros(k, dtype=bool)
-    for i, lam in enumerate(located[:k] + shift):
-        x, q, res = basis[i], lam, math.inf
-        for _ in range(2 + REFINE_ROUNDS):
-            inside = abs(q - lam) <= s + tol
-            if inside and res <= REFINE_TARGET:
+
+def _certified_pairs(operator: TangentialOperator, located, vectors, off, shift, s, tol):
+    """Pairs of a non-normal channel whose levels _certify has separated, each from R's
+    stein vector mapped by D^-1 (_symmetric_form), near M's eigenvector.  x's two-sided
+    quotient has left vector D^2 x, so the eigenvalue's error is quadratic in the vector's.
+    A round factors at the last quotient minus tol (at lev + i c - tol while the quotient
+    lies outside the disc, radius s + tol, maybe nearer a neighbour), takes INVERSE_STEPS
+    steps and ends with the new quotient and residual.  One that does not lower the
+    residual of a pair kept inside the disc is dropped: the level is at the rounding floor.
+    Rounds go on until the kept pair is inside with a residual <= REFINE_TARGET, or for
+    REFINE_ROUNDS.  RefinementError names a pair outside its disc or the contract, and the
+    floor where a round was dropped; SolveError names a D^-1 or D^2 past float64's range.
+    """
+    lower, diag, upper = operator.bands
+    with np.errstate(all="ignore"):  # |D_{j+1} / D_j| = sqrt|upper_j / lower_j| can drift
+        similarity = np.cumprod(np.append(1.0, upper / off))
+        gauge, left = 1.0 / similarity, similarity * similarity
+    if not (np.isfinite(gauge).all() and np.isfinite(left).all() and left.all()):
+        raise SolveError(f"the similarity D that makes the channel complex symmetric spans "
+                         f"|D_j / D_0| = {np.abs(similarity).min():.3g} to "
+                         f"{np.abs(similarity).max():.3g}, past float64's range")
+
+    def quotient(x):
+        mx, lx = _matvec(lower, diag, upper, x), left * x
+        q = (lx @ mx) / (lx @ x)
+        return q, _residual(mx, x, q)
+
+    basis, centres = gauge * vectors.T, located[:vectors.shape[1]] + shift
+    values, floor = np.empty(len(basis), dtype=complex), np.zeros(len(basis), dtype=bool)
+    for i, lam in enumerate(centres):
+        x, q, _ = kept = (basis[i], *quotient(basis[i]))
+        for _ in range(REFINE_ROUNDS):
+            kept_inside = abs(kept[1] - lam) <= s + tol
+            if kept_inside and kept[2] <= REFINE_TARGET:
                 break
-            solve = _tridiag_solver(lower, diag - ((q if inside else lam) - tol), upper)
-            y = x
+            solve = _tridiag_solver(
+                lower, diag - ((q if abs(q - lam) <= s + tol else lam) - tol), upper)
             for _ in range(INVERSE_STEPS):
-                y = solve(y)
-            left, my = d2 * y, _matvec(lower, diag, upper, y)
-            left /= left @ y
-            y_q = left @ my
-            y_res = _residual(my, y, y_q)
-            if inside and y_res >= res:
-                floor[i] = True
-                break
-            x, q, res = y, y_q, y_res
-        basis[i], values[i], far[i] = x, q, abs(q - lam)
+                x = solve(x)
+            q, res = quotient(x)
+            floor[i] |= kept_inside and res >= kept[2]
+            kept = kept if kept_inside and res >= kept[2] else (x, q, res)
+        basis[i], values[i], _ = kept
+    far = np.abs(values - centres)
     vectors, residuals = _normalized(operator, values, basis)
     failed = (residuals >= RESIDUAL_TOL) | (far > s + tol)
     if failed.any():
         i = int(np.argmax(failed))
         if floor[i]:
-            raise RefinementError(
-                f"level {i} stopped at the float64 rounding floor, where a further round no "
-                f"longer lowers its residual: residual {residuals[i]:.3e} (contract "
-                f"{RESIDUAL_TOL}) at {values[i]:.6g}")
-        ratio = gaps.min(initial=math.inf) / (2.0 * s) if s else math.inf
+            raise RefinementError(f"level {i} stopped at the float64 rounding floor, where a "
+                                  f"further round no longer lowers its residual: residual "
+                                  f"{residuals[i]:.3e} (contract {RESIDUAL_TOL}) at "
+                                  f"{values[i]:.6g}")
+        ratio = np.diff(located).min(initial=math.inf) / (2.0 * s) if s else math.inf
         raise RefinementError(
             f"level {i} did not converge inside its disc: residual {residuals[i]:.3e} "
             f"(contract {RESIDUAL_TOL}) at {values[i]:.6g}, {far[i]:.6g} from the disc's "

@@ -664,6 +664,10 @@ import sys
 from curvband import cli, solver
 for command in ("geometry", "gauge-check", "spectrum", "evolve"):
     assert cli.main([command, "--config", sys.argv[1], "--output", sys.argv[2]]) == 0, command
+# as-written, the paraboloid's channels take the certified route
+assert cli.main(["spectrum", "--config", sys.argv[1], "--output", sys.argv[3],
+                 "--mode", "as-written"]) == 0
+assert "numpy.random" not in sys.modules, "a CLI run loaded numpy.random"
 assert "scipy.sparse" not in sys.modules, "a CLI run loaded scipy.sparse"
 assert "scipy.linalg" not in sys.modules, "a CLI run loaded scipy.linalg"
 for name in ("argparse", "gettext", "locale"):
@@ -679,7 +683,8 @@ assert scipy.linalg.eigh_tridiagonal([2.0, 2.0], [1.0], eigvals_only=True).tolis
 def test_cli_runs_never_load_scipy_sparse(tmp_path):
     # a fresh interpreter, as each curvband command is; the solver loads only scipy's
     # LAPACK extension, and solver.spla, which only the benchmark reads, loads
-    # scipy.sparse.linalg on first use; both packages import as usual afterwards
+    # scipy.sparse.linalg on first use; both packages import as usual afterwards.  No
+    # eigensolver route draws a random number, so numpy.random stays unloaded
     cfg = tmp_path / "run.yaml"
     cfg.write_text("surface: {kind: paraboloid, a: 0.5}\n"
                    "field: {kind: frame-synthetic, a3: 0.4, gamma_interval: [0.2, 0.6]}\n"
@@ -688,8 +693,11 @@ def test_cli_runs_never_load_scipy_sparse(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(curvband.__file__).resolve().parents[1])]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PATH_RUN, str(cfg), str(tmp_path / "out")],
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PATH_RUN, str(cfg), str(tmp_path / "out"),
+                           str(tmp_path / "as-written")],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
         "gauge_check.csv", "geometry.csv", "run_summary.txt", "spectrum.csv", "trace.csv"]
+    assert sorted(p.name for p in (tmp_path / "as-written").iterdir()) == [
+        "run_summary.txt", "spectrum.csv"]

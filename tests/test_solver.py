@@ -125,9 +125,13 @@ def test_lapack_failure_is_a_named_error(monkeypatch, routine):
     # before, scipy raised numpy's LinAlgError, which the CLI does not catch
     run = getattr(solver_mod.lapack, routine)
     monkeypatch.setattr(solver_mod.lapack, routine, lambda *args: (*run(*args)[:-1], 1))
-    op = build_tangential(flat(1.0), zero_field(), 0, RadialGrid(32, 1.0))  # takes stein's vectors
-    with pytest.raises(SolveError, match=f"^LAPACK {routine} failed with info = 1$"):
-        eigen_solve(op, 2)
+    # a flat channel takes the Hermitian route, an as-written paraboloid the certified one;
+    # both take stein's vectors
+    grid = RadialGrid(32, 1.0)
+    for op in (build_tangential(flat(1.0), zero_field(), 0, grid),
+               build_tangential(paraboloid(0.5, 1.0), zero_field(), 0, grid, mode="as-written")):
+        with pytest.raises(SolveError, match=f"^LAPACK {routine} failed with info = 1$"):
+            eigen_solve(op, 2)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

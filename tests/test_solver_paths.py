@@ -168,14 +168,17 @@ def test_located_levels_and_vectors_are_scipys_bit_for_bit(monkeypatch):
                                     lapack_driver="stebz")
     assert same_bits(levels, expected[0]) and same_bits(vectors, expected[1])
 
+    # the certified route locates one level more for its certificate, and takes the
+    # vectors of the 6 lowest: on one block, stein's first 6 of the 7
     as_written = build_tangential(paraboloid(0.5, 1.0), zero_field(), 0, grid, mode="as-written")
     eigen_solve(as_written, 6)
-    levels, _, _, tol, _ = located["_certified_pairs"]
+    levels, vectors, _, _, _, tol = located["_certified_pairs"]
     expected = sla.eigh_tridiagonal(as_written.diag.real,
-                                    solver_mod._symmetric_form(as_written)[1],
-                                    eigvals_only=True, select="i", select_range=(0, 6), tol=tol,
+                                    solver_mod._symmetric_form(as_written)[1].real,
+                                    select="i", select_range=(0, 6), tol=tol,
                                     lapack_driver="stebz")
-    assert same_bits(levels, expected)
+    assert same_bits(levels, expected[0])
+    assert same_bits(vectors, expected[1][:, :6])
 
 
 def test_certified_route_is_deterministic():
@@ -242,10 +245,10 @@ def test_steep_cap_channel_meets_contract_on_every_pair():
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_levels_at_the_rounding_floor_meet_the_contract_or_name_the_refinement(m):
     # residuals here sit near 1e-8, all rounding: m = 2 was once accepted at
-    # just under 1e-8 on its unnormalized vector and read 1.008e-08 normalized;
-    # m = 0 meets the contract at 9.79e-09.  Levels 3 (m = 1) and 1 (m = 2)
-    # stop inside discs of radius 0 at 1.132e-08 and 1.007e-08, where a round
-    # no longer lowers the residual: the error names that floor, not the disc
+    # just under 1e-8 on its unnormalized vector and read 1.008e-08 normalized.
+    # Each level keeps its best round: m = 0, 1 and 2 meet the contract at
+    # 9.86e-09, 9.97e-09 and 9.77e-09.  A level left above it after a round that
+    # did not lower its residual is named at that floor, not by its disc
     op = build_tangential(paraboloid(0.5, 1.0), zero_field(), m, RadialGrid(8000, 1.0),
                           mode="as-written")
     try:
@@ -304,6 +307,19 @@ def test_certificate_error_states_the_gap_and_the_disc_radius():
         assert re.search(r"max [0-9]", str(info.value)) is None
         # every off-diagonal product is positive here, so no sign change is named
         assert "upper_j lower_j" not in str(info.value)
+
+
+def test_similarity_past_float_range_is_a_named_error():
+    # as-written on a steep paraboloid, |D_{j+1} / D_j| = sqrt|upper_j / lower_j| takes D
+    # to ~1e-237 over the grid, where D^2 underflows; the level gaps certify, so the error
+    # comes before the rounds
+    op = build_tangential(paraboloid(4.0, 1.0), zero_field(), 0, RadialGrid(4000, 1.0),
+                          mode="as-written")
+    stated = (r"^the similarity D that makes the channel complex symmetric spans \|D_j / D_0\| "
+              r"= 4\.74e-238 to 13\.4, past float64's range$")
+    with pytest.raises(SolveError, match=stated) as info:
+        eigen_solve(op, 6)
+    assert not isinstance(info.value, (CertificateError, RefinementError))
 
 
 def test_full_spectrum_of_a_small_non_normal_channel_matches_dense():
@@ -381,8 +397,8 @@ def test_quotient_outside_its_disc_is_refined_at_the_centre():
 
 
 def test_refinement_cap_raises_a_named_error(monkeypatch):
-    # with no round past the first, the a3 = 80 cap stops short of the
-    # contract; the error names the level, its residual and the disc ratio
+    # with no round, the a3 = 80 cap stops at its mapped stein start, short of
+    # the contract; the error names the level, its residual and the disc ratio
     monkeypatch.setattr(solver_mod, "REFINE_ROUNDS", 0)
     stated = (r"^level 0 did not converge inside its disc: residual (\S+) "
               r"\(contract 1e-08\) at .*, whose radius is s = 20; "
@@ -395,11 +411,11 @@ def test_refinement_cap_raises_a_named_error(monkeypatch):
 
 def test_level_meeting_the_target_takes_no_further_round(monkeypatch):
     # a mild non-normal channel, in both modes: every level meets REFINE_TARGET
-    # after the first refinement, so the result is that of no further round
+    # after one round, at its start's quotient, so the result is that of one round
     for mode in MODES:
         op = strong_field_channel(paraboloid(0.5, 1.0), -0.2, mode)
         spec = eigen_solve(op, 6)
-        monkeypatch.setattr(solver_mod, "REFINE_ROUNDS", 0)
+        monkeypatch.setattr(solver_mod, "REFINE_ROUNDS", 1)
         first = eigen_solve(op, 6)
         monkeypatch.undo()
         assert spec.residuals.max() <= solver_mod.REFINE_TARGET
@@ -407,19 +423,35 @@ def test_level_meeting_the_target_takes_no_further_round(monkeypatch):
         assert spec.eigenvectors.tobytes() == first.eigenvectors.tobytes()
 
 
-@pytest.mark.parametrize("m", [0, 1])
-def test_level_meeting_the_target_after_round_0_is_factored_once(monkeypatch, m):
-    # as-written on a mild paraboloid with no field: each of the 6 levels meets
-    # REFINE_TARGET after its round at the disc's centre, so takes no second round
+def counted_factorizations(monkeypatch):
+    """The sizes of the tridiagonal matrices the solver factors from now on."""
     factored = []
 
     def counted(lower, diag, upper, factor=solver_mod._tridiag_solver):
         factored.append(diag.size)
         return factor(lower, diag, upper)
 
+    monkeypatch.setattr(solver_mod, "_tridiag_solver", counted)
+    return factored
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_level_whose_start_meets_the_target_is_not_factored(monkeypatch, m):
+    # as-written on a mild paraboloid with no field: J = 0, so s = 0 and D M D^-1 = R, and
+    # D^-1 maps each of R's stein vectors to one of M's to rounding; each of the 6 levels
+    # meets REFINE_TARGET at its start and takes no round
     op = build_tangential(paraboloid(0.5, 1.0), zero_field(), m, RadialGrid(1000, 1.0),
                           mode="as-written")
-    monkeypatch.setattr(solver_mod, "_tridiag_solver", counted)
+    factored = counted_factorizations(monkeypatch)
+    spec = eigen_solve(op, 6)
+    assert factored == []
+    assert spec.residuals.max() < 1e-8
+
+
+def test_mild_channel_takes_one_round_per_level(monkeypatch):
+    # the channel above with a field: its starts miss REFINE_TARGET, one round meets it
+    op = strong_field_channel(paraboloid(0.5, 1.0), -0.2)
+    factored = counted_factorizations(monkeypatch)
     eigen_solve(op, 6)
     assert factored == [1000] * 6
 
@@ -467,13 +499,25 @@ def test_tunnelling_doublet_meets_the_contract(k):
                                rtol=1e-9, atol=0.0)
 
 
-def test_hermitian_route_makes_no_random_draw(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("random draw on the Hermitian route")
+def refuse_random_draws(monkeypatch):
+    class Refused:
+        def __getattr__(self, name):
+            raise AssertionError(f"numpy.random.{name} used by the solver")
 
-    monkeypatch.setattr(solver_mod.np.random, "default_rng", refuse)
+    monkeypatch.setattr(solver_mod.np, "random", Refused())
+
+
+def test_hermitian_route_makes_no_random_draw(monkeypatch):
+    refuse_random_draws(monkeypatch)
     for name, op in structured_cases(200, ms=(1,)):
         assert eigen_solve(op, 6).residuals.max() < 1e-8, name
+
+
+def test_certified_route_makes_no_random_draw(monkeypatch):
+    refuse_random_draws(monkeypatch)
+    for key, op in non_normal_cases(200, ms=(1,)):
+        if solver_mod._symmetric_form(op)[4] is None:
+            assert eigen_solve(op, 6).residuals.max() < 1e-8, key
 
 
 @st.composite
