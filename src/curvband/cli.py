@@ -13,7 +13,6 @@ from __future__ import annotations
 import os
 import sys
 from contextlib import contextmanager
-from itertools import islice
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -48,15 +47,14 @@ def _replacing(path: Path):
         tmp.unlink(missing_ok=True)
 
 
-def write_csv(path: Path, header, rows) -> None:
-    """Write a 2-D array or iterable of rows, each number as _fmt does, with one % per
-    BLOCK_ROWS rows (bounded memory); a failure leaves no partial file behind."""
+def write_csv(path: Path, header, table: np.ndarray) -> None:
+    """Write the 2-D float array table under header, each number as _fmt does, with one %
+    per BLOCK_ROWS rows; a failure leaves no partial file behind."""
     template = ",".join(["%.17g"] * len(header)) + "\n"
-    rows = iter(rows)
     with _replacing(path) as fh:
         fh.write(",".join(header) + "\n")
-        while block := list(islice(rows, BLOCK_ROWS)):
-            fh.write(template * len(block) % tuple(np.ravel(block).tolist()))
+        for block in np.split(table, range(BLOCK_ROWS, len(table), BLOCK_ROWS)):
+            fh.write(template * len(block) % tuple(block.ravel().tolist()))
 
 
 def run_command(config: cfgmod.RunConfig, command: str, output_dir=None) -> int:
@@ -111,8 +109,9 @@ def run_command(config: cfgmod.RunConfig, command: str, output_dir=None) -> int:
                        for m in config.m_list[1:]]
         results = [(op, solver.eigen_solve(op, config.k_eigen)) for op in ops]
         name, header = "spectrum.csv", ["m", "index", "re_E", "im_E", "residual"]
-        table = [(op.m, idx, val.real, val.imag, res) for op, spec in results
-                 for idx, (val, res) in enumerate(zip(spec.eigenvalues, spec.residuals))]
+        table = np.array([(op.m, idx, val.real, val.imag, res) for op, spec in results
+                          for idx, (val, res) in enumerate(zip(spec.eigenvalues, spec.residuals))],
+                         dtype=float)
         E_q = operator.normal_energy(config.omega, config.n_normal)
         ground = results[0][1].eigenvalues[0]
         combined = ground + E_q
