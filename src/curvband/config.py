@@ -16,7 +16,7 @@ serialize_config/parse_config round-trip exactly.
 
     surface:
       kind: flat | paraboloid | gaussian-bump | sphere-cap
-      rho_max: 1.0
+      rho_max: 1.0           # within operator.RHO_MAX_RANGE, [1e-75, 1e+75]
       a: 0.5                 # paraboloid only
       amplitude: 0.3         # gaussian-bump only
       sigma: 0.5             # gaussian-bump only
@@ -55,7 +55,7 @@ import yaml
 
 from . import fields, geometry, solver
 from .errors import ConfigError
-from .operator import MIN_N_POINTS, MODES, RadialGrid
+from .operator import MIN_N_POINTS, MODES, RHO_MAX_RANGE, RadialGrid
 
 # libyaml's classes where PyYAML has them: ~0.3 ms per parse or echo, not ~2 and ~1.3 ms
 _Loader, _Dumper = ((yaml.CSafeLoader, yaml.CSafeDumper) if yaml.__with_libyaml__
@@ -81,7 +81,8 @@ _REQUIRED = {kind: [name for name, p in params.items()
 @dataclass
 class SurfaceConfig:
     kind: str = dc_field(metadata={"choices": tuple(SURFACE_KINDS)})
-    rho_max: float = dc_field(default=1.0, metadata={"positive": True})
+    rho_max: float = dc_field(default=1.0, metadata={"minimum": RHO_MAX_RANGE[0],
+                                                      "maximum": RHO_MAX_RANGE[1]})
     a: Optional[float] = None
     amplitude: Optional[float] = None
     sigma: Optional[float] = None
@@ -166,6 +167,8 @@ def _value(value, typ, rule, key: str):
         raise ConfigError(f"{key}: must be > 0, got {value}")
     if "minimum" in rule and value < rule["minimum"]:
         raise ConfigError(f"{key}: must be >= {rule['minimum']}, got {value}")
+    if "maximum" in rule and value > rule["maximum"]:
+        raise ConfigError(f"{key}: must be <= {rule['maximum']}, got {value}")
     return value
 
 

@@ -47,6 +47,10 @@ MIN_N_POINTS = 16
 # n < 2^52; at n = 2^53 and R = 1 the last node is the wall itself
 MAX_N_POINTS = 2 ** 52 - 1
 OMEGA_MAX = math.sqrt(sys.float_info.max)  # decoupling_check squares omega
+# the radii an operator may span: its entries scale like n^2 / rho_max^2 and its measure
+# weights like rho_max^2 / n^2, and within this range the solver's products of them stay
+# finite and nonzero; past it a flat disc assembles a zero or infinite operator
+RHO_MAX_RANGE = (1e-75, 1e75)
 
 
 @dataclass(frozen=True)
@@ -151,6 +155,9 @@ def build_tangential(profile: SurfaceProfile, A: Callable, m: int,
         raise DomainError(f"mode must be one of {MODES}, got {mode!r}")
     m = _whole("azimuthal index m", m)
     _finite("e", e)
+    if not RHO_MAX_RANGE[0] <= grid.rho_max <= RHO_MAX_RANGE[1]:
+        raise DomainError(f"rho_max must be within [{RHO_MAX_RANGE[0]:g}, "
+                          f"{RHO_MAX_RANGE[1]:g}], got {grid.rho_max}")
 
     n = grid.n_points
     dr = grid.spacing
@@ -169,9 +176,15 @@ def build_tangential(profile: SurfaceProfile, A: Callable, m: int,
     gbar_up, sbar_up = 0.5 * (faces[:, 1:-1] + faces[:, 2:])
     gbar_lo, sbar_lo = 0.5 * (faces[:, :-2] + faces[:, 1:-1])
 
-    up = -gbar_up / (2.0 * wt * dr * dr)          # coupling to chi_{j+1}
-    lo = -gbar_lo / (2.0 * wt * dr * dr)          # coupling to chi_{j-1}
-    diag = (gbar_up + gbar_lo) / (2.0 * wt * dr * dr)
+    # an infinite 2 rho Z drho^2 would zero the kinetic terms; its largest entry, as a Python
+    # float, overflows to inf without a warning
+    if 2.0 * float(wt.max()) * dr * dr == math.inf:
+        raise DomainError(f"2 rho Z drho^2 overflows at rho_max = {grid.rho_max}: the surface "
+                          f"is too steep for the grid, Z = {float(Z.max()):.6g}")
+    kinetic = 2.0 * wt * dr * dr
+    up = -gbar_up / kinetic          # coupling to chi_{j+1}
+    lo = -gbar_lo / kinetic          # coupling to chi_{j-1}
+    diag = (gbar_up + gbar_lo) / kinetic
 
     if mode == "as-written":
         # difference between the printed coefficients and the corrected

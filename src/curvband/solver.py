@@ -124,12 +124,12 @@ class HermiticityReport:
     """Structure of the measure-weighted M_w = W^1/2 M W^-1/2, whose diagonal is M's.
 
     max_asymmetry is max |M_w - M_w^dag| (absolute), relative_asymmetry the
-    same scaled by max(1, max |M_w|).  antihermitian_norm is the Frobenius
-    norm of (M_w - M_w^dag)/2, which is i Im(diag), the coupling i e A3 H, on
-    the diagonal.  coupling_equality_gap is its largest entry off the
-    diagonal, and coupling_equality whether that is within HERMITIAN_RTOL of
-    max(1, max |M_w|): rounding in the kinetic block grows with that scale,
-    like (n + 1)^2, so no absolute bound fits every grid.
+    same scaled by max |M_w| (0 for a zero operator).  antihermitian_norm is
+    the Frobenius norm of (M_w - M_w^dag)/2, which is i Im(diag), the coupling
+    i e A3 H, on the diagonal.  coupling_equality_gap is its largest entry off
+    the diagonal, and coupling_equality whether that is within HERMITIAN_RTOL
+    of max |M_w|: rounding in the kinetic block grows with that scale, like
+    (n + 1)^2 / rho_max^2, so no absolute bound fits every grid.
     """
 
     mode: str
@@ -171,8 +171,9 @@ def _tridiag_solver(lower, diag, upper):
 
 
 def _weighted(operator: TangentialOperator):
-    """W^1/2 and M_w = W^1/2 M W^-1/2 off its diagonal, which is M's, with off_gap, scale, gap
-    and hermitian = gap <= HERMITIAN_RTOL scale, the one test of measure-Hermiticity.
+    """W^1/2 and M_w = W^1/2 M W^-1/2 off its diagonal, which is M's, with off_gap, scale =
+    max |M_w|, gap and hermitian = gap <= HERMITIAN_RTOL scale, the one test of
+    measure-Hermiticity, relative at every scale of the operator.
     SolveError names a band or the measure weights where its length disagrees with the
     grid's node count or an entry is not finite; the weights come first, since bands built
     from infinite weights are a symptom of them."""
@@ -188,7 +189,7 @@ def _weighted(operator: TangentialOperator):
     lower = (d[1:] * operator.lower) / d[:-1]
     upper = (d[:-1] * operator.upper) / d[1:]
     off_gap = np.abs(upper - lower.conj())
-    scale = max(1.0, np.abs(operator.diag).max(), np.abs(lower).max(initial=0.0),
+    scale = max(np.abs(operator.diag).max(), np.abs(lower).max(initial=0.0),
                 np.abs(upper).max(initial=0.0))
     gap = 0.5 * float(off_gap.max(initial=0.0))
     return d, lower, upper, off_gap, scale, gap, bool(gap <= HERMITIAN_RTOL * scale)
@@ -226,7 +227,8 @@ def eigen_solve(operator: TangentialOperator, k: int) -> Spectrum:
 
     Bisection (stebz) locates the lowest levels of R (_symmetric_form) to within tol =
     LOCATE_RTOL max(Re off) / n^2: k, and one more for the certificate (_certify) where M_w
-    is not Hermitian up to i c; then stein gives the vectors of the k lowest.
+    is not Hermitian up to i c; then stein gives the vectors of the k lowest.  A Hermitian
+    pair closer than 2 STEP_OFFSET tol is located once more, to stebz's full accuracy.
     """
     n, k = operator.n, _whole("k", k, 1)
     if k > n:
@@ -236,15 +238,27 @@ def eigen_solve(operator: TangentialOperator, k: int) -> Spectrum:
     if not np.isfinite(e).all():
         raise SolveError("the off-diagonal of the real symmetric part has a nan or inf entry")
     tol = LOCATE_RTOL * (e.max(initial=0.0) or scale) / n ** 2
+    # stebz and stein see R scaled by the power of two 2^-p that brings max |R| into
+    # [0.5, 1), since stein compares pivots with an absolute epsilon; both ways are exact
+    p = math.frexp(max(np.abs(d).max(), np.abs(e).max(initial=0.0)))[1]
+    d, e = np.ldexp(d, -p), np.ldexp(e, -p)
     count = k if gauge is not None else min(k + 1, n)
-    found, levels, block, split = _lapack_call("dstebz", d, e, 2, 0.0, 1.0, 1, count, tol, "B")
-    order = np.argsort(levels[:found])
+    found, scaled, block, split = _lapack_call("dstebz", d, e, 2, 0.0, 1.0, 1, count,
+                                               math.ldexp(tol, -p), "B")
+    # a Hermitian pair within two step offsets is located again to stebz's full accuracy,
+    # which the step's shift, still STEP_OFFSET tol, then keeps apart
+    close = np.diff(np.sort(scaled[:found])).min(initial=math.inf)
+    if gauge is not None and close <= math.ldexp(2.0 * STEP_OFFSET * tol, -p):
+        found, scaled, block, split = _lapack_call("dstebz", d, e, 2, 0.0, 1.0, 1, count,
+                                                   0.0, "B")
+    levels = np.ldexp(scaled[:found], p)
+    order = np.argsort(levels)
     if gauge is None:
         _certify(operator, levels[order], shift, s, tol, k)
     # the k lowest, in blocks as stebz gave them: stein reads only block's first k entries
     take = np.sort(order[:k])
     block[:take.size] = block[take]
-    (y,) = _lapack_call("dstein", d, e, levels[take], block, split)
+    (y,) = _lapack_call("dstein", d, e, scaled[take], block, split)
     y = y[:, np.argsort(levels[take])]
     values, vectors, residuals = (
         _certified_pairs(operator, levels[order], y, off, shift, s, tol) if gauge is None
@@ -264,6 +278,13 @@ def _lapack_call(routine: str, *args):
     if info:
         raise SolveError(f"LAPACK {routine} failed with info = {info}")
     return out
+
+
+def _rescaled(x) -> np.ndarray:
+    """x times the power of two that brings max |x| into [0.5, 1): exact, so x's quotients
+    and residuals keep their bytes, and a solve, which scales x by ~1 / tol ~ rho_max^2,
+    neither overflows nor underflows when repeated."""
+    return x * math.ldexp(1.0, -math.frexp(np.abs(x).max())[1])
 
 
 def _residual(mx, x, lam) -> float:
@@ -291,7 +312,7 @@ def _hermitian_pairs(operator: TangentialOperator, located, vectors, gauge, shif
     quotients = np.empty(len(basis), dtype=complex)
     for i, lam in enumerate(located + shift):
         solve = _tridiag_solver(lower, diag - (lam - STEP_OFFSET * tol), upper)
-        x = basis[i] = solve(basis[i])
+        x = basis[i] = _rescaled(solve(basis[i]))
         quotients[i] = np.vdot(x, w * _matvec(lower, diag, upper, x)) / np.vdot(x, w * x).real
     values = quotients.real + shift
     return (values, *_normalized(operator, values, basis))
@@ -356,7 +377,7 @@ def _certified_pairs(operator: TangentialOperator, located, vectors, off, shift,
             solve = _tridiag_solver(
                 lower, diag - ((q if abs(q - lam) <= s + tol else lam) - tol), upper)
             for _ in range(INVERSE_STEPS):
-                x = solve(x)
+                x = _rescaled(solve(x))
             q, res = quotient(x)
             floor[i] |= kept_inside and res >= kept[2]
             kept = kept if kept_inside and res >= kept[2] else (x, q, res)
@@ -443,7 +464,7 @@ def hermiticity_report(operator: TangentialOperator) -> HermiticityReport:
     return HermiticityReport(
         mode=operator.mode,
         max_asymmetry=max_asym,
-        relative_asymmetry=max_asym / scale,
+        relative_asymmetry=max_asym / scale if scale else 0.0,
         antihermitian_norm=math.sqrt(im @ im + 0.5 * off_gap @ off_gap),
         coupling_equality=hermitian,
         coupling_equality_gap=gap,

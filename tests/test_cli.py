@@ -617,25 +617,61 @@ def test_integer_beyond_float_range_is_a_config_error(tmp_path, capsys, command,
 @pytest.mark.parametrize("body, message", [
     (MINIMAL + "omega: 1.0e+200\n", "omega must be <= 1.34078e+154 for a finite omega^2"),
     (MINIMAL + f"m_list: [1{'0' * 200}]\n", "azimuthal index m = 1e+200 is too large"),
-    pytest.param("surface: {kind: flat, rho_max: 1.0e+200}\n",
-                 "operator band measure_weights has a nan or inf entry",
-                 # assembly still overflows on its way to the infinite weights
-                 marks=pytest.mark.filterwarnings(
-                     "ignore:overflow encountered:RuntimeWarning")),
-    pytest.param("surface: {kind: flat, rho_max: 1.0e+200}\nmode: as-written\n",
-                 "operator band measure_weights has a nan or inf entry",
-                 marks=pytest.mark.filterwarnings(
-                     "ignore:overflow encountered:RuntimeWarning")),
-    pytest.param("surface: {kind: paraboloid, a: 0.5, rho_max: 1.0e+200}\nmode: as-written\n",
-                 "operator band measure_weights has a nan or inf entry",
-                 marks=pytest.mark.filterwarnings(
-                     "ignore:(overflow|invalid value) encountered:RuntimeWarning")),
+    # assembly used to overflow on its way to infinite weights, with RuntimeWarnings first
+    ("surface: {kind: flat, rho_max: 1.0e+200}\n", "surface.rho_max: must be <= 1e+75"),
+    ("surface: {kind: flat, rho_max: 1.0e+200}\nmode: as-written\n",
+     "surface.rho_max: must be <= 1e+75"),
+    ("surface: {kind: paraboloid, a: 0.5, rho_max: 1.0e+200}\nmode: as-written\n",
+     "surface.rho_max: must be <= 1e+75"),
 ], ids=["omega", "m", "rho-max", "rho-max-as-written", "rho-max-as-written-curved"])
 def test_overflow_in_an_accepted_config_is_named(tmp_path, capsys, command, body, message):
     # before: an uncaught OverflowError from omega ** 2; the band, not m; for rho_max
     # a ValueError from LAPACK, or exit 0 for geometry and gauge-check, and in as-written
     # mode an uncaught OverflowError from the Python float dr ** 2
     assert_failed_cleanly(tmp_path, capsys, body + "grid: {n_points: 32}\n", command, message)
+
+
+def extreme_body(kind, rho_max, mode):
+    return (f"surface: {{kind: {kind}, rho_max: {rho_max}}}\nmode: {mode}\n"
+            "grid: {n_points: 64}\nm_list: [0, 1]\nsteps: 10\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mode", operator.MODES)
+@pytest.mark.parametrize("kind", ["flat", "paraboloid, a: 0.5"], ids=["flat", "paraboloid"])
+@pytest.mark.parametrize("rho_max", ["1.0e-150", "1.0e-103", "1.0e-90", "1.0e+80", "1.0e+96",
+                                     "1.0e+105", "1.0e+150", "1.0e+200"])
+def test_rho_max_past_the_supported_range_is_named(tmp_path, capsys, kind, rho_max, mode):
+    # before, a flat disc at 1e105-1e150 and the paraboloid at 1e96-1e103 exited 0 with a
+    # zero operator, every level 0, as 2 rho Z drho^2 overflowed; the others ended in bare
+    # LAPACK or nan errors, after up to 38 RuntimeWarnings
+    body = extreme_body(kind, rho_max, mode)
+    for command in cli.COMMANDS:
+        assert_failed_cleanly(tmp_path, capsys, body, command,
+                              f"surface.rho_max: must be {'>=' if '-' in rho_max else '<='} 1e")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mode", operator.MODES)
+def test_flat_disc_at_the_ends_of_the_range_runs_without_warnings(tmp_path, capsys, mode):
+    # at 1e75 the levels are the unit disc's over rho_max^2; at 1e-75 no grid meets the
+    # absolute residual contract, a named error, while geometry and gauge-check run
+    levels = {}
+    for rho_max in ("1.0", "1.0e+75"):
+        where = tmp_path / rho_max
+        where.mkdir()
+        for command in cli.COMMANDS:
+            code, out = run_cli(where, extreme_body("flat", rho_max, mode), command)
+            assert code == 0, capsys.readouterr().err
+        levels[rho_max] = np.loadtxt(out / "spectrum.csv", delimiter=",", skiprows=1)[:, 2]
+    np.testing.assert_allclose(levels["1.0e+75"] * 1e150, levels["1.0"], rtol=1e-12, atol=0.0)
+    for command in cli.COMMANDS:
+        code, _ = run_cli(tmp_path, extreme_body("flat", "1.0e-75", mode), command)
+        err = capsys.readouterr().err
+        if command in ("spectrum", "evolve"):
+            assert code == 1 and "eigen residual contract violated" in err, err
+        else:
+            assert code == 0 and err == "", err
 
 
 @pytest.mark.parametrize("command", cli.COMMANDS)

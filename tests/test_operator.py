@@ -447,6 +447,26 @@ def test_centrifugal_overflow_names_m():
         build_tangential(flat(1.0), zero_field(), 10 ** 200, grid)
 
 
+@pytest.mark.parametrize("rho_max, bound", [(1e-76, "1e-75"), (1e76, "1e+75")])
+def test_rho_max_outside_the_range_is_named(rho_max, bound):
+    build_tangential(flat(1e75), zero_field(), 0, RadialGrid(64, 1e75))
+    build_tangential(flat(1e-75), zero_field(), 0, RadialGrid(64, 1e-75))
+    with pytest.raises(DomainError, match=f"^rho_max must be within \\[1e-75, 1e\\+75\\], "
+                                          f"got {re.escape(str(rho_max))}$"):
+        build_tangential(flat(rho_max), zero_field(), 0, RadialGrid(64, rho_max))
+
+
+def test_kinetic_denominator_that_overflows_is_named():
+    # before, 2 rho Z drho^2 overflowed to inf, the kinetic terms became 0, and the solve
+    # met the absolute contract with every level at about 1e-151; the curvature K, which
+    # divides by Z^4, still overflows first
+    prof = paraboloid(1e25, 1e75)
+    with pytest.warns(RuntimeWarning, match="overflow encountered in power"), \
+            pytest.raises(DomainError, match=r"^2 rho Z drho\^2 overflows at rho_max = 1e\+75: "
+                                             r"the surface is too steep for the grid, Z = 1\.969"):
+        build_tangential(prof, zero_field(), 0, RadialGrid(64, 1e75))
+
+
 def test_decoupling_chart_ok_is_the_product_h1_h2():
     # paraboloid a = 4, a3 on [0.5, 0.6] and q* = 1: at the node of largest |A3| the
     # offset q* lies past a focal point, where F(q*) = h1 h2 / (rho Z) < 0

@@ -403,6 +403,23 @@ def test_report_coupling_equality_holds_on_fine_grids(n):
     assert rep.coupling_equality, rep.coupling_equality_gap
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_report_is_relative_to_the_operator_scale():
+    # the scale is max |M_w|, not max(1, max |M_w|): the same channel with every length
+    # times 1e8 reports the same relative asymmetry (before, 1e16 times smaller); a zero
+    # operator reports 0
+    reports = []
+    for lam in (1.0, 1e8):
+        prof = paraboloid(0.5 / lam, lam)
+        op = build_tangential(prof, frame_synthetic(a3=0.4 / lam), 1, RadialGrid(64, lam))
+        reports.append(hermiticity_report(op))
+    assert reports[1].relative_asymmetry == pytest.approx(reports[0].relative_asymmetry,
+                                                          rel=1e-12)
+    zero = dataclasses.replace(op, lower=0.0 * op.lower, diag=0.0 * op.diag, upper=0.0 * op.upper)
+    rep = hermiticity_report(zero)
+    assert rep.relative_asymmetry == 0.0 and rep.coupling_equality
+
+
 def test_moved_diagonal_is_the_coupling():
     # the coupling is Im diag: a shift of diag moves it, with no copy left behind
     op = build_tangential(paraboloid(0.5, 1.0), zero_field(), 1, RadialGrid(400, 1.0))

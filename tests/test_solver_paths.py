@@ -485,6 +485,86 @@ def test_degenerate_levels_get_orthonormal_eigenvectors(coupling):
     assert spec.residuals.max() < 1e-8
 
 
+@pytest.mark.parametrize("coupling", [1e-6, 1e-4, 1e-2])
+def test_hermitian_pairs_closer_than_the_step_offset_meet_the_contract(coupling):
+    # each twin pair lies within 2 STEP_OFFSET tol, so stebz locates the levels again to
+    # full accuracy; before, the residuals were 1.233e-8, 1.028e-6 and 6.719e-7
+    op = twin_channel(coupling)
+    spec = eigen_solve(op, 6)
+    assert spec.residuals.max() < 1e-8
+    np.testing.assert_allclose(spec.eigenvalues, smallest_real_parts(op.matrix, 6),
+                               rtol=1e-9, atol=0.0)
+
+
+def count_bisections(monkeypatch):
+    """The list of LAPACK routines eigen_solve calls from now on."""
+    calls, call = [], solver_mod._lapack_call
+    monkeypatch.setattr(solver_mod, "_lapack_call",
+                        lambda routine, *args: calls.append(routine) or call(routine, *args))
+    return calls
+
+
+def test_separated_levels_are_located_once(monkeypatch):
+    calls = count_bisections(monkeypatch)
+    for name, op in structured_cases(300):
+        calls.clear()
+        eigen_solve(op, 6)
+        assert calls.count("dstebz") == 1, name
+    calls.clear()
+    eigen_solve(twin_channel(1e-6), 6)
+    assert calls.count("dstebz") == 2
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_levels_scale_like_rho_max_to_the_minus_two(mode):
+    # paraboloid(0.5 / lam, lam lam_0) with a3 = 0.4 / lam is the lam = 1 channel with every
+    # length times lam, so E lam^2 is the same, imaginary parts too, by the certified route.
+    # Before, stein failed from lam = 1e6, whose R has a norm far below 1, and from 1e8 the
+    # absolute Hermitian test routed the channel as Hermitian and dropped Im E.  Levels
+    # stop refining from lam = 1e4 on, where the absolute REFINE_TARGET is met at once:
+    # E lam^2 then moves by up to 2.0e-5 relative
+    def channel(lam):
+        prof = paraboloid(0.5 / lam, lam)
+        return build_tangential(prof, frame_synthetic(a3=0.4 / lam), 1, RadialGrid(64, lam),
+                                mode=mode)
+
+    reference = eigen_solve(channel(1.0), 6).eigenvalues
+    for lam in (1e4, 1e8, 1e12, 1e20):
+        op = channel(lam)
+        assert solver_mod._symmetric_form(op)[4] is None, lam
+        np.testing.assert_allclose(eigen_solve(op, 6).eigenvalues * lam ** 2, reference,
+                                   rtol=1e-4, atol=0.0, err_msg=f"lam = {lam}")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_flat_disc_levels_scale_like_rho_max_to_the_minus_two(mode):
+    # before, stein failed with info = 5 or 6 from rho_max = 1e5 on (measured: E rho_max^2
+    # within 6.9e-14 of rho_max = 1 up to 1e75)
+    def levels(rho_max):
+        op = build_tangential(flat(rho_max), zero_field(), 0, RadialGrid(64, rho_max),
+                              mode=mode)
+        return eigen_solve(op, 6).eigenvalues * rho_max ** 2
+
+    reference = levels(1.0)
+    for rho_max in (1e5, 1e20, 1e40, 1e60, 1e75):
+        np.testing.assert_allclose(levels(rho_max), reference, rtol=1e-12, atol=0.0,
+                                   err_msg=f"rho_max = {rho_max}")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("rho_max", [1e-10, 1e-30])
+def test_small_certified_channel_stops_at_the_floor_without_warnings(rho_max):
+    # each solve scales the iterate by ~1 / tol ~ rho_max^2; before, rounds of solves
+    # underflowed it to 0, and the quotient warned of 0 / 0.  No grid meets the absolute
+    # contract at this scale, so the named floor error is the outcome
+    prof = sphere_cap(2.0 * rho_max, rho_max)
+    op = build_tangential(prof, frame_synthetic(a3=0.4 / rho_max), 1, RadialGrid(64, rho_max),
+                          mode="as-written")
+    assert solver_mod._symmetric_form(op)[4] is None
+    with pytest.raises(RefinementError, match="stopped at the float64 rounding floor"):
+        eigen_solve(op, 6)
+
+
 @pytest.mark.parametrize("k", [1, 6])
 def test_tunnelling_doublet_meets_the_contract(k):
     # a barrier a3^2 / 2 = 188.5 on [0.30, 0.60] splits the disc into a core and an
@@ -594,7 +674,7 @@ def test_hermiticity_report_matches_dense_reference():
         anti = 0.5 * gap_matrix
         rep = hermiticity_report(op)
         assert rep.max_asymmetry == np.abs(gap_matrix).max()
-        assert rep.relative_asymmetry == rep.max_asymmetry / max(1.0, np.abs(mw).max())
+        assert rep.relative_asymmetry == rep.max_asymmetry / np.abs(mw).max()
         assert rep.antihermitian_norm == pytest.approx(np.linalg.norm(anti), rel=1e-14)
         gap = np.abs(anti - np.diag(1j * op.diag.imag)).max()
         assert rep.coupling_equality_gap == gap
