@@ -242,15 +242,13 @@ def eigen_solve(operator: TangentialOperator, k: int) -> Spectrum:
     # [0.5, 1), since stein compares pivots with an absolute epsilon; both ways are exact
     p = math.frexp(max(np.abs(d).max(), np.abs(e).max(initial=0.0)))[1]
     d, e = np.ldexp(d, -p), np.ldexp(e, -p)
-    count = k if gauge is not None else min(k + 1, n)
-    found, scaled, block, split = _lapack_call("dstebz", d, e, 2, 0.0, 1.0, 1, count,
-                                               math.ldexp(tol, -p), "B")
+    lowest = (d, e, 2, 0.0, 1.0, 1, k if gauge is not None else min(k + 1, n))
+    found, scaled, block, split = _lapack_call("dstebz", *lowest, math.ldexp(tol, -p), "B")
     # a Hermitian pair within two step offsets is located again to stebz's full accuracy,
     # which the step's shift, still STEP_OFFSET tol, then keeps apart
     close = np.diff(np.sort(scaled[:found])).min(initial=math.inf)
     if gauge is not None and close <= math.ldexp(2.0 * STEP_OFFSET * tol, -p):
-        found, scaled, block, split = _lapack_call("dstebz", d, e, 2, 0.0, 1.0, 1, count,
-                                                   0.0, "B")
+        found, scaled, block, split = _lapack_call("dstebz", *lowest, 0.0, "B")
     levels = np.ldexp(scaled[:found], p)
     order = np.argsort(levels)
     if gauge is None:
@@ -281,10 +279,12 @@ def _lapack_call(routine: str, *args):
 
 
 def _rescaled(x) -> np.ndarray:
-    """x times the power of two that brings max |x| into [0.5, 1): exact, so x's quotients
-    and residuals keep their bytes, and a solve, which scales x by ~1 / tol ~ rho_max^2,
-    neither overflows nor underflows when repeated."""
-    return x * math.ldexp(1.0, -math.frexp(np.abs(x).max())[1])
+    """The complex vector x, in place, times the power of two that brings its largest real or
+    imaginary part into [0.5, 1): exact, so x's quotients and residuals keep their bytes, and
+    a solve, which scales x by ~1 / tol ~ rho_max^2, neither overflows nor underflows when
+    repeated."""
+    x *= math.ldexp(1.0, -math.frexp(np.abs(x.view(float)).max())[1])
+    return x
 
 
 def _residual(mx, x, lam) -> float:
