@@ -3,7 +3,7 @@
 A run is described by one YAML document; the dataclasses below are its
 schema.  Each field states its rule once: the annotation gives the type, the
 default the value of an absent key (no default: required), and the metadata
-any bound (choices, positive, minimum).  One validator, _section, enforces
+any bound (choices, positive, minimum, maximum).  One validator, _section, enforces
 them, rejects unknown keys by name and names `section.key` in every error
 (`config.key` at the top level).  `null` reads as absent exactly for
 Optional keys and is a wrong type anywhere else.  Each kind is its library
