@@ -642,9 +642,9 @@ def extreme_body(kind, rho_max, mode):
 @pytest.mark.parametrize("rho_max", ["1.0e-150", "1.0e-103", "1.0e-90", "1.0e+80", "1.0e+96",
                                      "1.0e+105", "1.0e+150", "1.0e+200"])
 def test_rho_max_past_the_supported_range_is_named(tmp_path, capsys, kind, rho_max, mode):
-    # before, a flat disc at 1e105-1e150 and the paraboloid at 1e96-1e103 exited 0 with a
-    # zero operator, every level 0, as 2 rho Z drho^2 overflowed; the others ended in bare
-    # LAPACK or nan errors, after up to 38 RuntimeWarnings
+    # before, spectrum and evolve on a flat disc at 1e105-1e150 and on the paraboloid at
+    # 1e80-1e96 exited 0 with every level 0 or ~1e-161, as 2 rho Z drho^2 overflowed; the
+    # others ended in bare LAPACK or nan errors; 120 of these 128 runs warned
     body = extreme_body(kind, rho_max, mode)
     for command in cli.COMMANDS:
         assert_failed_cleanly(tmp_path, capsys, body, command,

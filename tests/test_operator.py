@@ -447,8 +447,8 @@ def test_centrifugal_overflow_names_m():
         build_tangential(flat(1.0), zero_field(), 10 ** 200, grid)
 
 
-@pytest.mark.parametrize("rho_max, bound", [(1e-76, "1e-75"), (1e76, "1e+75")])
-def test_rho_max_outside_the_range_is_named(rho_max, bound):
+@pytest.mark.parametrize("rho_max", [1e-76, 1e76])
+def test_rho_max_outside_the_range_is_named(rho_max):
     build_tangential(flat(1e75), zero_field(), 0, RadialGrid(64, 1e75))
     build_tangential(flat(1e-75), zero_field(), 0, RadialGrid(64, 1e-75))
     with pytest.raises(DomainError, match=f"^rho_max must be within \\[1e-75, 1e\\+75\\], "

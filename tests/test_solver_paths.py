@@ -517,12 +517,12 @@ def test_separated_levels_are_located_once(monkeypatch):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_levels_scale_like_rho_max_to_the_minus_two(mode):
-    # paraboloid(0.5 / lam, lam lam_0) with a3 = 0.4 / lam is the lam = 1 channel with every
+    # paraboloid(0.5 / lam, lam) with a3 = 0.4 / lam is the lam = 1 channel with every
     # length times lam, so E lam^2 is the same, imaginary parts too, by the certified route.
-    # Before, stein failed from lam = 1e6, whose R has a norm far below 1, and from 1e8 the
-    # absolute Hermitian test routed the channel as Hermitian and dropped Im E.  Levels
-    # stop refining from lam = 1e4 on, where the absolute REFINE_TARGET is met at once:
-    # E lam^2 then moves by up to 2.0e-5 relative
+    # Before, stein failed from lam = 1e6, whose R has a norm far below 1; with the locate
+    # scaled alone, the absolute Hermitian test routed the channel as Hermitian from 1e8 and
+    # dropped Im E.  Levels stop refining from lam = 1e4 on, where the absolute
+    # REFINE_TARGET is met at once: E lam^2 then moves by up to 2.0e-5 relative
     def channel(lam):
         prof = paraboloid(0.5 / lam, lam)
         return build_tangential(prof, frame_synthetic(a3=0.4 / lam), 1, RadialGrid(64, lam),
@@ -538,8 +538,8 @@ def test_levels_scale_like_rho_max_to_the_minus_two(mode):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_flat_disc_levels_scale_like_rho_max_to_the_minus_two(mode):
-    # before, stein failed with info = 5 or 6 from rho_max = 1e5 on (measured: E rho_max^2
-    # within 6.9e-14 of rho_max = 1 up to 1e75)
+    # before, stein failed (info = 1, 5 or 6) from rho_max = 1e5 or 1e20 on (measured:
+    # E rho_max^2 within 6.9e-14 of rho_max = 1 up to 1e75)
     def levels(rho_max):
         op = build_tangential(flat(rho_max), zero_field(), 0, RadialGrid(64, rho_max),
                               mode=mode)
