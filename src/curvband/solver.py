@@ -283,7 +283,8 @@ def _rescaled(x) -> np.ndarray:
     imaginary part into [0.5, 1): exact, so x's quotients and residuals keep their bytes, and
     a solve, which scales x by ~1 / tol ~ rho_max^2, neither overflows nor underflows when
     repeated."""
-    x *= math.ldexp(1.0, -math.frexp(np.abs(x.view(float)).max())[1])
+    parts = x.view(float)  # a real factor: complex * complex(f, 0) makes inf * 0 a nan
+    parts *= math.ldexp(1.0, -math.frexp(np.abs(parts).max())[1])
     return x
 
 
