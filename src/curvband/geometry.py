@@ -98,26 +98,35 @@ def paraboloid(a: float, rho_max: float = 1.0) -> SurfaceProfile:
 
 
 def gaussian_bump(amplitude: float, sigma: float, rho_max: float = 1.0) -> SurfaceProfile:
-    """Gaussian bump z = A exp(-rho^2 / sigma^2); mixed-sign curvature."""
+    """Gaussian bump z = A exp(-rho^2 / sigma^2); mixed-sign curvature.  DomainError names
+    a sigma outside the range it supports at rho_max."""
     _finite("amplitude", amplitude)
+    _positive("rho_max", rho_max)
     if not sigma > 0:  # sigma = inf is a flat profile at height amplitude
         raise DomainError(f"sigma must be positive, got {sigma}")
+    # the derivatives divide by sigma^2 and sigma^4, formed once by Python's **, which
+    # raises past float64's range, and S_rhorho forms 4 rho^2 / sigma^4 up to rho_max.  So
+    # sigma^4 must be a normal float, sigma in [2^-255, 2^256) ~ [1.73e-77, 1.16e77], and
+    # 4 rho_max^2 / sigma^4 finite, sigma >= ~sqrt(2 rho_max) 2^-256, which binds past rho_max 2
+    if math.isfinite(sigma) and not (2.0 ** -255 <= sigma < 2.0 ** 256 and
+                                     math.isfinite(4.0 * (rho_max * rho_max) / sigma ** 4)):
+        low = max(2.0 ** -255, math.sqrt(2.0 * rho_max) * 2.0 ** -256)
+        raise DomainError(f"sigma must be within [{low:.3g}, {2.0 ** 256:.3g}) at rho_max = "
+                          f"{rho_max}, where sigma^4 and rho_max^2 / sigma^4 are float64 "
+                          f"numbers, got {sigma}")
+    s2, s4 = sigma ** 2, sigma ** 4
 
     def S(r):
         r = _farr(r)
-        return amplitude * np.exp(-(r ** 2) / sigma ** 2)
+        return amplitude * np.exp(-(r ** 2) / s2)
 
     def S_rho(r):
         r = _farr(r)
-        return -2.0 * amplitude * r / sigma ** 2 * np.exp(-(r ** 2) / sigma ** 2)
+        return -2.0 * amplitude * r / s2 * np.exp(-(r ** 2) / s2)
 
     def S_rhorho(r):
         r = _farr(r)
-        return (
-            amplitude
-            * np.exp(-(r ** 2) / sigma ** 2)
-            * (4.0 * r ** 2 / sigma ** 4 - 2.0 / sigma ** 2)
-        )
+        return amplitude * np.exp(-(r ** 2) / s2) * (4.0 * r ** 2 / s4 - 2.0 / s2)
 
     return SurfaceProfile("gaussian-bump", S, S_rho, S_rhorho, rho_max)
 

@@ -51,9 +51,6 @@ LOCATE_RTOL, INVERSE_STEPS, STEP_OFFSET = 1e-3, 2, 8.0
 # a non-normal level takes rounds, each factored at its last quotient, until its residual
 # is at most REFINE_TARGET, a decade inside the contract, or for REFINE_ROUNDS rounds
 REFINE_TARGET, REFINE_ROUNDS = 1e-9, 6
-# the shortest run evolve accepts, sqrt of the smallest normal float: the slope fit
-# scales its time column by sqrt(sum t^2) >= dt * steps, so the sum stays a normal float
-MIN_SPAN = math.sqrt(np.finfo(float).tiny)
 
 
 def _flapack():
@@ -110,7 +107,9 @@ class EvolutionTrace:
     """Crank-Nicolson history: states, surface-measure norms, fitted slope.
 
     norms[k] is ||chi(t_k)|| under the surface measure; log_norm_slope is
-    the least-squares slope of ln ||chi|| against time.
+    the least-squares slope of ln ||chi|| against time, fitted in step units
+    centred on the middle step, s = k - steps/2: (s . ln(norm_k / norm_0)) /
+    (s . s) / dt, which forms no power of dt.
     """
 
     times: np.ndarray
@@ -420,13 +419,18 @@ def _weighted_state(name: str, state, d):
 
 def evolve(operator: TangentialOperator, initial: np.ndarray, dt: float,
            steps: int, record_states: bool = True) -> EvolutionTrace:
-    """Crank-Nicolson propagation of an initial state over steps * dt."""
+    """Crank-Nicolson propagation of an initial state over steps * dt.  DomainError names
+    dt where the last time dt * steps or the step matrix's largest entry dt/4 max |M_w|
+    overflows."""
     _positive("dt", dt)
-    steps = _whole("steps", steps, 1)
-    if dt * steps < MIN_SPAN:
-        raise DomainError(f"dt * steps must be >= {MIN_SPAN:.6g} for the log-norm fit, got "
+    dt, steps = float(dt), _whole("steps", steps, 1)  # Python floats overflow without a warning
+    if not math.isfinite(dt * steps):
+        raise DomainError(f"dt * steps, the trace's last time, overflows float64: "
                           f"dt = {dt}, steps = {steps}")
-    d, lower, upper, *_ = _weighted(operator)
+    d, lower, upper, _, scale, *_ = _weighted(operator)
+    if not math.isfinite(0.25 * dt * float(scale)):
+        raise DomainError(f"dt = {dt} overflows the Crank-Nicolson step matrix: dt/4 times "
+                          f"its operator's largest entry {scale:.6g} is past float64's range")
     z, norm = _weighted_state("initial state", initial, d)
     quarter = 0.25j * dt
     solve = _tridiag_solver(quarter * lower, 0.5 + quarter * operator.diag, quarter * upper)
@@ -450,10 +454,10 @@ def evolve(operator: TangentialOperator, initial: np.ndarray, dt: float,
         raise SolveError("propagation produced non-positive or non-finite norms")
     states = np.divide(rows, d, out=rows) if record_states else None
 
-    times = dt * np.arange(steps + 1)
-    slope = float(np.polyfit(times, np.log(norms), 1)[0])
-    return EvolutionTrace(times=times, states=states, norms=norms,
-                          log_norm_slope=slope)
+    k = np.arange(steps + 1)
+    centred, y = k - 0.5 * steps, np.log(norms)
+    slope = float(centred @ (y - y[0])) / float(centred @ centred) / dt
+    return EvolutionTrace(times=dt * k, states=states, norms=norms, log_norm_slope=slope)
 
 
 def hermiticity_report(operator: TangentialOperator) -> HermiticityReport:

@@ -1,16 +1,19 @@
 """Config schema, CLI subcommands, CSV determinism."""
 
+import contextlib
+import io
 import math
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -128,13 +131,6 @@ def test_rules_across_keys_are_named():
     with pytest.raises(ConfigError, match=r"^field\.gamma_interval: must be a \[lo, hi\] pair, "
                                           r"got \[0\.2, 0\.4, 0\.6\]$"):
         parse_config(MINIMAL + "field:\n  gamma_interval: [0.2, 0.4, 0.6]\n")
-    # evolve's shortest span binds dt and steps together, at its exact boundary
-    half = curvband.solver.MIN_SPAN / 2
-    assert parse_config(MINIMAL + f"dt: {half!r}\nsteps: 2\n").steps == 2
-    with pytest.raises(ConfigError, match=r"^config\.dt, config\.steps: dt \* steps must be >= "
-                                          r"1\.49167e-154 for the log-norm fit, got "
-                                          rf"dt = {half!r}, steps = 1$"):
-        parse_config(MINIMAL + f"dt: {half!r}\nsteps: 1\n")
 
 
 def test_sphere_cap_radius_must_exceed_rho_max():
@@ -261,18 +257,52 @@ def test_summary_states_a_folded_chart(tmp_path):
         (out / "run_summary.txt").read_text().splitlines()
 
 
-def test_evolve_below_the_shortest_span_names_dt(tmp_path, capsys):
-    # before, every step ran and np.polyfit raised LinAlgError; the config rejects
-    # the pair before any solve, and the output directory, made beforehand as in
-    # CI, stays empty
+def test_evolve_whose_last_time_overflows_names_dt_and_steps(tmp_path, capsys):
+    # before, every step ran, np.polyfit warned three times and raised LinAlgError; evolve
+    # rejects the pair before any step, and the output directory, made beforehand as in CI,
+    # stays empty
     (tmp_path / "out").mkdir()
-    code, out = run_cli(tmp_path, MINIMAL + "grid: {n_points: 64}\ndt: 1.0e-200\nsteps: 10\n",
+    code, out = run_cli(tmp_path, MINIMAL + "grid: {n_points: 16}\ndt: 1.0e+306\nsteps: 1000\n",
                         "evolve")
     assert code == 1
     err = capsys.readouterr().err
-    assert err == ("error: evolve: config.dt, config.steps: dt * steps must be >= 1.49167e-154 "
-                   "for the log-norm fit, got dt = 1e-200, steps = 10\n")
+    assert err == ("error: evolve: dt * steps, the trace's last time, overflows float64: "
+                   "dt = 1e+306, steps = 1000\n")
     assert list(out.iterdir()) == []
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(surface=st.sampled_from(["{kind: flat}", "{kind: sphere-cap, radius: 2.0}"]),
+       a3=st.sampled_from([0.4, -0.4]), n_points=st.integers(16, 64),
+       dt=st.floats(math.log(5e-324), math.log(1.7e308)).map(math.exp),
+       steps=st.integers(1, 2000))
+@example(surface="{kind: flat}", a3=0.4, n_points=64, dt=1e-200, steps=1000)
+@example(surface="{kind: flat}", a3=0.4, n_points=64, dt=1e160, steps=1000)
+@example(surface="{kind: flat}", a3=0.4, n_points=16, dt=1e306, steps=1000)
+@example(surface="{kind: flat}", a3=0.4, n_points=64, dt=1e308, steps=1)
+def test_evolve_over_dt_and_steps_runs_or_names_dt(tmp_path_factory, surface, a3, n_points, dt,
+                                                   steps):
+    # every positive float dt: a run writes a finite trace and slope, or fails before any
+    # step naming dt (and steps where dt * steps overflows), with no warning and no output
+    tmp = tmp_path_factory.mktemp("evolve")
+    cfg = tmp / "run.yaml"
+    cfg.write_text(f"surface: {surface}\nfield: {{kind: frame-synthetic, a3: {a3}}}\n"
+                   f"grid: {{n_points: {n_points}}}\n", encoding="utf-8")
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(["evolve", "--config", str(cfg), "--output", str(tmp / "out"),
+                     "--dt", repr(dt), "--steps", str(steps)])
+    if code == 0:
+        table = np.loadtxt(tmp / "out" / "trace.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert table.shape == (steps + 1, 3) and np.isfinite(table).all()
+        slope = (tmp / "out" / "run_summary.txt").read_text().splitlines()[4]
+        assert slope.startswith("log-norm slope: ") and math.isfinite(float(slope[16:]))
+    else:
+        assert code == 1 and not (tmp / "out").exists()
+        assert re.fullmatch(r"error: evolve: [^\n]*\bdt\b[^\n]*\n", err.getvalue())
+        if not math.isfinite(dt * steps):
+            assert "steps" in err.getvalue()
 
 
 def test_gauge_check_command(tmp_path):

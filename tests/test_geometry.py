@@ -1,6 +1,7 @@
 """Geometry of the profile catalog: curvatures, frames, scale factors."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -241,6 +242,31 @@ def test_rho_outside_domain_rejected():
 def test_constructor_names_the_bad_parameter(make, name):
     with pytest.raises(DomainError, match=f"^{name} must be"):
         make()
+
+
+@pytest.mark.parametrize("sigma, rho_max, low", [
+    (1e80, 1.0, "1.73e-77"),
+    (2.0 ** 256, 1.0, "1.73e-77"),
+    (np.nextafter(2.0 ** -255, 0.0), 1.0, "1.73e-77"),
+    (1e-100, 1.0, "1.73e-77"),
+    (3.8e-40, 1e75, "3.86e-40"),
+], ids=["1e80", "2^256", "below-2^-255", "1e-100", "rho-max-1e75"])
+def test_sigma_outside_its_range_is_named(sigma, rho_max, low):
+    # before, sigma ** 4 raised an uncaught OverflowError from sigma ~1e77 on, and a small
+    # sigma divided by a zero power or overflowed with RuntimeWarnings
+    message = f"sigma must be within [{low}, 1.16e+77) at rho_max = {rho_max}, "
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}.* got {re.escape(str(sigma))}$"):
+        gaussian_bump(0.3, float(sigma), rho_max)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("sigma, rho_max", [(2.0 ** -255, 1.0), (3.9e-40, 1e75),
+                                            (np.nextafter(2.0 ** 256, 0.0), 1e75)],
+                         ids=["2^-255", "rho-max-1e75", "below-2^256"])
+def test_sigma_at_the_ends_of_its_range_evaluates(sigma, rho_max):
+    prof = gaussian_bump(0.3, float(sigma), rho_max)
+    rho = np.linspace(0.0, rho_max, 64)
+    assert all(np.isfinite(values).all() for values in curvatures(prof, rho))
 
 
 def test_infinite_sigma_is_a_flat_bump():

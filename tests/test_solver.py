@@ -186,6 +186,9 @@ def test_uniform_coupling_growth_and_decay():
         psi = ground_state(op)
         trace = evolve(op, psi, dt=1e-3, steps=1000, record_states=False)
         assert abs(trace.log_norm_slope - c) / abs(c) < 1e-4
+        # the closed-form fit is the least-squares line through (t, ln ||chi||)
+        reference = np.polyfit(trace.times, np.log(trace.norms), 1)[0]
+        assert abs(trace.log_norm_slope - reference) <= 1e-15
         ratio = trace.norms[-1] / trace.norms[0]
         assert abs(ratio - math.exp(c)) / math.exp(c) < 1e-4
 
@@ -309,9 +312,10 @@ def test_weighted_coupling_checks_its_state(state, message):
     (math.nan, 10, DomainError, "dt must be positive and finite, got nan"),
     (1e-3, 0, DomainError, "steps must be >= 1, got 0"),
     (1e-3, 6.0, DomainError, "steps must be an integer, got 6.0"),
-    (1e-200, 10, DomainError,
-     "dt \\* steps must be >= 1.49167e-154 for the log-norm fit, got dt = 1e-200, steps = 10"),
-    (np.nextafter(solver_mod.MIN_SPAN, 0.0), 1, DomainError, "dt \\* steps must be >= "),
+    (1e306, 1000, DomainError,
+     "^dt \\* steps, the trace's last time, overflows float64: dt = 1e\\+306, steps = 1000$"),
+    (1e308, 1, DomainError, "^dt = 1e\\+308 overflows the Crank-Nicolson step matrix: dt/4 "
+                            "times its operator's largest entry [0-9.]+ is past float64's range$"),
 ])
 def test_evolve_arguments_fail_before_any_step(monkeypatch, dt, steps, error, message):
     op = build_tangential(flat(1.0), zero_field(), 0, RadialGrid(24, 1.0))
@@ -325,19 +329,19 @@ def test_evolve_arguments_fail_before_any_step(monkeypatch, dt, steps, error, me
     assert "max" not in str(caught.value)
 
 
-@pytest.mark.parametrize("steps", [1, 10])
-def test_evolve_at_the_shortest_span_fits_the_slope(steps):
-    # dt * steps at MIN_SPAN and at twice it: sum t^2 in the fit is a normal float. Before,
-    # at dt = 1e-200 every t^2 underflowed to 0, np.polyfit divided its time column by that
-    # zero norm, and lstsq raised LinAlgError
+@pytest.mark.parametrize("dt", [1e-200, 1e160])
+def test_evolve_fits_a_finite_slope_at_extreme_steps(dt):
+    # the slope is fitted in step units and divided by dt once. Before, np.polyfit scaled
+    # its time column by sqrt(sum t^2): at dt = 1e-200 every t^2 underflowed to 0 and lstsq
+    # raised LinAlgError (so dt * steps had a floor), and at 1e160 the sum overflowed with a
+    # RuntimeWarning and a RankWarning
     op = build_tangential(flat(1.0), zero_field(), 0, RadialGrid(64, 1.0))
-    dt = solver_mod.MIN_SPAN if steps == 1 else 2.0 * solver_mod.MIN_SPAN / steps
-    assert dt * steps >= solver_mod.MIN_SPAN
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        trace = evolve(op, ground_state(op), dt=dt, steps=steps, record_states=False)
-    assert math.isfinite(trace.log_norm_slope)
-    assert trace.times[-1] == dt * steps
+        trace = evolve(op, ground_state(op), dt=dt, steps=10, record_states=False)
+    # to float64's precision a step maps z to z (dt = 1e-200) or to -z (dt = 1e160)
+    assert trace.log_norm_slope == 0.0
+    assert trace.times[-1] == dt * 10
 
 
 @pytest.mark.parametrize("record_states", [True, False])
