@@ -64,9 +64,7 @@ def run_command(config: cfgmod.RunConfig, command: str, output_dir=None) -> int:
     if command not in COMMANDS:
         raise CurvbandError(f"unknown command {command!r}")
 
-    profile = cfgmod.make_profile(config)
-    field = cfgmod.make_field(config, profile)
-    grid = cfgmod.make_grid(config)
+    profile, field, grid = cfgmod.build(config)
     op0 = operator.build_tangential(profile, field, config.m_list[0], grid,
                                     mode=config.mode, e=config.charge_e)
     herm = solver.hermiticity_report(op0)

@@ -9,9 +9,13 @@ them, rejects unknown keys by name and names `section.key` in every error
 Optional keys and is a wrong type anywhere else.  Each kind is its library
 constructor: it reads the keys named by the constructor's parameters and
 requires those without a default, and a key only other kinds read must keep
-its default.  Other rules that tie keys together stay explicit: gaussian-bump
-sigma > 0, sphere-cap radius > rho_max, gamma_interval a [lo, hi] pair within
-[0, rho_max], k_eigen <= n_points.
+its default.  The config checks only what it alone can: types, bounds, choices,
+required and foreign keys, k_eigen <= n_points and gamma_interval within
+[0, rho_max].  Every other rule of a surface, field or grid is its
+constructor's: parse_config builds all three once (build), and names the
+section of a constructor's DomainError or EvaluationError, as in
+`surface: sigma must be ...` or `grid: n_points must be >= 16, ...`.  So a
+config is valid exactly when the library can build it.
 serialize_config/parse_config round-trip exactly.
 
     surface:
@@ -49,13 +53,13 @@ import inspect
 import sys
 from dataclasses import MISSING, asdict, dataclass, field as dc_field, fields as dataclass_fields
 from dataclasses import is_dataclass
-from typing import Callable, List, Optional, Union, get_args, get_origin
+from typing import List, Optional, Union, get_args, get_origin
 
 import yaml
 
 from . import fields, geometry
-from .errors import ConfigError
-from .operator import MIN_N_POINTS, MODES, RHO_MAX_RANGE, RadialGrid
+from .errors import ConfigError, DomainError, EvaluationError
+from .operator import MODES, RHO_MAX_RANGE, RadialGrid
 
 # libyaml's classes where PyYAML has them: ~0.3 ms per parse or echo, not ~2 and ~1.3 ms
 _Loader, _Dumper = ((yaml.CSafeLoader, yaml.CSafeDumper) if yaml.__with_libyaml__
@@ -102,7 +106,7 @@ class FieldConfig:
 
 @dataclass
 class GridConfig:
-    n_points: int = dc_field(default=1000, metadata={"minimum": MIN_N_POINTS})
+    n_points: int = 1000
 
 
 @dataclass
@@ -192,7 +196,7 @@ def _section(raw, schema, where: str):
 
 
 def _check_across_keys(config: RunConfig) -> None:
-    """The rules that tie one key to another."""
+    """The rules that tie one key to another, and through build those of the constructors."""
     sections = (("surface", config.surface), ("field", config.field))
     for where, section in sections:
         for key in _REQUIRED[section.kind]:
@@ -202,22 +206,14 @@ def _check_across_keys(config: RunConfig) -> None:
         for f in _FOREIGN[section.kind]:
             if getattr(section, f.name) != f.default:
                 raise ConfigError(f"{where}.{f.name}: not read by kind {section.kind!r}")
+    build(config)  # before k_eigen: a grid of 4 nodes is named as such, not by k_eigen
     if config.k_eigen > config.grid.n_points:
         raise ConfigError(f"config.k_eigen: must be <= grid.n_points = {config.grid.n_points}, "
                           f"got {config.k_eigen}")
-    s = config.surface
-    if s.kind == "gaussian-bump" and s.sigma <= 0:
-        raise ConfigError(f"surface.sigma: must be > 0, got {s.sigma}")
-    if s.kind == "sphere-cap" and not s.radius > s.rho_max:
-        raise ConfigError(f"surface.radius: must exceed rho_max = {s.rho_max}, got {s.radius}")
-    gamma = config.field.gamma_interval
-    if gamma is not None:
-        if len(gamma) != 2:
-            raise ConfigError(f"field.gamma_interval: must be a [lo, hi] pair, got {gamma!r}")
-        if not 0.0 <= gamma[0] <= gamma[1] <= s.rho_max:
-            raise ConfigError(
-                f"field.gamma_interval: need 0 <= lo <= hi <= rho_max = {s.rho_max}, got {gamma}"
-            )
+    rho_max, gamma = config.surface.rho_max, config.field.gamma_interval
+    if gamma is not None and not all(0.0 <= v <= rho_max for v in gamma):
+        raise ConfigError(f"field.gamma_interval: must lie within [0, rho_max = {rho_max}], "
+                          f"got {gamma}")
 
 
 def parse_config(text: str, overrides: Optional[dict] = None) -> RunConfig:
@@ -252,23 +248,19 @@ def serialize_config(config: RunConfig) -> str:
     return yaml.dump(doc, Dumper=_Dumper, sort_keys=True)
 
 
-# ----------------------------------------------------------------------
-# factories into library objects
-# ----------------------------------------------------------------------
-
-def _build(kinds: dict, section, profile=None):
-    """The section's kind from its constructor, each parameter but profile a section key."""
-    return kinds[section.kind](**{name: profile if name == "profile" else getattr(section, name)
-                                  for name in _PARAMETERS[section.kind]})
-
-
-def make_profile(config: RunConfig) -> geometry.SurfaceProfile:
-    return _build(SURFACE_KINDS, config.surface)
-
-
-def make_field(config: RunConfig, profile: geometry.SurfaceProfile) -> Callable:
-    return _build(FIELD_KINDS, config.field, profile)
-
-
-def make_grid(config: RunConfig) -> RadialGrid:
-    return RadialGrid(n_points=config.grid.n_points, rho_max=config.surface.rho_max)
+def build(config: RunConfig) -> tuple:
+    """(profile, field, grid) of the config.  Each kind is its constructor, called with the
+    section key of each parameter's name, and with the profile as profile; ConfigError names
+    the section whose constructor raised a DomainError or an EvaluationError."""
+    built = []
+    try:
+        for where, kinds in (("surface", SURFACE_KINDS), ("field", FIELD_KINDS)):
+            section = getattr(config, where)
+            built.append(kinds[section.kind](**{
+                name: built[0] if name == "profile" else getattr(section, name)
+                for name in _PARAMETERS[section.kind]}))
+        where = "grid"
+        built.append(RadialGrid(n_points=config.grid.n_points, rho_max=config.surface.rho_max))
+    except (DomainError, EvaluationError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    return tuple(built)

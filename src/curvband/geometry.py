@@ -28,6 +28,9 @@ from .errors import DomainError, EvaluationError
 
 # rho below this fraction of rho_max evaluates S_rho/rho by its axis limit
 AXIS_EPS_FACTOR = 1e-8
+# |S_rho| below SLOPE_MAX keeps Z^4 = (1 + S_rho^2)^2 a float64 number, and |S_rhorho|
+# below BEND_MAX its square, which K and the well H^2 - K reach at the axis
+SLOPE_MAX, BEND_MAX = 2.0 ** 255, 2.0 ** 511
 
 
 def _farr(x) -> np.ndarray:
@@ -44,6 +47,16 @@ def _finite(name: str, value) -> None:
     """DomainError naming the argument unless value is finite."""
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value}")
+
+
+def _not_too_steep(name: str, value, slope: float, bend: float) -> None:
+    """DomainError naming the parameter unless slope and bend, the largest |S_rho| and
+    |S_rhorho| its value gives on [0, rho_max], are below SLOPE_MAX and BEND_MAX."""
+    if not (slope < SLOPE_MAX and bend < BEND_MAX):
+        raise DomainError(f"{name} must keep max |S_rho| below 2^255 ~ {SLOPE_MAX:.3g} and "
+                          f"max |S_rhorho| below 2^511 ~ {BEND_MAX:.3g} on [0, rho_max], where "
+                          f"Z^4 and the curvatures are float64 numbers, got {value}, where they "
+                          f"are {slope:.3g} and {bend:.3g}")
 
 
 @dataclass(frozen=True)
@@ -86,8 +99,11 @@ def flat(rho_max: float = 1.0) -> SurfaceProfile:
 
 
 def paraboloid(a: float, rho_max: float = 1.0) -> SurfaceProfile:
-    """Paraboloid of revolution z = a rho^2."""
+    """Paraboloid of revolution z = a rho^2.  DomainError names an a whose |S_rho| = 2 |a| rho
+    or |S_rhorho| = 2 |a| reaches SLOPE_MAX or BEND_MAX on [0, rho_max]."""
     _finite("a", a)
+    _positive("rho_max", rho_max)
+    _not_too_steep("a", a, 2.0 * abs(a) * rho_max, 2.0 * abs(a))
     return SurfaceProfile(
         name="paraboloid",
         S=lambda r: a * _farr(r) ** 2,
@@ -99,7 +115,8 @@ def paraboloid(a: float, rho_max: float = 1.0) -> SurfaceProfile:
 
 def gaussian_bump(amplitude: float, sigma: float, rho_max: float = 1.0) -> SurfaceProfile:
     """Gaussian bump z = A exp(-rho^2 / sigma^2); mixed-sign curvature.  DomainError names
-    a sigma outside the range it supports at rho_max."""
+    a sigma outside the range it supports at rho_max, and an amplitude whose |S_rho| or
+    |S_rhorho| reaches SLOPE_MAX or BEND_MAX on [0, rho_max]."""
     _finite("amplitude", amplitude)
     _positive("rho_max", rho_max)
     if not sigma > 0:  # sigma = inf is a flat profile at height amplitude
@@ -115,6 +132,12 @@ def gaussian_bump(amplitude: float, sigma: float, rho_max: float = 1.0) -> Surfa
                           f"{rho_max}, where sigma^4 and rho_max^2 / sigma^4 are float64 "
                           f"numbers, got {sigma}")
     s2, s4 = sigma ** 2, sigma ** 4
+    # |S_rho| peaks at min(rho_max, sigma / sqrt 2) and |S_rhorho| at the axis, 2 |A| / sigma^2;
+    # S_rho forms 2 A rho / sigma^2 before its Gaussian factor, which must be finite too
+    top = min(rho_max, sigma * math.sqrt(0.5))
+    slope = (2.0 * abs(amplitude) * top / s2 * math.exp(-top * top / s2)
+             if math.isfinite(2.0 * amplitude * rho_max / s2) else math.inf)
+    _not_too_steep("amplitude", amplitude, slope, 2.0 * abs(amplitude) / s2)
 
     def S(r):
         r = _farr(r)
@@ -135,12 +158,14 @@ def sphere_cap(radius: float, rho_max: float) -> SurfaceProfile:
     """Spherical cap z = sqrt(R^2 - rho^2) - R, an umbilic surface.
 
     H = 1/R and K = 1/R^2 are constant, so H^2 - K vanishes identically;
-    handy as an exact reference.  Requires rho_max < radius.
+    handy as an exact reference.  Requires rho_max < radius < 2^340, below which
+    radius^3, the scale of S_rhorho's denominator, is a float64 number.
     """
     _positive("radius", radius)
     _positive("rho_max", rho_max)
-    if not rho_max < radius:
-        raise DomainError(f"sphere cap needs rho_max < radius, got {rho_max} >= {radius}")
+    if not rho_max < radius < 2.0 ** 340:
+        raise DomainError(f"radius must exceed rho_max = {rho_max} and be below 2^340 ~ "
+                          f"{2.0 ** 340:.3g}, got {radius}")
 
     def S(r):
         r = _farr(r)

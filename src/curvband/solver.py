@@ -421,13 +421,15 @@ def evolve(operator: TangentialOperator, initial: np.ndarray, dt: float,
            steps: int, record_states: bool = True) -> EvolutionTrace:
     """Crank-Nicolson propagation of an initial state over steps * dt.  DomainError names
     dt where the last time dt * steps or the step matrix's largest entry dt/4 max |M_w|
-    overflows."""
+    overflows, and where the generator is not Hermitian (a nonzero Im diag, or M_w failing
+    _weighted's test) but the first step returns its input bit for bit: so would every
+    step, and the norm that should change would not."""
     _positive("dt", dt)
     dt, steps = float(dt), _whole("steps", steps, 1)  # Python floats overflow without a warning
     if not math.isfinite(dt * steps):
         raise DomainError(f"dt * steps, the trace's last time, overflows float64: "
                           f"dt = {dt}, steps = {steps}")
-    d, lower, upper, _, scale, *_ = _weighted(operator)
+    d, lower, upper, _, scale, _, hermitian = _weighted(operator)
     if not math.isfinite(0.25 * dt * float(scale)):
         raise DomainError(f"dt = {dt} overflows the Crank-Nicolson step matrix: dt/4 times "
                           f"its operator's largest entry {scale:.6g} is past float64's range")
@@ -443,6 +445,10 @@ def evolve(operator: TangentialOperator, initial: np.ndarray, dt: float,
     for s in range(1, steps + 1):
         z = np.subtract(solve(z), z, out=rows[s % len(rows)])
         norms[s] = math.sqrt(np.vdot(z, z).real)
+        if s == 1 and np.array_equal(z, rows[0]) and (operator.diag.imag.any() or not hermitian):
+            raise DomainError(f"dt = {dt} is too small to move the state: a Crank-Nicolson "
+                              f"step returns its input bit for bit, while the generator is "
+                              f"not Hermitian, so its norm should change")
     jumps = np.flatnonzero((norms[1:] > 10.0 * norms[:-1]) | (norms[1:] < 0.1 * norms[:-1]))
     if jumps.size:
         warnings.warn(

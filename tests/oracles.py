@@ -1,14 +1,17 @@
 """Independent numerical oracles used by the test suite.
 
 These deliberately avoid the library under test (and scipy.special): Bessel
-functions come from the defining power series, summed in decimal arithmetic
-with the digits its cancellation needs, their zeros from bracketing plus bisection, and curvatures from fresh central differences of the
-generator.  Reference constants derived from them are frozen in the tests.
+functions and the sphere cap's hypergeometric series come from their defining
+power series, summed in decimal arithmetic with the digits their cancellation
+needs, their zeros from bracketing plus bisection, and curvatures from fresh
+central differences of the generator.  Reference constants derived from them
+are frozen in the tests.
 """
 
 from __future__ import annotations
 
 import decimal
+import functools
 import math
 
 import numpy as np
@@ -36,6 +39,19 @@ def bessel_j(m: int, x: float) -> float:
         return float(total)
 
 
+def _bisect_zero(f, lo: float, hi: float, flo: float) -> float:
+    """The zero of f in [lo, hi], where f changes sign and f(lo) = flo, bisected until the
+    bracket is two adjacent floats."""
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if flo * fm <= 0.0:
+            hi = mid
+        else:
+            lo, flo = mid, fm
+    return 0.5 * (lo + hi)
+
+
 def bessel_zero(m: int, k: int) -> float:
     """k-th positive zero of J_m by scan-and-bisect (no library calls),
     bisected until the bracket is two adjacent floats."""
@@ -48,15 +64,7 @@ def bessel_zero(m: int, k: int) -> float:
         if f0 * f1 < 0.0:
             found += 1
             if found == k:
-                lo, hi, flo = x, x1, f0
-                while lo < 0.5 * (lo + hi) < hi:
-                    mid = 0.5 * (lo + hi)
-                    fm = bessel_j(m, mid)
-                    if flo * fm <= 0.0:
-                        hi = mid
-                    else:
-                        lo, flo = mid, fm
-                return 0.5 * (lo + hi)
+                return _bisect_zero(lambda v: bessel_j(m, v), x, x1, f0)
         x, f0 = x1, f1
     raise RuntimeError(f"zero {k} of J_{m} not found")
 
@@ -64,6 +72,59 @@ def bessel_zero(m: int, k: int) -> float:
 def disc_dirichlet_energy(m: int, k: int, radius: float = 1.0) -> float:
     """Laplacian Dirichlet level j_{m,k}^2 / (2 R^2) of the flat disc."""
     return bessel_zero(m, k) ** 2 / (2.0 * radius ** 2)
+
+
+def cap_series(nu: float, m: int, t) -> float:
+    """2F1(-nu, nu + 1; 1 + m; t) = sum_k (-nu)_k (nu + 1)_k / ((1 + m)_k k!) t^k, for t in
+    [0, 1/2] a float or a Decimal.
+
+    Up to a factor that does not vanish inside the cap, it is the associated Legendre
+    function P_nu^-m(1 - 2t).  Like J_m at x = 2 nu sqrt(t), its terms grow to ~e^x
+    before they cancel, so the series is summed in decimal arithmetic with 40 + x/2
+    digits; it stops once the terms shrink, |ratio| < 1 (they keep shrinking from there),
+    and fall below the precision.
+    """
+    with decimal.localcontext() as ctx:
+        t = decimal.Decimal(t)
+        ctx.prec = 40 + math.ceil(nu * math.sqrt(t))
+        tiny = decimal.Decimal(10) ** -(ctx.prec - 5)
+        a, b = -decimal.Decimal(nu), decimal.Decimal(nu) + 1   # Decimal(float) is exact
+        term, total, k = decimal.Decimal(1), decimal.Decimal(1), 0
+        while True:
+            ratio = (a + k) * (b + k) * t / ((1 + m + k) * (k + 1))
+            term *= ratio
+            total += term
+            k += 1
+            if abs(ratio) < 1 and abs(term) < tiny:
+                return float(total)
+
+
+@functools.lru_cache(maxsize=None)
+def _cap_zeros(m: int, count: int, radius: float, rho_max: float) -> tuple:
+    """The first count positive nu where 2F1(-nu, nu + 1; 1 + m; t0) = 0, by a scan in steps
+    of 0.05 / theta0 (0.05 in x = nu theta0, as bessel_zero's) and bisection."""
+    s = decimal.Decimal(rho_max) / decimal.Decimal(radius)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        t0 = s * s / (2 * (1 + (1 - s * s).sqrt()))   # (1 - cos theta0) / 2, no cancellation
+    step = 0.05 / math.asin(rho_max / radius)
+    zeros, nu, f0 = [], 0.0, 1.0                     # the series is 1 at nu = 0
+    while len(zeros) < count:
+        nu1 = nu + step
+        f1 = cap_series(nu1, m, t0)
+        if f0 * f1 < 0.0:
+            zeros.append(_bisect_zero(lambda v: cap_series(v, m, t0), nu, nu1, f0))
+        nu, f0 = nu1, f1
+    return tuple(zeros)
+
+
+def cap_dirichlet_energy(m: int, k: int, radius: float, rho_max: float) -> float:
+    """Level k (from 1) of -1/2 the Laplace-Beltrami operator on the sphere cap of the given
+    radius over [0, rho_max], in channel m, with a Dirichlet wall at theta0 =
+    arcsin(rho_max / radius): nu (nu + 1) / (2 radius^2), where P_nu^-m(cos theta0) = 0,
+    that is 2F1(-nu, nu + 1; 1 + m; t0) = 0 with t0 = (1 - cos theta0) / 2."""
+    nu = _cap_zeros(m, k, radius, rho_max)[k - 1]
+    return nu * (nu + 1.0) / (2.0 * radius * radius)
 
 
 def smallest_real_parts(mat: np.ndarray, k: int) -> np.ndarray:

@@ -21,7 +21,7 @@ import curvband
 from curvband import (ConfigError, cli, fields, geometry, operator, parse_config,
                       serialize_config, solver)
 from curvband.cli import main, write_csv
-from curvband.config import make_field, make_grid, make_profile
+from curvband.config import build
 from oracles import disc_dirichlet_energy
 
 MINIMAL = """
@@ -126,11 +126,42 @@ def test_gamma_interval_validated():
 
 
 def test_rules_across_keys_are_named():
-    with pytest.raises(ConfigError, match=r"^surface\.sigma: must be > 0, got 0\.0$"):
+    # the constructors own these rules; the config names the section of their errors
+    with pytest.raises(ConfigError, match=r"^surface: sigma must be positive, got 0\.0$"):
         parse_config("surface:\n  kind: gaussian-bump\n  amplitude: 0.3\n  sigma: 0.0\n")
-    with pytest.raises(ConfigError, match=r"^field\.gamma_interval: must be a \[lo, hi\] pair, "
+    with pytest.raises(ConfigError, match=r"^field: gamma_interval must be a \(lo, hi\) pair, "
                                           r"got \[0\.2, 0\.4, 0\.6\]$"):
         parse_config(MINIMAL + "field:\n  gamma_interval: [0.2, 0.4, 0.6]\n")
+    with pytest.raises(ConfigError, match=r"^field\.gamma_interval: must lie within "
+                                          r"\[0, rho_max = 1\.0\], got \[0\.2, 1\.5\]$"):
+        parse_config(MINIMAL + "field:\n  gamma_interval: [0.2, 1.5]\n")
+
+
+@pytest.mark.parametrize("surface, extra, section, key", [
+    ("{kind: gaussian-bump, amplitude: 0.3, sigma: 0.0}", "", "surface", "sigma"),
+    ("{kind: gaussian-bump, amplitude: 0.3, sigma: 1.0e-300}", "", "surface", "sigma"),
+    ("{kind: gaussian-bump, amplitude: 0.3, sigma: 1.0e+80}", "", "surface", "sigma"),
+    ("{kind: gaussian-bump, amplitude: 1.0e+300, sigma: 0.5}", "", "surface", "amplitude"),
+    ("{kind: sphere-cap, radius: 1.0}", "", "surface", "radius"),
+    ("{kind: sphere-cap, radius: 0.8}", "", "surface", "radius"),
+    ("{kind: sphere-cap, radius: 1.0e+200}", "", "surface", "radius"),
+    ("{kind: paraboloid, a: 1.0e+308}", "", "surface", "a"),
+    ("{kind: flat}", "field: {gamma_interval: [0.2, 0.4, 0.6]}", "field", "gamma_interval"),
+    ("{kind: flat}", "field: {gamma_interval: [0.6, 0.2]}", "field", "gamma_interval"),
+    ("{kind: flat}", "grid: {n_points: 4}", "grid", "n_points"),
+    ("{kind: flat}", "grid: {n_points: 4503599627370496}", "grid", "n_points"),
+], ids=["sigma-0", "sigma-1e-300", "sigma-1e80", "amplitude-1e300", "radius-at-rho-max",
+        "radius-below-rho-max", "radius-1e200", "a-1e308", "gamma-3-values", "gamma-reversed",
+        "n-points-4", "n-points-2^52"])
+def test_a_constructor_rule_is_a_config_error_naming_its_section(surface, extra, section, key):
+    # before, the config restated the first, fifth, sixth, ninth, tenth and eleventh of these
+    # rules, and the others passed parsing and failed only when a command built the run:
+    # radius 1e200 with an uncaught OverflowError, amplitude 1e300 and a 1e308 after
+    # RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=rf"^{section}: {key} must "):
+            parse_config(f"surface: {surface}\n{extra}\n")
 
 
 def test_sphere_cap_radius_must_exceed_rho_max():
@@ -271,6 +302,21 @@ def test_evolve_whose_last_time_overflows_names_dt_and_steps(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+# README's cap.yaml
+README_CAP = ("surface:\n  kind: sphere-cap\n  rho_max: 1.0\n  radius: 2.0\nfield:\n"
+              "  kind: frame-synthetic\n  a3: 0.4\ngrid:\n  n_points: 400\nsteps: 1000\n")
+
+
+@pytest.mark.parametrize("dt", ["1.0e-150", "1.0e-200", "1.0e-300"])
+def test_evolve_of_the_cap_at_a_dt_too_small_to_step_names_dt(tmp_path, capsys, dt):
+    # before, the run exited 0 with `log-norm slope: 0`, since every step returned its
+    # input bit for bit while the coupling e A3 H = 0.2 should grow the norm
+    assert_failed_cleanly(tmp_path, capsys, README_CAP + f"dt: {dt}\n", "evolve",
+                          f"dt = {float(dt):g} is too small to move the state: a "
+                          f"Crank-Nicolson step returns its input bit for bit, while the "
+                          f"generator is not Hermitian, so its norm should change")
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(surface=st.sampled_from(["{kind: flat}", "{kind: sphere-cap, radius: 2.0}"]),
        a3=st.sampled_from([0.4, -0.4]), n_points=st.integers(16, 64),
@@ -397,7 +443,7 @@ def test_flags_are_validated_like_config_keys(tmp_path, capsys, flag, value, key
     if flag == "--dt":
         assert "config.dt: must be finite" in flag_err
     else:
-        assert "grid.n_points: must be >= 16" in flag_err
+        assert "grid: n_points must be >= 16" in flag_err
 
 
 FLAGS = ("--config", "--output", "--mode", "--m", "--n-points", "--dt", "--steps")
@@ -545,8 +591,7 @@ def test_csv_body_is_each_value_with_17_digits(tmp_path_factory, table, block_ro
 def _reference_rows(body, command):
     """The rows of command's CSV, each value computed by the library one scalar at a time."""
     config = parse_config(body)
-    profile, grid = make_profile(config), make_grid(config)
-    field = make_field(config, profile)
+    profile, field, grid = build(config)
     nodes = grid.nodes
     if command == "geometry":
         Z, H, K = geometry.curvatures(profile, nodes)

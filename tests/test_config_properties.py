@@ -8,14 +8,18 @@ derandomized, so every run checks the same cases.  Every schema key is
 also checked against its declared type and rule, and each required key
 for an error that names it.  Where PyYAML has libyaml, its C loader and
 dumper are checked against the pure-Python ones.  Each kind built from a
-config is checked bit for bit against a direct call of its constructor.
+config is checked bit for bit against a direct call of its constructor, and
+documents drawn across and past every constructor's range build whenever they
+parse.
 """
 
 import copy
 import dataclasses
 import inspect
+import math
 import re
 import typing
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -26,14 +30,17 @@ from hypothesis import strategies as st
 
 from curvband import (ConfigError, RunConfig, config, fields, geometry, parse_config,
                       serialize_config)
-from curvband.config import (FIELD_KINDS, MIN_N_POINTS, SURFACE_KINDS, FieldConfig,
-                             GridConfig, SurfaceConfig, make_field, make_profile)
-from curvband.operator import MODES
+from curvband.config import (FIELD_KINDS, SURFACE_KINDS, FieldConfig, GridConfig, SurfaceConfig,
+                             build)
+from curvband.operator import MAX_N_POINTS, MIN_N_POINTS, MODES
 
 PROPERTY = settings(derandomize=True, max_examples=8, deadline=None)
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=1e-6, max_value=1e6)
+# a paraboloid's a and a bump's amplitude within their constructors' steepness bound at
+# every rho_max and sigma drawn below
+moderate = st.floats(-1e60, 1e60)
 
 
 def maybe(strategy):
@@ -42,8 +49,8 @@ def maybe(strategy):
 
 
 # keys each kind requires; a sphere-cap radius is drawn as rho_max + margin
-REQUIRED = {"flat": {}, "paraboloid": {"a": finite},
-            "gaussian-bump": {"amplitude": finite, "sigma": positive},
+REQUIRED = {"flat": {}, "paraboloid": {"a": moderate},
+            "gaussian-bump": {"amplitude": moderate, "sigma": positive},
             "sphere-cap": {}, "frame-synthetic": {},
             "axial-uniform": {"b": finite}, "cartesian-constant": {"c": finite}}
 # keys that only some kinds read; any other kind takes them only at their defaults
@@ -282,6 +289,11 @@ def _breaches(rule):
             + ([rule["minimum"] - 1] if "minimum" in rule else []))
 
 
+# out-of-bounds values of keys whose rule is a constructor's, not a field's metadata; the
+# error names the section, then the parameter
+CONSTRUCTOR_BREACHES = {(GridConfig, "n_points"): [MIN_N_POINTS - 1, MAX_N_POINTS + 1]}
+
+
 @pytest.mark.parametrize("schema, f", SCHEMA_FIELDS,
                          ids=[f"{SECTIONS[s]}.{f.name}" for s, f in SCHEMA_FIELDS])
 def test_field_type_is_the_resolved_annotation(schema, f):
@@ -299,6 +311,9 @@ def test_every_schema_key_follows_its_declared_rule(schema, f):
     wrong = [1] if dataclasses.is_dataclass(annotation) else {"junk": 1}
     for value in [wrong, *_breaches(f.metadata)]:
         with pytest.raises(ConfigError, match=rf"^{re.escape(name)}: "):
+            parse_config(_with_value(schema, f.name, value))
+    for value in CONSTRUCTOR_BREACHES.get((schema, f.name), []):
+        with pytest.raises(ConfigError, match=rf"^{SECTIONS[schema]}: {f.name} must be "):
             parse_config(_with_value(schema, f.name, value))
 
     # null reads as absent exactly for Optional keys
@@ -344,7 +359,7 @@ BY_HAND = {
 def test_kind_from_config_is_its_constructor_call(kind):
     surface, field, direct = BY_HAND[kind]
     cfg = parse_config(yaml.safe_dump({"surface": surface, **({"field": field} if field else {})}))
-    profile = make_profile(cfg)
+    profile, field_built, _ = build(cfg)
     rho = np.array([0.0, 1e-9, 0.2, 0.45, 0.6, 1.3])
 
     def bits(values):
@@ -355,7 +370,7 @@ def test_kind_from_config_is_its_constructor_call(kind):
         assert bits(f(rho) for f in (built.S, built.S_rho, built.S_rhorho)) == \
             bits(f(rho) for f in (ref.S, ref.S_rho, ref.S_rhorho))
     else:
-        built, ref = make_field(cfg, profile), direct(profile)
+        built, ref = field_built, direct(profile)
         for q in (0.0, 0.01):
             assert bits(built(rho, q)) == bits(ref(rho, q))
 
@@ -367,3 +382,77 @@ def test_section_keys_are_the_constructor_parameters(schema, kinds):
     # each key but kind
     parameters = {name for make in kinds.values() for name in inspect.signature(make).parameters}
     assert parameters - {"profile"} == {f.name for f in dataclasses.fields(schema)} - {"kind"}
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+signed = st.builds(lambda sign, v: sign * v, st.sampled_from([1.0, -1.0]),
+                   _log_uniform(1e-300, 1.7e308))
+# the ends of sigma's range at rho_max 1 (2^-255) and 1e75 (about 3.86e-40), and below 2^256
+SIGMA_ENDS = [2.0 ** -255, 3.8675e-40, float(np.nextafter(2.0 ** 256, 0.0))]
+
+
+@st.composite
+def wide_documents(draw):
+    """A document of any kind whose constructors' parameters range across their bounds and
+    past them: log-uniform magnitudes and the ends of each range."""
+    rho_max = draw(st.sampled_from([1e-75, 1.0, 1e75]) | _log_uniform(1e-75, 1e75))
+    kind = draw(st.sampled_from(sorted(SURFACE_KINDS)))
+    surface = {"kind": kind, "rho_max": rho_max}
+    if kind == "paraboloid":
+        surface["a"] = draw(signed)
+    elif kind == "gaussian-bump":
+        surface["amplitude"] = draw(signed | st.just(0.3))
+        surface["sigma"] = draw(st.sampled_from(SIGMA_ENDS) | _log_uniform(1e-80, 1e80))
+    elif kind == "sphere-cap":
+        surface["radius"] = draw(st.sampled_from([rho_max, float(np.nextafter(rho_max, 2.0)),
+                                                  float(np.nextafter(2.0 ** 340, 0.0))])
+                                 | _log_uniform(1.0, 1e300).map(lambda f: rho_max * f))
+    field = {"kind": draw(st.sampled_from(sorted(FIELD_KINDS)))}
+    if field["kind"] == "axial-uniform":
+        field["b"] = draw(signed)
+    elif field["kind"] == "cartesian-constant":
+        field["c"] = draw(signed)
+    elif draw(st.booleans()):
+        field["a3"] = draw(signed)
+        field["gamma_interval"] = draw(st.lists(st.floats(0.0, 1.2).map(lambda v: v * rho_max),
+                                                min_size=1, max_size=3))
+    n_points = draw(st.sampled_from([MIN_N_POINTS - 1, MIN_N_POINTS, MAX_N_POINTS,
+                                     MAX_N_POINTS + 1]) | st.integers(1, 2 ** 53))
+    return {"surface": surface, "field": field, "grid": {"n_points": n_points}}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(doc=wide_documents())
+@example(doc={"surface": {"kind": "gaussian-bump", "amplitude": 0.3, "sigma": SIGMA_ENDS[0]},
+              "grid": {"n_points": MAX_N_POINTS}})
+@example(doc={"surface": {"kind": "gaussian-bump", "amplitude": 0.3, "sigma": SIGMA_ENDS[1],
+                          "rho_max": 1e75}})
+@example(doc={"surface": {"kind": "gaussian-bump", "amplitude": 0.3, "sigma": SIGMA_ENDS[2],
+                          "rho_max": 1e75}})
+def test_every_accepted_document_builds(doc):
+    # parse_config accepts a document exactly when its constructors do: what it accepts
+    # builds, with no warning, into a profile whose curvatures are finite on [0, rho_max]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            cfg = parse_config(yaml.safe_dump(doc))
+        except ConfigError:
+            return
+        profile, field, grid = build(cfg)
+        assert (profile.name, grid.n_points, grid.rho_max) == \
+            (cfg.surface.kind, cfg.grid.n_points, cfg.surface.rho_max) and callable(field)
+        rho = np.linspace(0.0, profile.rho_max, 65)
+        assert all(np.isfinite(values).all() for values in geometry.curvatures(profile, rho))
+
+
+@pytest.mark.parametrize("sigma, rho_max", [(SIGMA_ENDS[0], 1.0), (SIGMA_ENDS[1], 1e75),
+                                            (SIGMA_ENDS[2], 1e75)], ids=["2^-255", "3.8675e-40",
+                                                                         "below-2^256"])
+def test_the_ends_of_the_ranges_are_accepted(sigma, rho_max):
+    # the property's examples are accepted, so they reach build
+    doc = {"surface": {"kind": "gaussian-bump", "amplitude": 0.3, "sigma": sigma,
+                       "rho_max": rho_max}, "grid": {"n_points": MAX_N_POINTS}}
+    assert parse_config(yaml.safe_dump(doc)).grid.n_points == MAX_N_POINTS

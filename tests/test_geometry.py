@@ -269,6 +269,45 @@ def test_sigma_at_the_ends_of_its_range_evaluates(sigma, rho_max):
     assert all(np.isfinite(values).all() for values in curvatures(prof, rho))
 
 
+STEEP = "must keep max |S_rho| below 2^255 ~ 5.79e+76 and max |S_rhorho| below 2^511 ~ 6.7e+153"
+
+
+@pytest.mark.parametrize("make, name, value", [
+    (lambda v: gaussian_bump(v, 0.5, 1.0), "amplitude", 1e300),      # three warnings before
+    (lambda v: gaussian_bump(v, 0.5, 1.0), "amplitude", -3.5e76),    # |S_rho| ~ 6.0e76
+    (lambda v: gaussian_bump(v, 2.0 ** -255, 1.0), "amplitude", 1.1),  # |S_rhorho| ~ 7.4e153
+    (lambda v: gaussian_bump(v, 1e70, 1e75), "amplitude", 1e307),    # 2 A rho / sigma^2 is inf
+    (lambda v: paraboloid(v, 1e75), "a", 1e25),                      # K overflowed to 0 before
+    (lambda v: paraboloid(v, 1.0), "a", 1.7976931348623157e308),     # S_rho(0) was nan before
+], ids=["bump-1e300", "bump-slope", "bump-bend", "bump-reach", "paraboloid-1e25",
+        "paraboloid-max"])
+def test_a_surface_too_steep_for_float64_is_named(make, name, value):
+    match = f"^{name} {re.escape(STEEP)}.*, got {re.escape(str(value))}, "
+    with pytest.raises(DomainError, match=match):
+        make(value)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("prof", [
+    gaussian_bump(3.3e76, 0.5, 1.0), gaussian_bump(-0.99, 2.0 ** -255, 1.0),
+    gaussian_bump(1e120, 1e75, 1e75), paraboloid(2.8e76, 1.0), paraboloid(-2.8e1, 1e75),
+    sphere_cap(2.2e102, 1.0),
+], ids=["bump-slope", "bump-bend", "bump-broad", "paraboloid-slope", "paraboloid-wide",
+        "cap-radius"])
+def test_a_surface_inside_the_steepness_bound_evaluates(prof):
+    rho = np.linspace(0.0, prof.rho_max, 257)
+    assert all(np.isfinite(values).all() for values in curvatures(prof, rho))
+
+
+def test_sphere_cap_radius_is_named_past_its_range():
+    # radius ** 2 raised an uncaught OverflowError from ~1.3e154, and S_rhorho overflowed
+    # with a RuntimeWarning from ~5.6e102
+    for radius in (1.0, 0.5, 2.0 ** 340, 1e200):
+        with pytest.raises(DomainError, match=rf"^radius must exceed rho_max = 1\.0 and be "
+                                              rf"below 2\^340 ~ 2\.24e\+102, got "):
+            sphere_cap(radius, 1.0)
+
+
 def test_infinite_sigma_is_a_flat_bump():
     prof = gaussian_bump(0.3, math.inf, 1.0)
     rho = np.array([0.0, 0.5, 1.0])

@@ -13,6 +13,7 @@ from curvband import (
     DomainError,
     EvaluationError,
     RadialGrid,
+    SurfaceProfile,
     axial_uniform,
     build_tangential,
     decoupling_check,
@@ -459,8 +460,12 @@ def test_rho_max_outside_the_range_is_named(rho_max):
 def test_kinetic_denominator_that_overflows_is_named():
     # before, 2 rho Z drho^2 overflowed to inf, the kinetic terms became 0, and the solve
     # met the absolute contract with every level at about 1e-151; the curvature K, which
-    # divides by Z^4, still overflows first
-    prof = paraboloid(1e25, 1e75)
+    # divides by Z^4, still overflows first.  paraboloid names an a this steep, so the
+    # surface is the paraboloid's own functions in a SurfaceProfile
+    a = 1e25
+    prof = SurfaceProfile("paraboloid", lambda r: a * np.asarray(r, float) ** 2,
+                          lambda r: 2.0 * a * np.asarray(r, float),
+                          lambda r: np.full_like(np.asarray(r, float), 2.0 * a), 1e75)
     with pytest.warns(RuntimeWarning, match="overflow encountered in power"), \
             pytest.raises(DomainError, match=r"^2 rho Z drho\^2 overflows at rho_max = 1e\+75: "
                                              r"the surface is too steep for the grid, Z = 1\.969"):

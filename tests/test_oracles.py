@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from oracles import bessel_j, bessel_zero, fd_curvatures
+from oracles import (bessel_j, bessel_zero, cap_dirichlet_energy, cap_series,
+                     disc_dirichlet_energy, fd_curvatures)
 
 # first three positive zeros of J_0, J_1, J_2 (standard tabulated values)
 FROZEN_ZEROS = {
@@ -56,3 +57,30 @@ def test_fd_curvatures_on_paraboloid():
     np.testing.assert_allclose(Z, Z_ref, rtol=1e-8)
     np.testing.assert_allclose(H, H_ref, rtol=1e-6)
     np.testing.assert_allclose(K, K_ref, rtol=1e-6)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_cap_levels_tend_to_the_disc_as_the_radius_grows(m):
+    # at fixed rho_max the cap flattens: its level k tends to j_{m,k}^2 / 2, at second order
+    # in 1 / R, so each tenfold R divides the gap by 100 (measured: to within 2e-5 of it)
+    gaps = []
+    for radius in (1e2, 1e3, 1e4):
+        disc = disc_dirichlet_energy(m, 3)
+        gaps.append(cap_dirichlet_energy(m, 3, radius, 1.0) / disc - 1.0)
+        assert 0.0 < -gaps[-1] < 0.5 / radius ** 2
+    np.testing.assert_allclose(np.array(gaps[:-1]) / gaps[1:], 100.0, rtol=1e-3)
+
+
+def _legendre(l, x):
+    """P_l(x) by the recurrence (n + 1) P_{n+1} = (2n + 1) x P_n - n P_{n-1}."""
+    previous, current = 1.0, x
+    for n in range(1, l):
+        previous, current = current, ((2 * n + 1) * x * current - n * previous) / (n + 1)
+    return previous if l == 0 else current
+
+
+@pytest.mark.parametrize("t", [0.0, 0.067, 0.25, 0.5])
+def test_cap_series_at_integer_nu_is_a_legendre_polynomial(t):
+    # at m = 0 and nu = l the series ends, and 2F1(-l, l + 1; 1; t) = P_l(1 - 2t)
+    for l in range(13):
+        assert abs(cap_series(float(l), 0, t) - _legendre(l, 1.0 - 2.0 * t)) < 1e-13, l

@@ -30,7 +30,7 @@ from curvband import (
     weighted_coupling,
     zero_field,
 )
-from oracles import disc_dirichlet_energy
+from oracles import cap_dirichlet_energy, disc_dirichlet_energy
 
 
 def shifted_copy(op, shift):
@@ -67,6 +67,50 @@ def test_flat_disc_reference_numbers():
     # j_{0,1}^2/2 = 2.891593, j_{1,1}^2/2 = 7.340985
     assert disc_dirichlet_energy(0, 1) == pytest.approx(2.891592, abs=2e-6)
     assert disc_dirichlet_energy(1, 1) == pytest.approx(7.340976, abs=2e-5)
+
+
+# the sphere cap R = 2 over rho_max = 1 in zero field: umbilic, so H^2 - K = 0 and the
+# hermitian-corrected channel is -1/2 the Laplace-Beltrami operator, whose levels
+# cap_dirichlet_energy gives exactly.  Its relative errors, measured once at these n over
+# m = 0-2 and k = 1-3, reach 3.08e-5, 7.69e-6 and 1.92e-6; each bound is 1.25 times that
+CAP_N = (500, 1001, 2003)
+CAP_BOUND = {500: 3.9e-5, 1001: 9.7e-6, 2003: 2.4e-6}
+
+
+def _cap_levels(m, n, a3=0.0, e=1.0):
+    op = build_tangential(sphere_cap(2.0, 1.0), frame_synthetic(a3=a3), m, RadialGrid(n, 1.0),
+                          e=e)
+    return op, eigen_solve(op, 3).eigenvalues
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_sphere_cap_levels_match_the_legendre_oracle(m):
+    exact = np.array([cap_dirichlet_energy(m, k, 2.0, 1.0) for k in (1, 2, 3)])
+    errors = {}
+    for n in CAP_N:
+        levels = _cap_levels(m, n)[1]
+        assert np.all(levels.imag == 0.0)
+        errors[n] = (levels.real - exact) / exact
+        assert np.abs(errors[n]).max() < CAP_BOUND[n], (n, errors[n])
+    # second order: halving the spacing (n -> 2n + 1) divides every error by 4; the measured
+    # ratios lie within 6.8e-4 of it
+    for coarse, fine in zip(CAP_N, CAP_N[1:]):
+        np.testing.assert_allclose(errors[coarse] / errors[fine], 4.0, rtol=0.0, atol=3e-3)
+
+
+@pytest.mark.parametrize("e, a3", [(1.0, 0.4), (-1.3, -0.7)])
+def test_uniform_frame_a3_on_the_cap_shifts_every_level_exactly(e, a3):
+    # H = 1/R on the cap, so a uniform a3 adds e^2 a3^2 / 2 + i e a3 / R to the diagonal, and
+    # to every level: the route that is Hermitian up to i c, on a curved profile.  The shift
+    # holds to the rounding of the diagonal, eps max|diag| (measured: at most 0.27 of it), and
+    # in Im to 4 eps (measured: at most 0.25 eps)
+    shift = 0.5 * e * e * a3 * a3 + 1j * e * a3 / 2.0
+    for m, n in itertools.product((0, 1, 2), CAP_N):
+        op, bare = _cap_levels(m, n, e=e)
+        moved = _cap_levels(m, n, a3, e)[1]
+        floor = np.finfo(float).eps * np.abs(op.diag).max()
+        assert np.abs((moved - bare - shift).real).max() <= floor, (m, n)
+        assert np.abs((moved - bare - shift).imag).max() <= 4 * np.finfo(float).eps, (m, n)
 
 
 def test_eigenpairs_verified_and_sorted():
@@ -342,6 +386,28 @@ def test_evolve_fits_a_finite_slope_at_extreme_steps(dt):
     # to float64's precision a step maps z to z (dt = 1e-200) or to -z (dt = 1e160)
     assert trace.log_norm_slope == 0.0
     assert trace.times[-1] == dt * 10
+
+
+@pytest.mark.parametrize("record_states", [True, False])
+@pytest.mark.parametrize("profile, field, mode", [
+    (sphere_cap(2.0, 1.0), frame_synthetic(a3=0.4), "hermitian-corrected"),   # Im diag = 0.2
+    # Im diag = 0, and M_w is not Hermitian: its ground level is 2.665 - 0.195i
+    (paraboloid(0.5, 1.0), frame_synthetic(a1=0.3), "as-written"),
+], ids=["cap-coupling", "as-written-radial-field"])
+def test_evolve_whose_steps_cannot_move_a_non_hermitian_state_names_dt(profile, field, mode,
+                                                                       record_states):
+    # before, every step returned its input bit for bit and the run reported a slope of
+    # exactly 0 where the norm should grow or decay
+    op = build_tangential(profile, field, 0, RadialGrid(64, 1.0), mode=mode)
+    psi = ground_state(op)
+    for dt in (1e-150, 1e-200, 1e-300):
+        with pytest.raises(DomainError, match=rf"^dt = {dt:g} is too small to move the state: "):
+            evolve(op, psi, dt=dt, steps=10, record_states=record_states)
+    # a step that moves the state runs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = evolve(op, psi, dt=1e-3, steps=10, record_states=record_states)
+    assert trace.log_norm_slope != 0.0
 
 
 @pytest.mark.parametrize("record_states", [True, False])
