@@ -84,7 +84,9 @@ def _frame_components(cartesian_field: Callable, profile: SurfaceProfile,
     c, s = np.cos(phi), np.sin(phi)
     rad = r - q * sr / Z          # cylindrical radius of the offset point
     x, y, z = rad * c, rad * s, S + q / Z
-    fx, fy, fz = (np.asarray(v, dtype=float) for v in cartesian_field(x, y, z))
+    # a component given as a constant holds at every point
+    fx, fy, fz = (np.broadcast_to(np.asarray(v, dtype=float), x.shape)
+                  for v in cartesian_field(x, y, z))
     a1 = (fx * c + fy * s + fz * sr) / Z
     a2 = -fx * s + fy * c
     a3 = (-fx * sr * c - fy * sr * s + fz) / Z
@@ -97,7 +99,7 @@ def _projected(cartesian_field: Callable, profile: SurfaceProfile) -> Callable:
 
 
 def from_cartesian(cartesian_field: Callable, profile: SurfaceProfile) -> Callable:
-    """Field from a Cartesian field (x, y, z) -> (fx, fy, fz).
+    """Field from a Cartesian field (x, y, z) -> (fx, fy, fz), each an array or a constant.
 
     Components are sampled at phi = 0, which is exact only when the frame
     components carry no phi dependence; a spot check at several angles

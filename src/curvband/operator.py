@@ -217,11 +217,21 @@ def build_tangential(profile: SurfaceProfile, A: Callable, m: int,
     if centrifugal[0] == math.inf:
         raise DomainError(f"azimuthal index m = {float(m):.6g} is too large for the grid: "
                           f"m^2 / (2 drho^2) overflows at drho = {dr:.6g}")
+    half_e2 = 0.5 * float(e) * float(e)  # Python floats overflow to inf without a warning
+    if half_e2 == math.inf:
+        raise DomainError(f"charge e = {float(e):.6g} is too large: e^2/2 overflows float64")
+    with np.errstate(over="ignore", invalid="ignore"):  # named just below
+        potential = half_e2 * (a1 ** 2 + a2 ** 2 + a3 ** 2)
+    if not np.isfinite(potential).all():
+        peaks = [float(np.abs(a).max()) for a in (a1, a2, a3)]
+        i = int(np.argmax(peaks))
+        raise DomainError(f"field component A{i + 1} reaches {peaks[i]:.6g} on the grid, where "
+                          f"e^2/2 (A1^2 + A2^2 + A3^2) overflows float64 (e = {e})")
     diag = diag + centrifugal \
         - 0.5 * (H ** 2 - K) \
         + e * m * a2 / rho \
         + 1j * (e * a3 * H) \
-        + 0.5 * e * e * (a1 ** 2 + a2 ** 2 + a3 ** 2)
+        + potential
 
     if m == 0:
         diag[0] += lo[0]        # fold the axis ghost chi(0) := chi(drho)

@@ -2,13 +2,15 @@
 
 All work is done on the operator's three bands.  Eigensolves are verified: every
 reported pair must satisfy the residual contract ||M v - lambda v|| / ||v|| < 1e-8 or
-the solve raises.  Bisection locates the lowest levels of a real symmetric tridiagonal R
-coarsely, and inverse iteration on M's own bands gives each pair from R's stein vectors,
-by one route per structure class (eigen_solve): mapped by a gauge where M is Hermitian up
-to i c, else by D^-1, with Bauer-Fike discs to certify the selection.  The routes use
-LAPACK's tridiagonal routines and one-dimensional products only, and leave scipy's BLAS
-thread count alone.  The routines come from scipy's LAPACK extension, which _flapack
-loads from its file: the scipy.linalg package is never imported.
+the solve raises.  The lowest levels of a real symmetric tridiagonal R and their vectors
+come from shift-invert Lanczos, certified as the lowest by one Sturm count, where M is
+Hermitian up to i c, and from bisection and stein elsewhere or where that certificate
+fails.  Inverse iteration on M's own bands then gives each pair, by one route per
+structure class (eigen_solve): mapped by a gauge where M is Hermitian up to i c, else by
+D^-1, with Bauer-Fike discs to certify the selection.  The routes use LAPACK's
+tridiagonal routines and products with vectors and the Krylov basis only, and leave
+scipy's BLAS thread count alone.  The routines come from scipy's LAPACK extension, which
+_flapack loads from its file: the scipy.linalg package is never imported.
 
 Propagation is Crank-Nicolson,
 
@@ -51,6 +53,18 @@ LOCATE_RTOL, INVERSE_STEPS, STEP_OFFSET = 1e-3, 2, 8.0
 # a non-normal level takes rounds, each factored at its last quotient, until its residual
 # is at most REFINE_TARGET, a decade inside the contract, or for REFINE_ROUNDS rounds
 REFINE_TARGET, REFINE_ROUNDS = 1e-9, 6
+# a Hermitian channel's Lanczos stops once each of the k Ritz values it needs has a residual
+# of at most LANCZOS_RTOL times its own.  A Ritz vector's error enters the final residual as
+# about its size times STEP_OFFSET tol, which grows like rho_max^-2 against the absolute
+# contract: at 1e-10, channels at rho_max ~4e-3 and n = 18-32 read 1.7-1.9e-8 on their sixth
+# level, where stein's vectors gave ~0.7e-8, and at 1e-12 0.45-0.62e-8; each decade costs about
+# one step.  The steps are capped at LANCZOS_STEPS[0] k + LANCZOS_STEPS[1]: at most 2k + 11
+# did on every structured channel for k = 1-40, n = 300-8000, 29 on exactly degenerate twins,
+# whose second copies grow from rounding, and 17-44 on 397 of 400 random Hermitian channels
+# (k = 6).  The other 3, steep paraboloids at m = 0 whose levels crowd below 0, needed
+# 115-177 and take the bisection instead, after the cap's steps, whose dstev tests grow like
+# the cube of the step, so the cap bounds that cost
+LANCZOS_RTOL, LANCZOS_STEPS = 1e-12, (2, 40)
 
 
 def _flapack():
@@ -224,10 +238,12 @@ def _symmetric_form(operator: TangentialOperator):
 def eigen_solve(operator: TangentialOperator, k: int) -> Spectrum:
     """k verified eigenpairs with smallest real parts.
 
-    Bisection (stebz) locates the lowest levels of R (_symmetric_form) to within tol =
-    LOCATE_RTOL max(Re off) / n^2: k, and one more for the certificate (_certify) where M_w
-    is not Hermitian up to i c; then stein gives the vectors of the k lowest.  A Hermitian
-    pair closer than 2 STEP_OFFSET tol is located once more, to stebz's full accuracy.
+    Where M_w is Hermitian up to i c, shift-invert Lanczos (_lanczos) gives the k lowest
+    levels of R (_symmetric_form) and their vectors, certified as the k lowest by one Sturm
+    count.  Elsewhere, and wherever that factorization, convergence or count fails,
+    bisection (_bisected) locates them to within tol = LOCATE_RTOL max(Re off) / n^2: k,
+    and one more for the certificate (_certify) where M_w is not Hermitian up to i c; then
+    stein gives the vectors of the k lowest.
     """
     n, k = operator.n, _whole("k", k, 1)
     if k > n:
@@ -237,35 +253,110 @@ def eigen_solve(operator: TangentialOperator, k: int) -> Spectrum:
     if not np.isfinite(e).all():
         raise SolveError("the off-diagonal of the real symmetric part has a nan or inf entry")
     tol = LOCATE_RTOL * (e.max(initial=0.0) or scale) / n ** 2
-    # stebz and stein see R scaled by the power of two 2^-p that brings max |R| into
-    # [0.5, 1), since stein compares pivots with an absolute epsilon; both ways are exact
+    # both locates see R scaled by the power of two 2^-p that brings max |R| into [0.5, 1),
+    # since stein compares pivots with an absolute epsilon; both ways are exact
     p = math.frexp(max(np.abs(d).max(), np.abs(e).max(initial=0.0)))[1]
     d, e = np.ldexp(d, -p), np.ldexp(e, -p)
-    lowest = (d, e, 2, 0.0, 1.0, 1, k if gauge is not None else min(k + 1, n))
-    found, scaled, block, split = _lapack_call("dstebz", *lowest, math.ldexp(tol, -p), "B")
-    # a Hermitian pair within two step offsets is located again to stebz's full accuracy,
-    # which the step's shift, still STEP_OFFSET tol, then keeps apart
-    close = np.diff(np.sort(scaled[:found])).min(initial=math.inf)
-    if gauge is not None and close <= math.ldexp(2.0 * STEP_OFFSET * tol, -p):
-        found, scaled, block, split = _lapack_call("dstebz", *lowest, 0.0, "B")
-    levels = np.ldexp(scaled[:found], p)
-    order = np.argsort(levels)
+    located = None
+    if gauge is not None:
+        # phi ~ R^'s ground state: M_w's is sqrt(w) chi, and a disc's chi at m = 0 is near
+        # cos(pi rho / (2 rho_max)); the 1e-3 keeps phi off 0 at the wall, where cos is ~1 / n
+        angle = np.arange(1, n + 1) * (0.5 * math.pi / (n + 1))
+        located = _lanczos(d, e, np.sqrt(operator.measure_weights) * (np.cos(angle) + 1e-3), k)
+    if located is None:
+        located = _bisected(d, e, math.ldexp(tol, -p), k, gauge is not None)
+    levels, y = np.ldexp(located[0], p), located[1]
     if gauge is None:
-        _certify(operator, levels[order], shift, s, tol, k)
-    # the k lowest, in blocks as stebz gave them: stein reads only block's first k entries
-    take = np.sort(order[:k])
-    block[:take.size] = block[take]
-    (y,) = _lapack_call("dstein", d, e, scaled[take], block, split)
-    y = y[:, np.argsort(levels[take])]
+        _certify(operator, levels, shift, s, tol, k)
     values, vectors, residuals = (
-        _certified_pairs(operator, levels[order], y, off, shift, s, tol) if gauge is None
-        else _hermitian_pairs(operator, levels[order], y, gauge, shift, tol))
+        _certified_pairs(operator, levels, y, off, shift, s, tol) if gauge is None
+        else _hermitian_pairs(operator, levels, y, gauge, shift, tol))
     if not np.all(residuals < RESIDUAL_TOL):
         raise SolveError(f"eigen residual contract violated: max {residuals.max():.3e} "
                          f">= {RESIDUAL_TOL}")
     order = np.lexsort((values.imag, values.real))
     return Spectrum(m=operator.m, eigenvalues=values[order], eigenvectors=vectors[:, order],
                     residuals=residuals[order])
+
+
+def _collatz_wielandt(d, e, phi) -> float:
+    """min_j (R^ phi)_j / phi_j for the positive phi, a lower bound on the lowest level of
+    R = (d, e), e >= 0 (Collatz-Wielandt): R^ = S R S, S = diag((-1)^j), has the off-diagonal
+    -e, so R^ = c I - N with N >= 0 entrywise, and N's Perron root c - lambda_1 is at most
+    max_j (N phi)_j / phi_j."""
+    return float((_matvec(-e, d, -e, phi) / phi).min())
+
+
+def _count_below(d, e, x) -> int:
+    """The number of the levels of R = (d, e), max |R| < 1, at or below x: stebz over
+    (-3, x], which holds every level below x by Gershgorin, with abstol the interval's width,
+    takes the two Sturm counts at its ends and bisects no further."""
+    return _lapack_call("dstebz", d, e, 1, -3.0, x, 0, 0, x + 3.0, "B")[0]
+
+
+def _lanczos(d, e, phi, k):
+    """The k lowest levels of R = (d, e), e >= 0 and max |R| < 1, ascending, and their
+    vectors as columns, by Lanczos on (R - sigma)^-1 (T. Ericsson and A. Ruhe, Math. Comp.
+    35 (1980) 1251) with full reorthogonalization, or None.
+
+    sigma is _collatz_wielandt's bound, so R - sigma is positive definite; ptrf factors it
+    once.  The start is S phi, R's ground state where phi is R^'s.  Each Ritz value
+    sigma + 1 / theta_i is an upper bound on the i-th level; the Lanczos steps stop once
+    the k largest theta_i have residuals |beta s_i| <= LANCZOS_RTOL theta_i, and one Sturm
+    count at the midpoint of Ritz values k and k + 1 must find exactly k levels below it.
+    None where k = n, ptrf fails, the k largest theta_i do not converge within the cap
+    LANCZOS_STEPS sets, or the count is not k.
+    """
+    n = d.size
+    if n == k:  # no Ritz value k + 1 to count at
+        return None
+    sigma = _collatz_wielandt(d, e, phi)
+    *factor, info = lapack.dpttrf(d - sigma, e)
+    if info:
+        return None
+    steps = min(n, LANCZOS_STEPS[0] * k + LANCZOS_STEPS[1])
+    basis = np.empty((steps + 1, n))
+    start = np.where(np.arange(n) % 2, -phi, phi)
+    basis[0] = start / math.sqrt(start @ start)
+    alpha, beta = np.empty(steps), np.empty(steps)
+    for j in range(steps):
+        v, _ = lapack.dpttrs(*factor, basis[j])
+        alpha[j] = 0.0
+        for _ in range(2):  # classical Gram-Schmidt, twice, against the whole basis
+            h = basis[:j + 1] @ v
+            v -= h @ basis[:j + 1]
+            alpha[j] += h[j]
+        beta[j] = math.sqrt(v @ v)
+        if j >= k:
+            theta, s = _lapack_call("dstev", alpha[:j + 1], beta[:j])
+            if np.all(np.abs(beta[j] * s[-1, -k:]) <= LANCZOS_RTOL * theta[-k:]):
+                break
+        basis[j + 1] = v / beta[j]
+    else:
+        return None
+    levels = sigma + 1.0 / theta[:-k - 2:-1]
+    if _count_below(d, e, 0.5 * (levels[k - 1] + levels[k])) != k:
+        return None
+    return levels[:k], basis[:j + 1].T @ s[:, :-k - 1:-1]
+
+
+def _bisected(d, e, tol, k, hermitian):
+    """The lowest levels of R = (d, e), ascending, located by bisection (stebz) to within
+    tol, and stein's vectors of the k lowest as columns: k levels where hermitian, else one
+    more for the certificate.  Where hermitian, a pair within two step offsets
+    (2 STEP_OFFSET tol) is located again to stebz's full accuracy, which the step's shift,
+    still STEP_OFFSET tol, then keeps apart."""
+    lowest = (d, e, 2, 0.0, 1.0, 1, k if hermitian else min(k + 1, d.size))
+    found, levels, block, split = _lapack_call("dstebz", *lowest, tol, "B")
+    close = np.diff(np.sort(levels[:found])).min(initial=math.inf)
+    if hermitian and close <= 2.0 * STEP_OFFSET * tol:
+        found, levels, block, split = _lapack_call("dstebz", *lowest, 0.0, "B")
+    order = np.argsort(levels[:found])
+    # the k lowest, in blocks as stebz gave them: stein reads only block's first k entries
+    take = np.sort(order[:k])
+    block[:take.size] = block[take]
+    (y,) = _lapack_call("dstein", d, e, levels[take], block, split)
+    return levels[order], y[:, np.argsort(levels[take])]
 
 
 def _lapack_call(routine: str, *args):
@@ -302,10 +393,12 @@ def _normalized(operator: TangentialOperator, values, basis):
 
 
 def _hermitian_pairs(operator: TangentialOperator, located, vectors, gauge, shift, tol):
-    """Pairs where M_w is Hermitian up to i c, from R's levels and their stein vectors y,
-    reorthogonalized where levels are close.  Each gauge y takes one inverse-iteration step
-    on M's bands at lev + i c - STEP_OFFSET tol, which damps y's rounding as W^-1/2 scales
-    it near the axis, by ~1 / drho.  The eigenvalue is the real measure quotient plus i c.
+    """Pairs where M_w is Hermitian up to i c, from R's levels and their vectors y: the
+    Lanczos Ritz vectors, or on the fallback stein's, which stein reorthogonalizes where
+    levels are close; either way degenerate levels get orthonormal y.  Each gauge y takes
+    one inverse-iteration step on M's bands at lev + i c - STEP_OFFSET tol, which damps y's
+    rounding as W^-1/2 scales it near the axis, by ~1 / drho.  The eigenvalue is the real
+    measure quotient plus i c.
     """
     w, (lower, diag, upper) = operator.measure_weights, operator.bands
     basis = gauge * vectors.T

@@ -727,6 +727,21 @@ def test_rho_max_past_the_supported_range_is_named(tmp_path, capsys, kind, rho_m
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("field, component", [("frame-synthetic, a3", "A3"),
+                                              ("axial-uniform, b", "A2"),
+                                              ("cartesian-constant, c", "A3")],
+                         ids=["frame-a3", "axial", "cartesian"])
+def test_a_field_whose_potential_overflows_is_named_by_every_command(tmp_path, capsys, field,
+                                                                     component):
+    # before, each command warned of an overflow in the square and then named an inf in
+    # the operator's diagonal band; geometry and gauge-check assemble one channel too
+    body = (f"surface: {{kind: flat}}\nfield: {{kind: {field}: 1.0e+300}}\n"
+            "grid: {n_points: 64}\n")
+    for command in cli.COMMANDS:
+        assert_failed_cleanly(tmp_path, capsys, body, command, f"field component {component} ")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("mode", operator.MODES)
 def test_flat_disc_at_the_ends_of_the_range_runs_without_warnings(tmp_path, capsys, mode):
     # at 1e75 the levels are the unit disc's over rho_max^2; at 1e-75 no grid meets the

@@ -171,6 +171,28 @@ def test_non_axisymmetric_cartesian_field_rejected():
         from_cartesian(field, paraboloid(0.5, 1.0))
 
 
+@pytest.mark.parametrize("name", list(catalog(1.0)))
+def test_from_cartesian_of_the_symmetric_gauge_is_axial_uniform_bit_for_bit(name):
+    # (-y/2, x/2, 0) is axial_uniform(1.0)'s own Cartesian field, so the spot check passes
+    # and every component, on the surface and off it, has the same bits
+    prof = catalog(1.0)[name]
+    A = from_cartesian(lambda x, y, z: (-y / 2, x / 2, 0.0), prof)
+    reference = axial_uniform(1.0, prof)
+    rho = np.linspace(0.0, 1.0, 41)
+    for q in (0.0, 0.05, -0.1):
+        for got, expected in zip(A(rho, q), reference(rho, q)):
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name", list(catalog(1.0)))
+def test_from_cartesian_names_a_phi_dependent_field(name):
+    # a uniform field along x has A1 = cos(phi) Z^-1 and A2 = -sin(phi) in the frame
+    with pytest.raises(EvaluationError, match="^cartesian field has phi-dependent frame "
+                                              "components; only axisymmetric fields are "
+                                              "supported$"):
+        from_cartesian(lambda x, y, z: (1.0, 0.0, 0.0), catalog(1.0)[name])
+
+
 def test_gamma_interval_masks_support():
     A = frame_synthetic(a3=1.5, gamma_interval=(0.3, 0.6))
     rho = np.array([0.1, 0.3, 0.45, 0.6, 0.8])

@@ -16,6 +16,7 @@ from curvband import (
     SurfaceProfile,
     axial_uniform,
     build_tangential,
+    cartesian_constant,
     decoupling_check,
     eigen_solve,
     evolve,
@@ -301,6 +302,31 @@ def test_non_finite_field_rejected():
             build_tangential(flat(1.0), bad, 0, grid)
         with pytest.raises(EvaluationError, match="non-finite on the grid"):
             decoupling_check(1e4, bad, flat(1.0), grid)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("field, named", [
+    (frame_synthetic(a1=1e300), "A1 reaches 1e+300"),
+    (frame_synthetic(a2=1e300), "A2 reaches 1e+300"),
+    (frame_synthetic(a3=1e300), "A3 reaches 1e+300"),
+    (axial_uniform(1e300, flat(1.0)), "A2 reaches 4.92308e+299"),
+    (cartesian_constant(1e300, flat(1.0)), "A3 reaches 1e+300"),
+], ids=["frame-a1", "frame-a2", "frame-a3", "axial", "cartesian"])
+def test_a_field_whose_potential_overflows_is_named(field, named):
+    # before, the square warned of an overflow and the solver named an inf in the diagonal
+    message = (f"field component {named} on the grid, where e^2/2 (A1^2 + A2^2 + A3^2) "
+               f"overflows float64 (e = 1.0)")
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        build_tangential(flat(1.0), field, 0, RadialGrid(64, 1.0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_charge_whose_square_overflows_is_named():
+    # before, 0.5 e e overflowed to inf, inf times a zero field warned and made a nan, and
+    # the solver named the diagonal band
+    with pytest.raises(DomainError, match=r"^charge e = 1e\+200 is too large: e\^2/2 "
+                                          r"overflows float64$"):
+        build_tangential(flat(1.0), zero_field(), 0, RadialGrid(64, 1.0), e=1e200)
 
 
 # ----------------------------------------------------------------------

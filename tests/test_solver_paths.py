@@ -3,6 +3,7 @@ channels, against dense references built in the test from the materialized
 matrix."""
 
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -148,9 +149,15 @@ def test_certified_route_agrees_with_dense_on_non_normal_operator():
     assert np.all(spec.residuals < 1e-8)
 
 
+def force_the_bisection(monkeypatch):
+    """Make every Lanczos count miss, so the Hermitian route falls back to bisection."""
+    monkeypatch.setattr(solver_mod, "_count_below", lambda *args: -1)
+
+
 def test_located_levels_and_vectors_are_scipys_bit_for_bit(monkeypatch):
     # the solver calls LAPACK's stebz and stein itself, as scipy.linalg's
-    # eigh_tridiagonal does, and scipy.linalg still imports beside it
+    # eigh_tridiagonal does, and scipy.linalg still imports beside it; the Hermitian
+    # route takes them only where its Lanczos count fails
     import scipy.linalg as sla
 
     located = {}
@@ -159,6 +166,7 @@ def test_located_levels_and_vectors_are_scipys_bit_for_bit(monkeypatch):
             located[route] = args
             return run(op, *args)
         monkeypatch.setattr(solver_mod, route, spy)
+    force_the_bisection(monkeypatch)
     grid = RadialGrid(400, 1.0)
     cap = build_tangential(sphere_cap(2.0, 1.0), frame_synthetic(a3=0.4), 1, grid)
     eigen_solve(cap, 6)
@@ -179,6 +187,27 @@ def test_located_levels_and_vectors_are_scipys_bit_for_bit(monkeypatch):
                                     lapack_driver="stebz")
     assert same_bits(levels, expected[0])
     assert same_bits(vectors, expected[1][:, :6])
+
+
+def test_a_missed_count_gives_the_bisection_route_bit_for_bit(monkeypatch):
+    # where the Lanczos count misses, the Hermitian route is bisection and stein, as
+    # scipy.linalg's eigh_tridiagonal runs them, then the same step on M's bands
+    import scipy.linalg as sla
+
+    force_the_bisection(monkeypatch)
+    for name, op in structured_cases(300, ms=(0, 1)):
+        spec = eigen_solve(op, 6)
+        shift, off, _, _, gauge = solver_mod._symmetric_form(op)
+        tol = solver_mod.LOCATE_RTOL * off.max() / op.n ** 2
+        levels, vectors = sla.eigh_tridiagonal(op.diag.real, off, select="i",
+                                               select_range=(0, 5), tol=tol,
+                                               lapack_driver="stebz")
+        values, vectors, residuals = solver_mod._hermitian_pairs(op, levels, vectors, gauge,
+                                                                 shift, tol)
+        order = np.lexsort((values.imag, values.real))
+        assert same_bits(spec.eigenvalues, values[order]), (name, op.m)
+        assert same_bits(spec.eigenvectors, vectors[:, order]), (name, op.m)
+        assert same_bits(spec.residuals, residuals[order]), (name, op.m)
 
 
 def test_certified_route_is_deterministic():
@@ -474,9 +503,13 @@ def twin_channel(coupling):
 
 
 @pytest.mark.parametrize("coupling", [0.0, 1e-12])
-def test_degenerate_levels_get_orthonormal_eigenvectors(coupling):
+def test_degenerate_levels_get_orthonormal_eigenvectors(monkeypatch, coupling):
+    # through the Lanczos route: each level's second copy grows in the basis from rounding
     op = twin_channel(coupling)
+    calls = count_lapack_calls(monkeypatch)
     spec = eigen_solve(op, 6)
+    assert calls.count(("dstebz", 1)) == 1
+    assert ("dstebz", 2) not in calls and "dstein" not in calls
     np.testing.assert_allclose(spec.eigenvalues, smallest_real_parts(op.matrix, 6),
                                rtol=1e-9, atol=0.0)
     v = spec.eigenvectors
@@ -496,23 +529,135 @@ def test_hermitian_pairs_closer_than_the_step_offset_meet_the_contract(coupling)
                                rtol=1e-9, atol=0.0)
 
 
-def count_bisections(monkeypatch):
-    """The list of LAPACK routines eigen_solve calls from now on."""
+def count_lapack_calls(monkeypatch):
+    """The LAPACK routines eigen_solve calls from now on, a dstebz as (dstebz, its range):
+    1 is a count over a range of values, 2 a bisection of an index range."""
     calls, call = [], solver_mod._lapack_call
-    monkeypatch.setattr(solver_mod, "_lapack_call",
-                        lambda routine, *args: calls.append(routine) or call(routine, *args))
+
+    def spy(routine, *args):
+        calls.append((routine, args[2]) if routine == "dstebz" else routine)
+        return call(routine, *args)
+
+    monkeypatch.setattr(solver_mod, "_lapack_call", spy)
     return calls
 
 
 def test_separated_levels_are_located_once(monkeypatch):
-    calls = count_bisections(monkeypatch)
+    # one Sturm count certifies the Lanczos levels, with no bisection and no stein; the
+    # Lanczos steps, each after the k-th tested by one dstev, number at most 2k + 11
+    calls = count_lapack_calls(monkeypatch)
     for name, op in structured_cases(300):
         calls.clear()
         eigen_solve(op, 6)
-        assert calls.count("dstebz") == 1, name
+        assert calls.count(("dstebz", 1)) == 1, name
+        assert ("dstebz", 2) not in calls and "dstein" not in calls, name
+        assert 6 + calls.count("dstev") <= 2 * 6 + 11, name
+    # on the fallback, a twin pair within two step offsets is bisected twice
+    force_the_bisection(monkeypatch)
     calls.clear()
     eigen_solve(twin_channel(1e-6), 6)
-    assert calls.count("dstebz") == 2
+    assert calls.count(("dstebz", 2)) == 2 and calls.count("dstein") == 1
+
+
+def test_the_count_rejects_unconverged_ritz_values(monkeypatch):
+    # with the convergence test off, Lanczos stops at k + 1 steps, where the midpoint of
+    # Ritz values 6 and 7 lies far above level 7: the count finds more than 6 levels below
+    # it, and the channel takes the bisection, bit for bit
+    ops = [op for _, op in structured_cases(400, ms=(0, 1))]
+    force_the_bisection(monkeypatch)
+    bisected = [eigen_solve(op, 6) for op in ops]
+    monkeypatch.undo()
+    monkeypatch.setattr(solver_mod, "LANCZOS_RTOL", math.inf)
+    counts, count = [], solver_mod._count_below
+    monkeypatch.setattr(solver_mod, "_count_below",
+                        lambda *args: counts.append(count(*args)) or counts[-1])
+    for op, reference in zip(ops, bisected):
+        spec = eigen_solve(op, 6)
+        assert counts[-1] > 6
+        assert same_bits(spec.eigenvalues, reference.eigenvalues)
+        assert same_bits(spec.eigenvectors, reference.eigenvectors)
+
+
+def test_vectors_of_a_small_channel_are_converged_past_its_scale(monkeypatch):
+    # rho_max ~3e-3 scales every entry, and the step's offset, by ~1e5 against the absolute
+    # contract; Lanczos stopping at LANCZOS_RTOL = 1e-10 left its sixth level at 1.685e-8
+    rho_max = 0.002978830576100708
+    prof = gaussian_bump(0.3, 0.5, rho_max)
+    op = build_tangential(prof, axial_uniform(804878.205916827, prof), -1,
+                          RadialGrid(18, rho_max))
+    calls = count_lapack_calls(monkeypatch)
+    spec = eigen_solve(op, 6)
+    assert "dstein" not in calls
+    assert spec.residuals.max() < 1e-8
+
+
+def test_the_sturm_count_is_the_dense_count():
+    # at points between levels, on them and outside the spectrum, for R scaled as the
+    # solver scales it and for a random R with max |R| < 1
+    prof = paraboloid(0.5, 1.0)
+    op = build_tangential(prof, axial_uniform(1.0, prof), 1, RadialGrid(300, 1.0))
+    off = solver_mod._symmetric_form(op)[1]
+    p = math.frexp(max(np.abs(op.diag.real).max(), off.max()))[1]
+    rng = np.random.default_rng(5)
+    for d, e in ((np.ldexp(op.diag.real, -p), np.ldexp(off, -p)),
+                 (rng.uniform(-0.9, 0.9, 200), rng.uniform(0.0, 0.9, 199))):
+        levels = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        points = np.concatenate([0.5 * (levels[1:] + levels[:-1]), levels[:1] - 0.1,
+                                 levels[-1:] + 0.1, rng.uniform(-2.9, 2.9, 50)])
+        for x in points:
+            assert solver_mod._count_below(d, e, x) == np.count_nonzero(levels <= x), x
+
+
+class Located(Exception):
+    """Raised in place of the Hermitian step, with the levels and the tol handed to it."""
+
+
+def stop_at_the_step(op, levels, vectors, gauge, shift, tol):
+    raise Located(levels, tol)
+
+
+@st.composite
+def hermitian_channels(draw):
+    """(operator, k): a catalog profile in an axial-uniform field, |b| <= 20, or the umbilic
+    cap in a uniform frame a3, |a3| <= 30, at m in [-4, 4], n in [16, 4000], k in [1, 6]."""
+    name = draw(st.sampled_from([*catalog(1.0), "cap-a3"]))
+    if name == "cap-a3":
+        prof, field = sphere_cap(2.0, 1.0), frame_synthetic(a3=draw(st.floats(-30.0, 30.0)))
+    else:
+        prof = catalog(1.0)[name]
+        field = axial_uniform(draw(st.floats(-20.0, 20.0)), prof)
+    # sampled_from draws n, m and k evenly; integers() would favour the small ones
+    op = build_tangential(prof, field, draw(st.sampled_from(range(-4, 5))),
+                          RadialGrid(draw(st.sampled_from(range(16, 4001))), 1.0))
+    return op, draw(st.sampled_from(range(1, 7)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(hermitian_channels())
+def test_lanczos_locates_the_levels_bisection_does(channel):
+    # the Lanczos route certifies its k levels, each within the bisection's tol of the
+    # level bisection gives, and its shift sigma lies at or below the lowest level
+    op, k = channel
+    shifts, certified = [], []
+    bound, lanczos = solver_mod._collatz_wielandt, solver_mod._lanczos
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver_mod, "_hermitian_pairs", stop_at_the_step)
+        patch.setattr(solver_mod, "_collatz_wielandt",
+                      lambda d, e, phi: shifts.append((bound(d, e, phi), d, e)) or shifts[-1][0])
+        patch.setattr(solver_mod, "_lanczos",
+                      lambda *args: certified.append(lanczos(*args)) or certified[-1])
+        with pytest.raises(Located) as found:
+            eigen_solve(op, k)
+        force_the_bisection(patch)
+        with pytest.raises(Located) as bisected:
+            eigen_solve(op, k)
+    assert certified[0] is not None and certified[1] is None
+    (levels, tol), (reference, _) = found.value.args, bisected.value.args
+    assert levels.shape == reference.shape == (k,)
+    assert np.abs(levels - reference).max() <= tol
+    sigma, d, e = shifts[0]
+    lowest = solver_mod.lapack.dstebz(d, e, 2, 0.0, 1.0, 1, 1, 0.0, "B")[1][0]
+    assert sigma <= lowest
 
 
 @pytest.mark.parametrize("mode", MODES)
