@@ -5,9 +5,10 @@ reported pair must satisfy the residual contract ||M v - lambda v|| / ||v|| < 1e
 the solve raises.  The lowest levels of a real symmetric tridiagonal R and their vectors
 come from shift-invert Lanczos, certified as the lowest by one Sturm count, where M is
 Hermitian up to i c, and from bisection and stein elsewhere or where that certificate
-fails.  Inverse iteration on M's own bands then gives each pair, by one route per
-structure class (eigen_solve): mapped by a gauge where M is Hermitian up to i c, else by
-D^-1, with Bauer-Fike discs to certify the selection.  The routes use LAPACK's
+fails; only that fallback locates close Hermitian pairs again.  Inverse iteration on M's
+own bands then gives each pair, by one route per structure class (eigen_solve): mapped
+by a gauge where M is Hermitian up to i c, else by D^-1, with Bauer-Fike discs to
+certify the selection.  The routes use LAPACK's
 tridiagonal routines and products with vectors and the Krylov basis only, and leave
 scipy's BLAS thread count alone.  The routines come from scipy's LAPACK extension, which
 _flapack loads from its file: the scipy.linalg package is never imported.
@@ -243,7 +244,8 @@ def eigen_solve(operator: TangentialOperator, k: int) -> Spectrum:
     count.  Elsewhere, and wherever that factorization, convergence or count fails,
     bisection (_bisected) locates them to within tol = LOCATE_RTOL max(Re off) / n^2: k,
     and one more for the certificate (_certify) where M_w is not Hermitian up to i c; then
-    stein gives the vectors of the k lowest.
+    stein gives the vectors of the k lowest.  Only on that Hermitian fallback is a pair
+    closer than 2 STEP_OFFSET tol located once more, to stebz's full accuracy.
     """
     n, k = operator.n, _whole("k", k, 1)
     if k > n:
@@ -395,10 +397,10 @@ def _normalized(operator: TangentialOperator, values, basis):
 def _hermitian_pairs(operator: TangentialOperator, located, vectors, gauge, shift, tol):
     """Pairs where M_w is Hermitian up to i c, from R's levels and their vectors y: the
     Lanczos Ritz vectors, or on the fallback stein's, which stein reorthogonalizes where
-    levels are close; either way degenerate levels get orthonormal y.  Each gauge y takes
-    one inverse-iteration step on M's bands at lev + i c - STEP_OFFSET tol, which damps y's
-    rounding as W^-1/2 scales it near the axis, by ~1 / drho.  The eigenvalue is the real
-    measure quotient plus i c.
+    levels are close and whose close pairs the fallback locates again; either way
+    degenerate levels get orthonormal y.  Each gauge y takes one inverse-iteration step on
+    M's bands at lev + i c - STEP_OFFSET tol, which damps y's rounding as W^-1/2 scales it
+    near the axis, by ~1 / drho.  The eigenvalue is the real measure quotient plus i c.
     """
     w, (lower, diag, upper) = operator.measure_weights, operator.bands
     basis = gauge * vectors.T
