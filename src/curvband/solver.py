@@ -4,13 +4,13 @@ All work is done on the operator's three bands.  Eigensolves are verified: every
 reported pair must satisfy the residual contract ||M v - lambda v|| / ||v|| < 1e-8 or
 the solve raises.  The lowest levels of a real symmetric tridiagonal R and their vectors
 come from shift-invert Lanczos, certified as the lowest by one Sturm count, where M is
-Hermitian up to i c, and from bisection and stein elsewhere or where that certificate
-fails; only that fallback locates close Hermitian pairs again.  Inverse iteration on M's
-own bands then gives each pair, by one route per structure class (eigen_solve): mapped
-by a gauge where M is Hermitian up to i c, else by D^-1, with Bauer-Fike discs to
-certify the selection.  The routes use LAPACK's
-tridiagonal routines and products with vectors and the Krylov basis only, and leave
-scipy's BLAS thread count alone.  The routines come from scipy's LAPACK extension, which
+Hermitian up to i c and k is small for n, and from bisection and stein elsewhere or where
+that certificate fails; only bisection locates close Hermitian pairs again.  Inverse
+iteration on M's own bands then gives each pair, by one route per structure class
+(eigen_solve): mapped by a gauge where M is Hermitian up to i c, else by D^-1, with
+Bauer-Fike discs to certify the selection.  The routes use LAPACK's tridiagonal routines
+and products with vectors and the Krylov basis only, and leave scipy's BLAS thread count
+alone.  The routines come from scipy's LAPACK extension, which
 _flapack loads from its file: the scipy.linalg package is never imported.
 
 Propagation is Crank-Nicolson,
@@ -54,18 +54,26 @@ LOCATE_RTOL, INVERSE_STEPS, STEP_OFFSET = 1e-3, 2, 8.0
 # a non-normal level takes rounds, each factored at its last quotient, until its residual
 # is at most REFINE_TARGET, a decade inside the contract, or for REFINE_ROUNDS rounds
 REFINE_TARGET, REFINE_ROUNDS = 1e-9, 6
-# a Hermitian channel's Lanczos stops once each of the k Ritz values it needs has a residual
-# of at most LANCZOS_RTOL times its own.  A Ritz vector's error enters the final residual as
-# about its size times STEP_OFFSET tol, which grows like rho_max^-2 against the absolute
-# contract: at 1e-10, channels at rho_max ~4e-3 and n = 18-32 read 1.7-1.9e-8 on their sixth
-# level, where stein's vectors gave ~0.7e-8, and at 1e-12 0.45-0.62e-8; each decade costs about
-# one step.  The steps are capped at LANCZOS_STEPS[0] k + LANCZOS_STEPS[1]: at most 2k + 11
-# did on every structured channel for k = 1-40, n = 300-8000, 29 on exactly degenerate twins,
-# whose second copies grow from rounding, and 17-44 on 397 of 400 random Hermitian channels
-# (k = 6).  The other 3, steep paraboloids at m = 0 whose levels crowd below 0, needed
-# 115-177 and take the bisection instead, after the cap's steps, whose dstev tests grow like
-# the cube of the step, so the cap bounds that cost
-LANCZOS_RTOL, LANCZOS_STEPS = 1e-12, (2, 40)
+# a Hermitian channel takes Lanczos where k + LANCZOS_CROSSOVER <= sqrt(n), else bisection:
+# Lanczos's reorthogonalization costs O(n k^2) against bisection's O(n k), and each of its
+# steps a fixed cost besides.  On paraboloid channels (m = 0-2) the two routes' median times
+# crossed at k ~ 18 (n = 550), 32 (1000), 50 (2000), 55 (4000) and 85 (8000), and Lanczos
+# lost at every k for n = 300-400; the rule lets in n = 1000 up to k = 11, 4000 up to 43.
+# Its steps stop once each of the k Ritz values it needs has a residual of at most
+# LANCZOS_RTOL times its own.  A Ritz vector's error enters the final residual as about its
+# size times STEP_OFFSET tol, which grows like rho_max^-2 against the absolute contract: at
+# 1e-10, channels at rho_max ~4e-3 and n = 18-32 read 1.7-1.9e-8 on their sixth level, where
+# stein's vectors gave ~0.7e-8, and at 1e-12 0.45-0.62e-8; each decade costs about one step.
+# A test costs a dstev, which grows like the cube of the step, so none comes before the
+# residuals could have reached their bound falling LANCZOS_GAIN decades a step: 2.8 was the
+# fastest seen (k = 1), and at 2 every structured channel stopped at the step a test at
+# every step found for k = 6-40, one step later for k = 1.  The steps are capped at
+# LANCZOS_STEPS[0] k + LANCZOS_STEPS[1]: at most 2k + 11 did on every structured channel for
+# k = 1-40, n = 300-8000, 29 on exactly degenerate twins, whose second copies grow from
+# rounding, and at most 34 on the random Hermitian channels the crossover takes (k = 6,
+# seeds 2026, 7 and 8), but for steep paraboloids at m = 0, whose levels crowd below 0:
+# they need 115-326 and take the bisection after the cap's steps
+LANCZOS_CROSSOVER, LANCZOS_RTOL, LANCZOS_STEPS, LANCZOS_GAIN = 20.0, 1e-12, (2, 24), 2.0
 
 
 def _flapack():
@@ -239,13 +247,15 @@ def _symmetric_form(operator: TangentialOperator):
 def eigen_solve(operator: TangentialOperator, k: int) -> Spectrum:
     """k verified eigenpairs with smallest real parts.
 
-    Where M_w is Hermitian up to i c, shift-invert Lanczos (_lanczos) gives the k lowest
-    levels of R (_symmetric_form) and their vectors, certified as the k lowest by one Sturm
-    count.  Elsewhere, and wherever that factorization, convergence or count fails,
+    Where M_w is Hermitian up to i c and k + LANCZOS_CROSSOVER <= sqrt(n), shift-invert
+    Lanczos (_lanczos) gives the k lowest levels of R (_symmetric_form) and their vectors,
+    certified as the k lowest by one Sturm count.  Elsewhere, and wherever that
+    factorization, a convergence test or the count fails or the steps reach their cap,
     bisection (_bisected) locates them to within tol = LOCATE_RTOL max(Re off) / n^2: k,
     and one more for the certificate (_certify) where M_w is not Hermitian up to i c; then
-    stein gives the vectors of the k lowest.  Only on that Hermitian fallback is a pair
-    closer than 2 STEP_OFFSET tol located once more, to stebz's full accuracy.
+    stein gives the vectors of the k lowest.  Only where bisection locates a Hermitian
+    channel is a pair closer than 2 STEP_OFFSET tol located once more, to stebz's full
+    accuracy.
     """
     n, k = operator.n, _whole("k", k, 1)
     if k > n:
@@ -260,7 +270,7 @@ def eigen_solve(operator: TangentialOperator, k: int) -> Spectrum:
     p = math.frexp(max(np.abs(d).max(), np.abs(e).max(initial=0.0)))[1]
     d, e = np.ldexp(d, -p), np.ldexp(e, -p)
     located = None
-    if gauge is not None:
+    if gauge is not None and k + LANCZOS_CROSSOVER <= math.sqrt(n):
         # phi ~ R^'s ground state: M_w's is sqrt(w) chi, and a disc's chi at m = 0 is near
         # cos(pi rho / (2 rho_max)); the 1e-3 keeps phi off 0 at the wall, where cos is ~1 / n
         angle = np.arange(1, n + 1) * (0.5 * math.pi / (n + 1))
@@ -303,10 +313,11 @@ def _lanczos(d, e, phi, k):
 
     sigma is _collatz_wielandt's bound, so R - sigma is positive definite; ptrf factors it
     once.  The start is S phi, R's ground state where phi is R^'s.  Each Ritz value
-    sigma + 1 / theta_i is an upper bound on the i-th level; the Lanczos steps stop once
-    the k largest theta_i have residuals |beta s_i| <= LANCZOS_RTOL theta_i, and one Sturm
-    count at the midpoint of Ritz values k and k + 1 must find exactly k levels below it.
-    None where k = n, ptrf fails, the k largest theta_i do not converge within the cap
+    sigma + 1 / theta_i is an upper bound on the i-th level; the Lanczos steps stop at a
+    test (stev on T, from step k on, spaced by LANCZOS_GAIN) that finds the k largest
+    theta_i with residuals |beta s_i| <= LANCZOS_RTOL theta_i, and one Sturm count at the
+    midpoint of Ritz values k and k + 1 must find exactly k levels below it.  None where
+    k = n, ptrf or a stev fails, the k largest theta_i do not converge within the cap
     LANCZOS_STEPS sets, or the count is not k.
     """
     n = d.size
@@ -321,6 +332,7 @@ def _lanczos(d, e, phi, k):
     start = np.where(np.arange(n) % 2, -phi, phi)
     basis[0] = start / math.sqrt(start @ start)
     alpha, beta = np.empty(steps), np.empty(steps)
+    test = k
     for j in range(steps):
         v, _ = lapack.dpttrs(*factor, basis[j])
         alpha[j] = 0.0
@@ -329,10 +341,16 @@ def _lanczos(d, e, phi, k):
             v -= h @ basis[:j + 1]
             alpha[j] += h[j]
         beta[j] = math.sqrt(v @ v)
-        if j >= k:
-            theta, s = _lapack_call("dstev", alpha[:j + 1], beta[:j])
-            if np.all(np.abs(beta[j] * s[-1, -k:]) <= LANCZOS_RTOL * theta[-k:]):
+        if j >= test:
+            theta, s, info = lapack.dstev(alpha[:j + 1], beta[:j])
+            if info:
+                return None
+            # the largest of the k residuals over their bounds; no test until it could
+            # have fallen to 1 at LANCZOS_GAIN decades a step
+            behind = (np.abs(beta[j] * s[-1, -k:]) / (LANCZOS_RTOL * theta[-k:])).max()
+            if behind <= 1.0:
                 break
+            test = j + math.log10(behind) / LANCZOS_GAIN
         basis[j + 1] = v / beta[j]
     else:
         return None
@@ -396,11 +414,12 @@ def _normalized(operator: TangentialOperator, values, basis):
 
 def _hermitian_pairs(operator: TangentialOperator, located, vectors, gauge, shift, tol):
     """Pairs where M_w is Hermitian up to i c, from R's levels and their vectors y: the
-    Lanczos Ritz vectors, or on the fallback stein's, which stein reorthogonalizes where
-    levels are close and whose close pairs the fallback locates again; either way
-    degenerate levels get orthonormal y.  Each gauge y takes one inverse-iteration step on
-    M's bands at lev + i c - STEP_OFFSET tol, which damps y's rounding as W^-1/2 scales it
-    near the axis, by ~1 / drho.  The eigenvalue is the real measure quotient plus i c.
+    Lanczos Ritz vectors, or where bisection located the levels stein's, which stein
+    reorthogonalizes where levels are close and whose close pairs bisection locates again;
+    either way degenerate levels get orthonormal y.  Each gauge y takes one
+    inverse-iteration step on M's bands at lev + i c - STEP_OFFSET tol, which damps y's
+    rounding as W^-1/2 scales it near the axis, by ~1 / drho.  The eigenvalue is the real
+    measure quotient plus i c.
     """
     w, (lower, diag, upper) = operator.measure_weights, operator.bands
     basis = gauge * vectors.T

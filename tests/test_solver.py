@@ -170,10 +170,7 @@ def test_lapack_failure_is_a_named_error(monkeypatch, routine):
     run = getattr(solver_mod.lapack, routine)
     monkeypatch.setattr(solver_mod.lapack, routine, lambda *args: (*run(*args)[:-1], 1))
     # a flat channel takes the Hermitian route, an as-written paraboloid the certified one;
-    # both bisect, and take stein's vectors, where the Hermitian route's Lanczos count misses,
-    # and that count is a stebz too
-    if routine == "dstein":
-        monkeypatch.setattr(solver_mod, "_count_below", lambda *args: -1)
+    # both take stein's vectors
     grid = RadialGrid(32, 1.0)
     for op in (build_tangential(flat(1.0), zero_field(), 0, grid),
                build_tangential(paraboloid(0.5, 1.0), zero_field(), 0, grid, mode="as-written")):

@@ -154,6 +154,11 @@ def force_the_bisection(monkeypatch):
     monkeypatch.setattr(solver_mod, "_count_below", lambda *args: -1)
 
 
+def force_the_lanczos(monkeypatch):
+    """Let every Hermitian channel try Lanczos, where the crossover would bisect it too."""
+    monkeypatch.setattr(solver_mod, "LANCZOS_CROSSOVER", -math.inf)
+
+
 def test_located_levels_and_vectors_are_scipys_bit_for_bit(monkeypatch):
     # the solver calls LAPACK's stebz and stein itself, as scipy.linalg's
     # eigh_tridiagonal does, and scipy.linalg still imports beside it; the Hermitian
@@ -531,7 +536,8 @@ def test_hermitian_pairs_closer_than_the_step_offset_meet_the_contract(coupling)
 
 def count_lapack_calls(monkeypatch):
     """The LAPACK routines eigen_solve calls from now on, a dstebz as (dstebz, its range):
-    1 is a count over a range of values, 2 a bisection of an index range."""
+    1 is a count over a range of values, 2 a bisection of an index range.  Lanczos calls
+    dpttrs once a step and dstev once a test, past _lapack_call."""
     calls, call = [], solver_mod._lapack_call
 
     def spy(routine, *args):
@@ -539,19 +545,24 @@ def count_lapack_calls(monkeypatch):
         return call(routine, *args)
 
     monkeypatch.setattr(solver_mod, "_lapack_call", spy)
+    for routine in ("dpttrs", "dstev"):
+        run = getattr(solver_mod.lapack, routine)
+        monkeypatch.setattr(solver_mod.lapack, routine,
+                            lambda *args, routine=routine, run=run:
+                            calls.append(routine) or run(*args))
     return calls
 
 
 def test_separated_levels_are_located_once(monkeypatch):
     # one Sturm count certifies the Lanczos levels, with no bisection and no stein; the
-    # Lanczos steps, each after the k-th tested by one dstev, number at most 2k + 11
+    # Lanczos steps number at most 2k + 11, and 6 dstev tests at most
     calls = count_lapack_calls(monkeypatch)
-    for name, op in structured_cases(300):
+    for name, op in structured_cases(1000):
         calls.clear()
         eigen_solve(op, 6)
         assert calls.count(("dstebz", 1)) == 1, name
         assert ("dstebz", 2) not in calls and "dstein" not in calls, name
-        assert 6 + calls.count("dstev") <= 2 * 6 + 11, name
+        assert calls.count("dpttrs") <= 2 * 6 + 11 and calls.count("dstev") <= 6, name
     # on the fallback, a twin pair within two step offsets is bisected twice
     force_the_bisection(monkeypatch)
     calls.clear()
@@ -567,6 +578,7 @@ def test_the_count_rejects_unconverged_ritz_values(monkeypatch):
     force_the_bisection(monkeypatch)
     bisected = [eigen_solve(op, 6) for op in ops]
     monkeypatch.undo()
+    force_the_lanczos(monkeypatch)
     monkeypatch.setattr(solver_mod, "LANCZOS_RTOL", math.inf)
     counts, count = [], solver_mod._count_below
     monkeypatch.setattr(solver_mod, "_count_below",
@@ -585,10 +597,66 @@ def test_vectors_of_a_small_channel_are_converged_past_its_scale(monkeypatch):
     prof = gaussian_bump(0.3, 0.5, rho_max)
     op = build_tangential(prof, axial_uniform(804878.205916827, prof), -1,
                           RadialGrid(18, rho_max))
+    force_the_lanczos(monkeypatch)
     calls = count_lapack_calls(monkeypatch)
     spec = eigen_solve(op, 6)
     assert "dstein" not in calls
     assert spec.residuals.max() < 1e-8
+
+
+def same_spectrum(a, b):
+    return all(same_bits(getattr(a, name), getattr(b, name))
+               for name in ("eigenvalues", "eigenvectors", "residuals"))
+
+
+def test_the_crossover_picks_the_route(monkeypatch):
+    # Lanczos where k + LANCZOS_CROSSOVER <= sqrt(n), else bisection and stein from the start
+    prof = paraboloid(0.5, 1.0)
+    calls = count_lapack_calls(monkeypatch)
+    for n, k, lanczos in ((441, 1, True), (440, 1, False), (1000, 11, True),
+                          (1000, 12, False)):
+        op = build_tangential(prof, axial_uniform(1.0, prof), 1, RadialGrid(n, 1.0))
+        calls.clear()
+        spec = eigen_solve(op, k)
+        assert ("dpttrs" in calls) == lanczos and ("dstein" in calls) != lanczos, (n, k)
+        assert spec.residuals.max() < 1e-8
+
+
+def test_a_channel_lanczos_cannot_converge_pays_a_bounded_attempt(monkeypatch):
+    # a steep paraboloid at m = 0, whose levels crowd below 0, needs 115 steps: Lanczos stops
+    # at the cap of 2k + 24, after 6 dstev tests where a test at every step made 30, then
+    # bisects, bit for bit
+    rho_max = 796.8999517097316
+    prof = paraboloid(0.5, rho_max)
+    op = build_tangential(prof, axial_uniform(-5.2e-6, prof), 0, RadialGrid(1151, rho_max))
+    with pytest.MonkeyPatch.context() as patch:
+        force_the_bisection(patch)
+        reference = eigen_solve(op, 6)
+    calls = count_lapack_calls(monkeypatch)
+    spec = eigen_solve(op, 6)
+    assert calls.count("dpttrs") == 2 * 6 + 24 and calls.count("dstev") == 6
+    assert ("dstebz", 1) not in calls and "dstein" in calls
+    assert same_spectrum(spec, reference)
+
+
+@pytest.mark.parametrize("failure", ["dpttrf", "dstev", "cap"])
+def test_every_lanczos_failure_falls_back_to_the_bisection_bit_for_bit(monkeypatch, failure):
+    # a failed factorization or test, or a cap of no steps, bisects as a missed count does
+    prof = paraboloid(0.5, 1.0)
+    op = build_tangential(prof, axial_uniform(1.0, prof), 1, RadialGrid(1000, 1.0))
+    with pytest.MonkeyPatch.context() as patch:
+        force_the_bisection(patch)
+        reference = eigen_solve(op, 6)
+    if failure == "cap":
+        monkeypatch.setattr(solver_mod, "LANCZOS_STEPS", (0, 0))
+    else:
+        run = getattr(solver_mod.lapack, failure)
+        monkeypatch.setattr(solver_mod.lapack, failure, lambda *args: (*run(*args)[:-1], 1))
+    calls = count_lapack_calls(monkeypatch)
+    spec = eigen_solve(op, 6)
+    assert ("dstebz", 1) not in calls and "dstein" in calls
+    assert ("dpttrs" in calls) == (failure == "dstev")
+    assert same_spectrum(spec, reference)
 
 
 def test_the_sturm_count_is_the_dense_count():
@@ -641,6 +709,7 @@ def test_lanczos_locates_the_levels_bisection_does(channel):
     shifts, certified = [], []
     bound, lanczos = solver_mod._collatz_wielandt, solver_mod._lanczos
     with pytest.MonkeyPatch.context() as patch:
+        force_the_lanczos(patch)
         patch.setattr(solver_mod, "_hermitian_pairs", stop_at_the_step)
         patch.setattr(solver_mod, "_collatz_wielandt",
                       lambda d, e, phi: shifts.append((bound(d, e, phi), d, e)) or shifts[-1][0])
