@@ -346,11 +346,13 @@ def _lanczos(d, e, phi, k):
             if info:
                 return None
             # the largest of the k residuals over their bounds; no test until it could
-            # have fallen to 1 at LANCZOS_GAIN decades a step
+            # have fallen to 1 at LANCZOS_GAIN decades a step, and none past the cap
             behind = (np.abs(beta[j] * s[-1, -k:]) / (LANCZOS_RTOL * theta[-k:])).max()
             if behind <= 1.0:
                 break
             test = j + math.log10(behind) / LANCZOS_GAIN
+            if test > steps - 1:
+                return None
         basis[j + 1] = v / beta[j]
     else:
         return None
