@@ -659,6 +659,22 @@ def test_every_lanczos_failure_falls_back_to_the_bisection_bit_for_bit(monkeypat
     assert same_spectrum(spec, reference)
 
 
+def test_an_attempt_no_test_can_end_before_the_cap_stops_at_once(monkeypatch):
+    # with a bound of 1e-300 the first test, at step k, leaves the residuals ~300 decades
+    # behind, 150 steps at the fastest rate and past the cap of 2k + 24: no step follows it
+    prof = paraboloid(0.5, 1.0)
+    op = build_tangential(prof, axial_uniform(1.0, prof), 1, RadialGrid(1000, 1.0))
+    with pytest.MonkeyPatch.context() as patch:
+        force_the_bisection(patch)
+        reference = eigen_solve(op, 6)
+    monkeypatch.setattr(solver_mod, "LANCZOS_RTOL", 1e-300)
+    calls = count_lapack_calls(monkeypatch)
+    spec = eigen_solve(op, 6)
+    assert calls.count("dpttrs") == 6 + 1 and calls.count("dstev") == 1
+    assert ("dstebz", 1) not in calls and "dstein" in calls
+    assert same_spectrum(spec, reference)
+
+
 def test_the_sturm_count_is_the_dense_count():
     # at points between levels, on them and outside the spectrum, for R scaled as the
     # solver scales it and for a random R with max |R| < 1
