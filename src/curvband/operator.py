@@ -191,7 +191,12 @@ def build_tangential(profile: SurfaceProfile, A: Callable, m: int,
         # ones; identically zero on a flat profile
         sr, srr = surf.S_rho[inner], surf.S_rhorho[inner]
         delta_kin = Z ** 2 - 1.0 / Z ** 2
-        delta_drift = 0.5 * sr * srr * (Z ** 4 - 1.0 / Z ** 4)
+        with np.errstate(over="ignore", invalid="ignore"):  # named just below
+            delta_drift = 0.5 * sr * srr * (Z ** 4 - 1.0 / Z ** 4)
+        if not np.isfinite(delta_drift).all():
+            raise DomainError(f"the as-written drift term S_rho S_rhorho (Z^4 - Z^-4) / 2 "
+                              f"overflows float64: the surface is too steep for the printed "
+                              f"coefficients, Z = {float(Z.max()):.6g}")
         # libm's pow, as a Python float's ** calls it, but overflowing to inf, not raising:
         # the weights rho Z dr >= dr^2 are infinite then, which the solver names
         dr2 = np.float64(dr) ** 2

@@ -3,11 +3,13 @@
 All work is done on the operator's three bands.  Eigensolves are verified: every
 reported pair must satisfy the residual contract ||M v - lambda v|| / ||v|| < 1e-8 or
 the solve raises.  The lowest levels of a real symmetric tridiagonal R and their vectors
-come from shift-invert Lanczos, certified as the lowest by one Sturm count, where M is
-Hermitian up to i c and k is small for n, and from bisection and stein elsewhere or where
-that certificate fails; only bisection locates close Hermitian pairs again.  Inverse
-iteration on M's own bands then gives each pair, by one route per structure class
-(eigen_solve): mapped by a gauge where M is Hermitian up to i c, else by D^-1, with
+come from one locate for both structure classes: shift-invert Lanczos, certified as the
+lowest by one Sturm count, where k is small for n, stopped at Ritz residuals of
+LANCZOS_RTOL where M is Hermitian up to i c and at the bisection's tolerance elsewhere;
+bisection and stein where k is not small, for non-normal channels whose Bauer-Fike radius
+is 0, and where that certificate fails; only bisection locates close Hermitian pairs
+again.  Inverse iteration on M's own bands then gives each pair, by one route per
+structure class (eigen_solve): mapped by a gauge where M is Hermitian up to i c, else by D^-1, with
 Bauer-Fike discs to certify the selection.  The routes use LAPACK's tridiagonal routines
 and products with vectors and the Krylov basis only, and leave scipy's BLAS thread count
 alone.  The routines come from scipy's LAPACK extension, which
@@ -54,13 +56,15 @@ LOCATE_RTOL, INVERSE_STEPS, STEP_OFFSET = 1e-3, 2, 8.0
 # a non-normal level takes rounds, each factored at its last quotient, until its residual
 # is at most REFINE_TARGET, a decade inside the contract, or for REFINE_ROUNDS rounds
 REFINE_TARGET, REFINE_ROUNDS = 1e-9, 6
-# a Hermitian channel takes Lanczos where k + LANCZOS_CROSSOVER <= sqrt(n), else bisection:
+# a channel takes Lanczos where k' + LANCZOS_CROSSOVER <= sqrt(n), else bisection, for the
+# k' levels it locates (k, and one more where its selection is certified by discs):
 # Lanczos's reorthogonalization costs O(n k^2) against bisection's O(n k), and each of its
 # steps a fixed cost besides.  On paraboloid channels (m = 0-2) the two routes' median times
 # crossed at k ~ 18 (n = 550), 32 (1000), 50 (2000), 55 (4000) and 85 (8000), and Lanczos
 # lost at every k for n = 300-400; the rule lets in n = 1000 up to k = 11, 4000 up to 43.
-# Its steps stop once each of the k Ritz values it needs has a residual of at most
-# LANCZOS_RTOL times its own.  A Ritz vector's error enters the final residual as about its
+# On the Hermitian route its steps stop once each of the k Ritz values it needs has a
+# residual of at most LANCZOS_RTOL times its own (the certified route's stop at tol took
+# 17.9 steps a solve on spectrum-nonnormal's channels, where this rule took 23.5).  A Ritz vector's error enters the final residual as about its
 # size times STEP_OFFSET tol, which grows like rho_max^-2 against the absolute contract: at
 # 1e-10, channels at rho_max ~4e-3 and n = 18-32 read 1.7-1.9e-8 on their sixth level, where
 # stein's vectors gave ~0.7e-8, and at 1e-12 0.45-0.62e-8; each decade costs about one step.
@@ -74,6 +78,19 @@ REFINE_TARGET, REFINE_ROUNDS = 1e-9, 6
 # seeds 2026, 7 and 8), but for steep paraboloids at m = 0, whose levels crowd below 0:
 # they need 115-326 and take the bisection after the cap's steps
 LANCZOS_CROSSOVER, LANCZOS_RTOL, LANCZOS_STEPS, LANCZOS_GAIN = 20.0, 1e-12, (2, 24), 2.0
+# a Lanczos step subtracts its three-term recurrence, its components along the last two
+# vectors, then takes one pass of Gram-Schmidt against the whole basis, which removes what
+# rounding left along it: the basis stayed orthonormal to ~1e-15 on structured and
+# non-normal channels at n = 4000 (k = 6, and k = 43), where one pass from the
+# solve's output, the recurrence folded in, left 3.1e-12, compounding from step to step,
+# and two passes (classical Gram-Schmidt twice) cost a second sweep of the basis.  The pass
+# is repeated only where it cancels, ||v_1|| < REORTH_ETA ||v_0|| (J. W. Daniel, W. B.
+# Gragg, L. Kaufman and G. W. Stewart, Math. Comp. 30 (1976) 772): one pass leaves v_1 out
+# of the basis by about eps ||v_0|| / ||v_1||, so at 0.1 by ~10 eps, far below
+# LANCZOS_RTOL.  It cancels where the Krylov space is nearly invariant and the new vector is
+# rounding, as at step n (k = n - 1); on the channels above its ratio never fell below
+# 1 - 1e-8, where the recurrence's had a median of 0.38 and a minimum of 0.015
+REORTH_ETA = 0.1
 
 
 def _flapack():
@@ -238,7 +255,14 @@ def _symmetric_form(operator: TangentialOperator):
                 off = upper + lower.conj()
                 phi = -np.concatenate(([0.0], np.cumsum(np.angle(off))))
                 return 1j * c, np.abs(off) / 2, 0.0, scale, np.exp(1j * phi) / d
-    off = np.sqrt(upper * lower)
+    with np.errstate(over="ignore", invalid="ignore"):  # named just below
+        product = upper * lower
+    if not np.isfinite(product).all():
+        j = int(np.argmin(np.isfinite(product)))
+        raise SolveError(f"the off-diagonal product upper_j lower_j of M_w is past float64's "
+                         f"range at j = {j}: |upper_j| = {abs(upper[j]):.6g}, |lower_j| = "
+                         f"{abs(lower[j]):.6g}")
+    off = np.sqrt(product)
     radii = np.abs(np.append(off.imag, 0.0)) + np.abs(np.append(0.0, off.imag))
     top, bottom = float((diag.imag + radii).max()), float((diag.imag - radii).min())
     return 0.5j * (top + bottom), off, 0.5 * (top - bottom), scale, None
@@ -247,15 +271,19 @@ def _symmetric_form(operator: TangentialOperator):
 def eigen_solve(operator: TangentialOperator, k: int) -> Spectrum:
     """k verified eigenpairs with smallest real parts.
 
-    Where M_w is Hermitian up to i c and k + LANCZOS_CROSSOVER <= sqrt(n), shift-invert
-    Lanczos (_lanczos) gives the k lowest levels of R (_symmetric_form) and their vectors,
-    certified as the k lowest by one Sturm count.  Elsewhere, and wherever that
-    factorization, a convergence test or the count fails or the steps reach their cap,
-    bisection (_bisected) locates them to within tol = LOCATE_RTOL max(Re off) / n^2: k,
-    and one more for the certificate (_certify) where M_w is not Hermitian up to i c; then
-    stein gives the vectors of the k lowest.  Only where bisection locates a Hermitian
-    channel is a pair closer than 2 STEP_OFFSET tol located once more, to stebz's full
-    accuracy.
+    One locate serves both structure classes.  It finds the k lowest levels of R
+    (_symmetric_form) where M_w is Hermitian up to i c, and one more for the certificate
+    (_certify) elsewhere, and the vectors of the k lowest.  Where those k' levels meet
+    k' + LANCZOS_CROSSOVER <= sqrt(n), shift-invert Lanczos (_lanczos) locates them,
+    certified as the k' lowest by one Sturm count.  Its steps stop at Ritz residuals of
+    LANCZOS_RTOL on the Hermitian route, and on the certified route once each level is
+    within tol = LOCATE_RTOL max(Re off) / n^2, since its rounds refine every start.  A
+    non-normal channel whose disc radius s is 0 bisects: D^-1 maps stein's vectors of R to
+    M's to rounding, so they need no round.  Elsewhere, and wherever the factorization, a
+    convergence test or the count fails or the steps reach their cap, bisection (_bisected)
+    locates the k' levels to within tol, and stein gives the vectors of the k lowest.  Only
+    where bisection locates a Hermitian channel is a pair closer than 2 STEP_OFFSET tol
+    located once more, to stebz's full accuracy.
     """
     n, k = operator.n, _whole("k", k, 1)
     if k > n:
@@ -269,15 +297,17 @@ def eigen_solve(operator: TangentialOperator, k: int) -> Spectrum:
     # since stein compares pivots with an absolute epsilon; both ways are exact
     p = math.frexp(max(np.abs(d).max(), np.abs(e).max(initial=0.0)))[1]
     d, e = np.ldexp(d, -p), np.ldexp(e, -p)
-    located = None
-    if gauge is not None and k + LANCZOS_CROSSOVER <= math.sqrt(n):
+    located, scaled_tol = None, math.ldexp(tol, -p)
+    wanted = k if gauge is not None else k + 1
+    if (gauge is not None or s > 0.0) and wanted + LANCZOS_CROSSOVER <= math.sqrt(n):
         # phi ~ R^'s ground state: M_w's is sqrt(w) chi, and a disc's chi at m = 0 is near
         # cos(pi rho / (2 rho_max)); the 1e-3 keeps phi off 0 at the wall, where cos is ~1 / n
         angle = np.arange(1, n + 1) * (0.5 * math.pi / (n + 1))
-        located = _lanczos(d, e, np.sqrt(operator.measure_weights) * (np.cos(angle) + 1e-3), k)
+        phi = np.sqrt(operator.measure_weights) * (np.cos(angle) + 1e-3)
+        located = _lanczos(d, e, phi, wanted, None if gauge is not None else scaled_tol)
     if located is None:
-        located = _bisected(d, e, math.ldexp(tol, -p), k, gauge is not None)
-    levels, y = np.ldexp(located[0], p), located[1]
+        located = _bisected(d, e, scaled_tol, k, gauge is not None)
+    levels, y = np.ldexp(located[0], p), located[1][:, :k]
     if gauge is None:
         _certify(operator, levels, shift, s, tol, k)
     values, vectors, residuals = (
@@ -306,22 +336,33 @@ def _count_below(d, e, x) -> int:
     return _lapack_call("dstebz", d, e, 1, -3.0, x, 0, 0, x + 3.0, "B")[0]
 
 
-def _lanczos(d, e, phi, k):
+def _orthogonalized(basis, v):
+    """One pass of classical Gram-Schmidt: v, in place, less its components along the
+    orthonormal rows of basis, which it returns."""
+    h = basis @ v
+    v -= h @ basis
+    return h
+
+
+def _lanczos(d, e, phi, k, tol=None):
     """The k lowest levels of R = (d, e), e >= 0 and max |R| < 1, ascending, and their
     vectors as columns, by Lanczos on (R - sigma)^-1 (T. Ericsson and A. Ruhe, Math. Comp.
     35 (1980) 1251) with full reorthogonalization, or None.
 
     sigma is _collatz_wielandt's bound, so R - sigma is positive definite; ptrf factors it
-    once.  The start is S phi, R's ground state where phi is R^'s.  Each Ritz value
-    sigma + 1 / theta_i is an upper bound on the i-th level; the Lanczos steps stop at a
-    test (stev on T, from step k on, spaced by LANCZOS_GAIN) that finds the k largest
-    theta_i with residuals |beta s_i| <= LANCZOS_RTOL theta_i, and one Sturm count at the
-    midpoint of Ritz values k and k + 1 must find exactly k levels below it.  None where
-    k = n, ptrf or a stev fails, the k largest theta_i do not converge within the cap
-    LANCZOS_STEPS sets, or the count is not k.
+    once.  The start is S phi, R's ground state where phi is R^'s.  Each step subtracts its
+    three-term recurrence and takes one Gram-Schmidt pass against the whole basis, twice
+    where that pass cancels below REORTH_ETA.  Each Ritz value sigma + 1 / theta_i is an
+    upper bound on the i-th level; the Lanczos steps stop at a test (stev on T, from step k
+    on, spaced by LANCZOS_GAIN) that finds each of the k largest theta_i converged by its
+    residual r_i = |beta s_i|: r_i <= LANCZOS_RTOL theta_i, or where tol is given, the bound
+    r_i / (theta_i (theta_i - r_i)) <= tol on its level's error.  One Sturm count at the midpoint of Ritz values k and
+    k + 1 must then find exactly k levels below it.  None where k >= n, ptrf or a stev
+    fails, the k largest theta_i do not converge within the cap LANCZOS_STEPS sets, or the
+    count is not k.
     """
     n = d.size
-    if n == k:  # no Ritz value k + 1 to count at
+    if n <= k:  # no Ritz value k + 1 to count at
         return None
     sigma = _collatz_wielandt(d, e, phi)
     *factor, info = lapack.dpttrf(d - sigma, e)
@@ -335,19 +376,29 @@ def _lanczos(d, e, phi, k):
     test = k
     for j in range(steps):
         v, _ = lapack.dpttrs(*factor, basis[j])
-        alpha[j] = 0.0
-        for _ in range(2):  # classical Gram-Schmidt, twice, against the whole basis
-            h = basis[:j + 1] @ v
-            v -= h @ basis[:j + 1]
-            alpha[j] += h[j]
+        # the three-term recurrence, then a pass against the whole basis (REORTH_ETA)
+        if j:
+            v -= beta[j - 1] * basis[j - 1]
+        alpha[j] = basis[j] @ v
+        v -= alpha[j] * basis[j]
+        size = math.sqrt(v @ v)
+        alpha[j] += _orthogonalized(basis[:j + 1], v)[j]
         beta[j] = math.sqrt(v @ v)
+        if beta[j] < REORTH_ETA * size:
+            alpha[j] += _orthogonalized(basis[:j + 1], v)[j]
+            beta[j] = math.sqrt(v @ v)
         if j >= test:
             theta, s, info = lapack.dstev(alpha[:j + 1], beta[:j])
             if info:
                 return None
             # the largest of the k residuals over their bounds; no test until it could
-            # have fallen to 1 at LANCZOS_GAIN decades a step, and none past the cap
-            behind = (np.abs(beta[j] * s[-1, -k:]) / (LANCZOS_RTOL * theta[-k:])).max()
+            # have fallen to 1 at LANCZOS_GAIN decades a step, and none past the cap.
+            # r / (theta (theta - r)) <= tol is r <= tol theta^2 / (1 + tol theta), which
+            # stays finite and positive where r >= theta
+            r, theta_k = np.abs(beta[j] * s[-1, -k:]), theta[-k:]
+            bound = (LANCZOS_RTOL * theta_k if tol is None
+                     else tol * theta_k * theta_k / (1.0 + tol * theta_k))
+            behind = (r / bound).max()
             if behind <= 1.0:
                 break
             test = j + math.log10(behind) / LANCZOS_GAIN
@@ -588,11 +639,17 @@ def hermiticity_report(operator: TangentialOperator) -> HermiticityReport:
     im = operator.diag.imag
     # M_w - M_w^dag is 2i Im(diag) on the diagonal and off_gap = 2 gap at most off it
     max_asym = 2.0 * max(float(np.abs(im).max()), gap)
+    # the norm is summed with every entry below 2^480, scaled by a power of two 2^-p, exact:
+    # the squares stay in range; where every entry is below it, nothing is scaled or copied,
+    # since BLAS sums the strided im in another order than a contiguous copy
+    p = max(0, math.frexp(max_asym)[1] - 480)
+    if p:
+        im, off_gap = np.ldexp(im, -p), np.ldexp(off_gap, -p)
     return HermiticityReport(
         mode=operator.mode,
         max_asymmetry=max_asym,
         relative_asymmetry=max_asym / scale if scale else 0.0,
-        antihermitian_norm=math.sqrt(im @ im + 0.5 * off_gap @ off_gap),
+        antihermitian_norm=math.ldexp(math.sqrt(im @ im + 0.5 * off_gap @ off_gap), p),
         coupling_equality=hermitian,
         coupling_equality_gap=gap,
     )

@@ -742,6 +742,37 @@ def test_a_field_whose_potential_overflows_is_named_by_every_command(tmp_path, c
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_steep_as_written_channel_whose_off_diagonal_product_overflows_is_named(tmp_path,
+                                                                                  capsys):
+    # before, every command warned: geometry and gauge-check in the Hermiticity report's
+    # norm, then exited 0 with antihermitian_norm=inf; spectrum and evolve raised a
+    # CertificateError reading s = inf and nani
+    body = ("surface: {kind: paraboloid, a: 0.5, rho_max: 1.0e+40}\nmode: as-written\n"
+            "grid: {n_points: 64}\nm_list: [1]\n")
+    for command in ("spectrum", "evolve"):
+        assert_failed_cleanly(tmp_path, capsys, body, command,
+                              "the off-diagonal product upper_j lower_j of M_w is past "
+                              "float64's range")
+    for command in ("geometry", "gauge-check"):
+        code, out = run_cli(tmp_path, body, command)
+        assert code == 0 and capsys.readouterr().err == ""
+        summary = (out / "run_summary.txt").read_text(encoding="utf-8")
+        norm = float(re.search(r"antihermitian_norm=(\S+)", summary).group(1))
+        assert math.isfinite(norm) and norm > 1e161, summary
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_as_written_drift_term_that_overflows_is_named_by_every_command(tmp_path, capsys):
+    # before, assembly warned in Z^4 and every command named an inf in the diagonal band
+    body = ("surface: {kind: gaussian-bump, amplitude: 3.3e+76, sigma: 0.5}\n"
+            "mode: as-written\ngrid: {n_points: 64}\n")
+    for command in cli.COMMANDS:
+        assert_failed_cleanly(tmp_path, capsys, body, command,
+                              "the as-written drift term S_rho S_rhorho (Z^4 - Z^-4) / 2 "
+                              "overflows float64")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("mode", operator.MODES)
 def test_flat_disc_at_the_ends_of_the_range_runs_without_warnings(tmp_path, capsys, mode):
     # at 1e75 the levels are the unit disc's over rho_max^2; at 1e-75 no grid meets the

@@ -15,6 +15,7 @@ import curvband.operator as operator_mod
 import curvband.solver as solver_mod
 from curvband import (
     CertificateError,
+    DomainError,
     RadialGrid,
     RefinementError,
     SolveError,
@@ -150,12 +151,12 @@ def test_certified_route_agrees_with_dense_on_non_normal_operator():
 
 
 def force_the_bisection(monkeypatch):
-    """Make every Lanczos count miss, so the Hermitian route falls back to bisection."""
+    """Make every Lanczos count miss, so either route falls back to bisection."""
     monkeypatch.setattr(solver_mod, "_count_below", lambda *args: -1)
 
 
 def force_the_lanczos(monkeypatch):
-    """Let every Hermitian channel try Lanczos, where the crossover would bisect it too."""
+    """Let every channel Lanczos may locate try it, where the crossover would bisect it too."""
     monkeypatch.setattr(solver_mod, "LANCZOS_CROSSOVER", -math.inf)
 
 
@@ -745,6 +746,165 @@ def test_lanczos_locates_the_levels_bisection_does(channel):
     assert sigma <= lowest
 
 
+@pytest.mark.parametrize("failure", ["dpttrf", "dstev", "cap", "count"])
+def test_every_certified_lanczos_failure_falls_back_to_the_bisection_bit_for_bit(monkeypatch,
+                                                                                failure):
+    # a non-normal channel with a disc radius s > 0 locates its k + 1 levels by Lanczos too; a
+    # failed factorization or test, a cap of no steps or a count one off bisects, bit for bit
+    op = strong_field_channel(paraboloid(0.5, 1.0), -0.2)
+    assert solver_mod._symmetric_form(op)[2] > 0.0
+    with pytest.MonkeyPatch.context() as patch:
+        force_the_bisection(patch)
+        reference = eigen_solve(op, 6)
+    if failure == "cap":
+        monkeypatch.setattr(solver_mod, "LANCZOS_STEPS", (0, 0))
+    elif failure == "count":
+        count = solver_mod._count_below
+        monkeypatch.setattr(solver_mod, "_count_below", lambda *args: count(*args) + 1)
+    else:
+        run = getattr(solver_mod.lapack, failure)
+        monkeypatch.setattr(solver_mod.lapack, failure, lambda *args: (*run(*args)[:-1], 1))
+    calls = count_lapack_calls(monkeypatch)
+    spec = eigen_solve(op, 6)
+    assert calls.count(("dstebz", 1)) == (failure == "count")
+    assert calls.count(("dstebz", 2)) == 1 and calls.count("dstein") == 1
+    assert ("dpttrs" in calls) == (failure in ("dstev", "count"))
+    assert same_spectrum(spec, reference)
+
+
+def test_a_separated_certified_channel_is_located_by_one_count(monkeypatch):
+    # s > 0: Lanczos locates k + 1 levels, certified by one count over a range of values, with
+    # no bisection of an index range and no stein, and stops once they are within the
+    # bisection's tol, in fewer steps than the Hermitian route's LANCZOS_RTOL would take.
+    # s = 0 (as-written with no field, where D^-1 maps stein's vectors to M's to rounding)
+    # bisects as before, with no Lanczos step
+    attempts, certified = [], []
+    lanczos, certify = solver_mod._lanczos, solver_mod._certify
+    monkeypatch.setattr(solver_mod, "_lanczos",
+                        lambda *args: attempts.append(args) or lanczos(*args))
+    monkeypatch.setattr(solver_mod, "_certify",
+                        lambda op, levels, *args: certified.append(levels) or
+                        certify(op, levels, *args))
+    calls = count_lapack_calls(monkeypatch)
+    located = steps = 0
+    for key, op in non_normal_cases(1000, ms=(0, 1)):
+        if solver_mod._symmetric_form(op)[4] is not None:
+            continue
+        calls.clear()
+        try:
+            eigen_solve(op, 6)
+        except CertificateError:
+            continue
+        assert calls.count(("dstebz", 1)) == 1, key
+        assert ("dstebz", 2) not in calls and "dstein" not in calls, key
+        assert certified[-1].shape == (7,) and attempts[-1][3] == 7, key
+        located += 1
+        steps += calls.count("dpttrs")
+        calls.clear()
+        assert lanczos(*attempts[-1][:4]) is not None, key
+        steps -= calls.count("dpttrs")
+    assert located >= 20 and steps < 0
+    for m in (0, 1):
+        op = build_tangential(paraboloid(0.5, 1.0), zero_field(), m, RadialGrid(1000, 1.0),
+                              mode="as-written")
+        assert solver_mod._symmetric_form(op)[2] == 0.0
+        calls.clear()
+        eigen_solve(op, 6)
+        assert calls == [("dstebz", 2), "dstein"], m
+
+
+def outcome(op, k):
+    """eigen_solve's Spectrum, or the class of the SolveError it raises."""
+    try:
+        return eigen_solve(op, k)
+    except SolveError as caught:
+        return type(caught)
+
+
+@st.composite
+def certified_channels(draw):
+    """A catalog profile in a frame a3, |a3| <= 30, on a gamma_interval or everywhere, or in a
+    Cartesian c, |c| <= 8; either mode, m in [0, 2], n in [700, 4000]."""
+    prof = catalog(1.0)[draw(st.sampled_from(list(catalog(1.0))))]
+    if draw(st.booleans()):
+        interval = draw(st.none() | st.tuples(st.floats(0.1, 0.4), st.floats(0.5, 0.9)))
+        field = frame_synthetic(a3=draw(st.floats(-30.0, 30.0)), gamma_interval=interval)
+    else:
+        field = cartesian_constant(draw(st.floats(-8.0, 8.0)), prof)
+    return build_tangential(prof, field, draw(st.sampled_from(range(3))),
+                            RadialGrid(draw(st.sampled_from(range(700, 4001))), 1.0),
+                            mode=draw(st.sampled_from(MODES)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(certified_channels())
+def test_lanczos_gives_each_channel_the_bisections_outcome(op):
+    # pass, CertificateError or RefinementError as the forced bisection gives it, and passing
+    # values within the bisection's tol of its values
+    spec = outcome(op, 6)
+    with pytest.MonkeyPatch.context() as patch:
+        force_the_bisection(patch)
+        reference = outcome(op, 6)
+    if isinstance(reference, type):
+        assert spec is reference
+        return
+    assert isinstance(spec, solver_mod.Spectrum), spec
+    off, scale = solver_mod._symmetric_form(op)[1::2]
+    tol = solver_mod.LOCATE_RTOL * (off.real.max() or scale) / op.n ** 2
+    assert np.abs(spec.eigenvalues - reference.eigenvalues).max() <= tol
+
+
+def traced_passes(monkeypatch):
+    """Each Gram-Schmidt pass of Lanczos against its whole basis from now on: (the basis,
+    ||v|| before the pass, ||v|| after it)."""
+    passes, run = [], solver_mod._orthogonalized
+
+    def traced(basis, v):
+        before = math.sqrt(v @ v)
+        h = run(basis, v)
+        passes.append((basis, before, math.sqrt(v @ v)))
+        return h
+
+    monkeypatch.setattr(solver_mod, "_orthogonalized", traced)
+    return passes
+
+
+def second_passes(passes):
+    """The steps of one Lanczos attempt, each (its first pass, whether a second followed)."""
+    steps = []
+    for basis, before, after in passes:
+        if steps and len(steps[-1][0][0]) == len(basis):
+            steps[-1][1] = True
+        else:
+            steps.append([(basis, before, after), False])
+    return steps
+
+
+def test_a_second_pass_runs_exactly_where_the_first_cancels(monkeypatch):
+    # the three-term recurrence leaves only rounding along the basis, so no pass cancels on
+    # these channels, and each basis stays orthonormal to 1e-13; at step n of a channel of
+    # n = 16 (k = 15) the Krylov space is the whole space, the new vector is rounding, and
+    # the pass against the basis cancels and runs again
+    passes = traced_passes(monkeypatch)
+    for name, op in structured_cases(4000):
+        passes.clear()
+        eigen_solve(op, 6)
+        for (basis, before, after), second in second_passes(passes):
+            assert second == (after < solver_mod.REORTH_ETA * before), name
+        basis = passes[-1][0]
+        assert np.abs(basis @ basis.T - np.eye(len(basis))).max() <= 1e-13, name
+    force_the_lanczos(monkeypatch)
+    prof = paraboloid(0.5, 1.0)
+    op = build_tangential(prof, axial_uniform(1.0, prof), 1, RadialGrid(16, 1.0))
+    passes.clear()
+    spec = eigen_solve(op, 15)
+    steps = second_passes(passes)
+    assert [second for _, second in steps] == [False] * 15 + [True]
+    (_, before, after), _ = steps[-1]
+    assert after < solver_mod.REORTH_ETA * before
+    assert spec.residuals.max() < 1e-8
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_levels_scale_like_rho_max_to_the_minus_two(mode):
     # paraboloid(0.5 / lam, lam) with a3 = 0.4 / lam is the lam = 1 channel with every
@@ -779,6 +939,22 @@ def test_flat_disc_levels_scale_like_rho_max_to_the_minus_two(mode):
     for rho_max in (1e5, 1e20, 1e40, 1e60, 1e75):
         np.testing.assert_allclose(levels(rho_max), reference, rtol=1e-12, atol=0.0,
                                    err_msg=f"rho_max = {rho_max}")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("rho_max, named", [(1e40, "off-diagonal product upper_j lower_j"),
+                                            (1e50, "off-diagonal product upper_j lower_j"),
+                                            (1e70, "as-written drift term")])
+def test_a_steep_as_written_paraboloid_names_its_overflow(rho_max, named):
+    # the lam = 1e40-1e70 channels of the scaling test above, as-written: before, each warned
+    # of an overflow, in the Hermiticity report's norm, sqrt(upper_j lower_j) or the drift
+    # term's Z^4, and then raised an unnamed error or reported inf
+    with pytest.raises((SolveError, DomainError), match=re.escape(named)):
+        op = build_tangential(paraboloid(0.5, rho_max), frame_synthetic(a3=0.4 / rho_max), 1,
+                              RadialGrid(64, rho_max), mode="as-written")
+        report = hermiticity_report(op)
+        assert math.isfinite(report.antihermitian_norm)
+        eigen_solve(op, 6)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
