@@ -158,7 +158,9 @@ def _parse_args(argv) -> SimpleNamespace:
     """The command and the flag values (None where absent) of argv, each flag given as
     --flag value or --flag=value, by its exact name, the last one winning.  -h or --help
     prints the usage and every argument to stdout and exits 0; a malformed command line
-    prints the usage and the reason to stderr and exits 2."""
+    prints the usage and the reason to stderr and exits 2.  Parsed here, not by argparse,
+    whose import and first use (gettext, regex compiles) cost every command more than this
+    (CHANGES.md, "The CLI parses its command and seven flags itself")."""
     shown = {}
     for name, (_, choices, metavar, _) in ARGUMENTS.items():
         word = f"{{{','.join(choices)}}}" if choices else metavar

@@ -61,7 +61,8 @@ from . import fields, geometry
 from .errors import ConfigError, DomainError, EvaluationError
 from .operator import MODES, RHO_MAX_RANGE, RadialGrid
 
-# libyaml's classes where PyYAML has them: ~0.3 ms per parse or echo, not ~2 and ~1.3 ms
+# libyaml's classes where PyYAML has them, faster than the pure-Python ones at each parse
+# and echo (CHANGES.md, "CLI I/O in one pass, YAML through libyaml")
 _Loader, _Dumper = ((yaml.CSafeLoader, yaml.CSafeDumper) if yaml.__with_libyaml__
                     else (yaml.SafeLoader, yaml.SafeDumper))
 

@@ -2,18 +2,7 @@
 
 All work is done on the operator's three bands.  Eigensolves are verified: every
 reported pair must satisfy the residual contract ||M v - lambda v|| / ||v|| < 1e-8 or
-the solve raises.  The lowest levels of a real symmetric tridiagonal R and their vectors
-come from one locate for both structure classes: shift-invert Lanczos, certified as the
-lowest by one Sturm count, where k is small for n, stopped at Ritz residuals of
-LANCZOS_RTOL where M is Hermitian up to i c and at the bisection's tolerance elsewhere;
-bisection and stein where k is not small, for non-normal channels whose Bauer-Fike radius
-is 0, and where that certificate fails; only bisection locates close Hermitian pairs
-again.  Inverse iteration on M's own bands then gives each pair, by one route per
-structure class (eigen_solve): mapped by a gauge where M is Hermitian up to i c, else by D^-1, with
-Bauer-Fike discs to certify the selection.  The routes use LAPACK's tridiagonal routines
-and products with vectors and the Krylov basis only, and leave scipy's BLAS thread count
-alone.  The routines come from scipy's LAPACK extension, which
-_flapack loads from its file: the scipy.linalg package is never imported.
+the solve raises.  eigen_solve states its routes, one per structure class.
 
 Propagation is Crank-Nicolson,
 
@@ -48,59 +37,44 @@ RESIDUAL_TOL = 1e-8
 # (possibly up to a constant imaginary diagonal)
 HERMITIAN_RTOL = 1e-13
 # bisection tolerance in units of max |off(R)| / n^2 ~ 1 / (2 R^2) (the level spacing);
-# inverse-iteration steps of each round of a non-normal level;
-# a Hermitian level's one step is factored STEP_OFFSET tol below it: other levels shrink by
-# STEP_OFFSET tol / gap (at 100, a channel at n = 8000 missed the contract), and a pair split
-# by < tol mixes as ~1 / STEP_OFFSET (at 1, twins missed W-orthonormality); 2-30 held both
+# inverse-iteration steps of each round of a non-normal level; a Hermitian level's one
+# step is factored STEP_OFFSET tol below it: other levels shrink by STEP_OFFSET tol / gap,
+# and a pair split by < tol mixes as ~1 / STEP_OFFSET, which bound it from both sides
+# (CHANGES.md, "The Hermitian route takes its vectors from LAPACK's stein")
 LOCATE_RTOL, INVERSE_STEPS, STEP_OFFSET = 1e-3, 2, 8.0
 # a non-normal level takes rounds, each factored at its last quotient, until its residual
 # is at most REFINE_TARGET, a decade inside the contract, or for REFINE_ROUNDS rounds
 REFINE_TARGET, REFINE_ROUNDS = 1e-9, 6
-# a channel takes Lanczos where k' + LANCZOS_CROSSOVER <= sqrt(n), else bisection, for the
-# k' levels it locates (k, and one more where its selection is certified by discs):
-# Lanczos's reorthogonalization costs O(n k^2) against bisection's O(n k), and each of its
-# steps a fixed cost besides.  On paraboloid channels (m = 0-2) the two routes' median times
-# crossed at k ~ 18 (n = 550), 32 (1000), 50 (2000), 55 (4000) and 85 (8000), and Lanczos
-# lost at every k for n = 300-400; the rule lets in n = 1000 up to k = 11, 4000 up to 43.
-# On the Hermitian route its steps stop once each of the k Ritz values it needs has a
-# residual of at most LANCZOS_RTOL times its own (the certified route's stop at tol took
-# 17.9 steps a solve on spectrum-nonnormal's channels, where this rule took 23.5).  A Ritz vector's error enters the final residual as about its
-# size times STEP_OFFSET tol, which grows like rho_max^-2 against the absolute contract: at
-# 1e-10, channels at rho_max ~4e-3 and n = 18-32 read 1.7-1.9e-8 on their sixth level, where
-# stein's vectors gave ~0.7e-8, and at 1e-12 0.45-0.62e-8; each decade costs about one step.
-# A test costs a dstev, which grows like the cube of the step, so none comes before the
-# residuals could have reached their bound falling LANCZOS_GAIN decades a step: 2.8 was the
-# fastest seen (k = 1), and at 2 every structured channel stopped at the step a test at
-# every step found for k = 6-40, one step later for k = 1.  The steps are capped at
-# LANCZOS_STEPS[0] k + LANCZOS_STEPS[1]: at most 2k + 11 did on every structured channel for
-# k = 1-40, n = 300-8000, 29 on exactly degenerate twins, whose second copies grow from
-# rounding, and at most 34 on the random Hermitian channels the crossover takes (k = 6,
-# seeds 2026, 7 and 8), but for steep paraboloids at m = 0, whose levels crowd below 0:
-# they need 115-326 and take the bisection after the cap's steps
+# Lanczos locates the k' levels (k, one more where discs certify the selection) where
+# k' + LANCZOS_CROSSOVER <= sqrt(n): its reorthogonalization costs O(n k^2) against
+# bisection's O(n k), so the rule keeps it inside the measured crossing.  Its Hermitian stop,
+# Ritz residuals of LANCZOS_RTOL times their values, bounds a Ritz vector's error, which
+# enters the final residual times STEP_OFFSET tol ~ rho_max^-2 against the absolute
+# contract.  A test (a dstev, cubic in the step) waits until the residuals could have fallen
+# to their bound at LANCZOS_GAIN decades a step, the fastest seen.  The cap of
+# LANCZOS_STEPS[0] k + LANCZOS_STEPS[1] steps lies above every converging channel measured,
+# degenerate twins included; steep m = 0 paraboloids, whose levels crowd below 0, pay it and
+# then bisect (CHANGES.md, "The Hermitian route locates its levels by shift-invert Lanczos")
 LANCZOS_CROSSOVER, LANCZOS_RTOL, LANCZOS_STEPS, LANCZOS_GAIN = 20.0, 1e-12, (2, 24), 2.0
-# a Lanczos step subtracts its three-term recurrence, its components along the last two
-# vectors, then takes one pass of Gram-Schmidt against the whole basis, which removes what
-# rounding left along it: the basis stayed orthonormal to ~1e-15 on structured and
-# non-normal channels at n = 4000 (k = 6, and k = 43), where one pass from the
-# solve's output, the recurrence folded in, left 3.1e-12, compounding from step to step,
-# and two passes (classical Gram-Schmidt twice) cost a second sweep of the basis.  The pass
-# is repeated only where it cancels, ||v_1|| < REORTH_ETA ||v_0|| (J. W. Daniel, W. B.
-# Gragg, L. Kaufman and G. W. Stewart, Math. Comp. 30 (1976) 772): one pass leaves v_1 out
-# of the basis by about eps ||v_0|| / ||v_1||, so at 0.1 by ~10 eps, far below
-# LANCZOS_RTOL.  It cancels where the Krylov space is nearly invariant and the new vector is
-# rounding, as at step n (k = n - 1); on the channels above its ratio never fell below
-# 1 - 1e-8, where the recurrence's had a median of 0.38 and a minimum of 0.015
+# a Lanczos step subtracts its three-term recurrence, then takes one pass of Gram-Schmidt
+# against the whole basis, which removes the rounding left along it; a pass from the solve's
+# output alone loses orthogonality step by step.  The pass is repeated only where it cancels,
+# ||v_1|| < REORTH_ETA ||v_0|| (J. W. Daniel, W. B. Gragg, L. Kaufman and G. W. Stewart,
+# Math. Comp. 30 (1976) 772): one pass leaves v_1 out of the basis by about
+# eps ||v_0|| / ||v_1||, at 0.1 by ~10 eps, far below LANCZOS_RTOL.  It cancels where the
+# Krylov space is nearly invariant, as at step n (CHANGES.md, "One locate for both
+# structure classes")
 REORTH_ETA = 0.1
 
 
 def _flapack():
     """scipy's LAPACK extension, scipy/linalg/_flapack, loaded from its file.
 
-    The scipy.linalg package takes ~0.3 s to import, most of a command's wall
-    time, and the extension alone ~10 ms.  Neither scipy nor scipy.linalg is
-    imported, and sys.modules is left as it was, so a later import of
-    scipy.linalg runs as if this one had not happened.  ImportError names the
-    directory searched where the extension is missing.
+    The scipy.linalg package's import is most of a command's wall time, many times the
+    extension's alone (CHANGES.md, "Load scipy's LAPACK extension from its file").  Neither
+    scipy nor scipy.linalg is imported, and sys.modules is left as it was, so a later import
+    of scipy.linalg runs as if this one had not happened.  ImportError names the directory
+    searched where the extension is missing.
     """
     scipy = importlib.util.find_spec("scipy")
     if scipy is None:
@@ -215,7 +189,8 @@ def _weighted(operator: TangentialOperator):
     measure-Hermiticity, relative at every scale of the operator.
     SolveError names a band or the measure weights where its length disagrees with the
     grid's node count or an entry is not finite; the weights come first, since bands built
-    from infinite weights are a symptom of them."""
+    from infinite weights are a symptom of them.  It also names M_w's off-diagonal where an
+    entry passes half of float64's range, as R's off-diagonal (_symmetric_form) adds two."""
     n = operator.grid.n_points
     for name, size in (("measure_weights", n), ("diag", n), ("lower", n - 1), ("upper", n - 1)):
         band = getattr(operator, name)
@@ -225,12 +200,20 @@ def _weighted(operator: TangentialOperator):
         if not np.isfinite(band).all():
             raise SolveError(f"operator band {name} has a nan or inf entry")
     d = np.sqrt(operator.measure_weights)
-    lower = (d[1:] * operator.lower) / d[:-1]
-    upper = (d[:-1] * operator.upper) / d[1:]
-    off_gap = np.abs(upper - lower.conj())
-    scale = max(np.abs(operator.diag).max(), np.abs(lower).max(initial=0.0),
-                np.abs(upper).max(initial=0.0))
+    with np.errstate(over="ignore", invalid="ignore"):  # named just below
+        lower = (d[1:] * operator.lower) / d[:-1]
+        upper = (d[:-1] * operator.upper) / d[1:]
+        off_gap = np.abs(upper - lower.conj())
+        peak = max(np.abs(lower).max(initial=0.0), np.abs(upper).max(initial=0.0))
     gap = 0.5 * float(off_gap.max(initial=0.0))
+    half = 0.5 * sys.float_info.max
+    if not (gap < math.inf and peak <= half):  # a nan or inf in lower or upper makes gap so
+        j = int(np.argmin(np.maximum(np.abs(lower), np.abs(upper)) <= half))
+        raise SolveError(f"the off-diagonal of M_w is past float64's range at j = {j}: "
+                         f"|lower_j| = {abs(lower[j]):.6g}, |upper_j| = {abs(upper[j]):.6g}, "
+                         f"where the real symmetric part's off-diagonal, half their sum, needs "
+                         f"each within {half:.6g}")
+    scale = max(np.abs(operator.diag).max(), peak)
     return d, lower, upper, off_gap, scale, gap, bool(gap <= HERMITIAN_RTOL * scale)
 
 
@@ -269,29 +252,38 @@ def _symmetric_form(operator: TangentialOperator):
 
 
 def eigen_solve(operator: TangentialOperator, k: int) -> Spectrum:
-    """k verified eigenpairs with smallest real parts.
+    """k verified eigenpairs with smallest real parts, by one route per structure class.
 
-    One locate serves both structure classes.  It finds the k lowest levels of R
-    (_symmetric_form) where M_w is Hermitian up to i c, and one more for the certificate
-    (_certify) elsewhere, and the vectors of the k lowest.  Where those k' levels meet
-    k' + LANCZOS_CROSSOVER <= sqrt(n), shift-invert Lanczos (_lanczos) locates them,
-    certified as the k' lowest by one Sturm count.  Its steps stop at Ritz residuals of
-    LANCZOS_RTOL on the Hermitian route, and on the certified route once each level is
-    within tol = LOCATE_RTOL max(Re off) / n^2, since its rounds refine every start.  A
-    non-normal channel whose disc radius s is 0 bisects: D^-1 maps stein's vectors of R to
-    M's to rounding, so they need no round.  Elsewhere, and wherever the factorization, a
-    convergence test or the count fails or the steps reach their cap, bisection (_bisected)
-    locates the k' levels to within tol, and stein gives the vectors of the k lowest.  Only
-    where bisection locates a Hermitian channel is a pair closer than 2 STEP_OFFSET tol
-    located once more, to stebz's full accuracy.
+    _symmetric_form picks the class once, by _weighted's test and a constant Im diag, and
+    neither route tests it again.  One locate serves both classes.  It finds the k lowest levels of R (_symmetric_form) where M_w is
+    Hermitian up to i c, and one more for the certificate (_certify) elsewhere, and the
+    vectors of the k lowest.  Where those k' levels meet k' + LANCZOS_CROSSOVER <= sqrt(n),
+    shift-invert Lanczos (_lanczos) locates them, certified as the k' lowest by one Sturm
+    count.  Its steps stop at Ritz residuals of LANCZOS_RTOL on the Hermitian route, and on
+    the certified route once each level is within tol = LOCATE_RTOL max(Re off) / n^2, since
+    its rounds refine every start.  Elsewhere, and wherever the factorization, a convergence
+    test or the count fails or the steps reach their cap, bisection (_bisected) locates the
+    k' levels to within tol, and stein gives the vectors of the k lowest.
+
+    A non-normal channel whose disc radius s is 0 (as-written, no field) bisects too: D^-1
+    maps stein's vectors of R to M's to rounding, so its levels take no round.  This is not
+    for speed, as Lanczos plus its rounds solved such channels faster at n = 1000 in paired
+    runs (CHANGES.md, "One home for each solver rule"), but for an outcome rounding decides
+    (ROADMAP item 3): at n = 8000 an m = 0 paraboloid meets the contract from stein's
+    starts and ends in a floor RefinementError from Lanczos's.
+
+    Each level then takes inverse iteration on M's own bands: _hermitian_pairs from the
+    gauge-mapped vector where M_w is Hermitian up to i c, else _certified_pairs from D^-1 y.
+    Each route returns its vectors with their residuals (_normalized), and every residual
+    must be below RESIDUAL_TOL, checked once, here.  Neither route draws a random number;
+    both use LAPACK's tridiagonal routines and products with vectors and the Krylov basis
+    only, and leave scipy's BLAS thread count alone.
     """
     n, k = operator.n, _whole("k", k, 1)
     if k > n:
         raise DomainError(f"k = {k} exceeds the operator's n = {n}")
     shift, off, s, scale, gauge = _symmetric_form(operator)
     d, e = operator.diag.real, off.real
-    if not np.isfinite(e).all():
-        raise SolveError("the off-diagonal of the real symmetric part has a nan or inf entry")
     tol = LOCATE_RTOL * (e.max(initial=0.0) or scale) / n ** 2
     # both locates see R scaled by the power of two 2^-p that brings max |R| into [0.5, 1),
     # since stein compares pivots with an absolute epsilon; both ways are exact
@@ -418,7 +410,8 @@ def _bisected(d, e, tol, k, hermitian):
     tol, and stein's vectors of the k lowest as columns: k levels where hermitian, else one
     more for the certificate.  Where hermitian, a pair within two step offsets
     (2 STEP_OFFSET tol) is located again to stebz's full accuracy, which the step's shift,
-    still STEP_OFFSET tol, then keeps apart."""
+    still STEP_OFFSET tol, then keeps apart; Lanczos's levels, at Ritz residuals of
+    LANCZOS_RTOL, need no second locate."""
     lowest = (d, e, 2, 0.0, 1.0, 1, k if hermitian else min(k + 1, d.size))
     found, levels, block, split = _lapack_call("dstebz", *lowest, tol, "B")
     close = np.diff(np.sort(levels[:found])).min(initial=math.inf)

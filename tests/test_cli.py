@@ -762,6 +762,19 @@ def test_a_steep_as_written_channel_whose_off_diagonal_product_overflows_is_name
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_as_written_channel_whose_weighted_off_diagonal_overflows_is_named(tmp_path, capsys):
+    # before, M_w's off-diagonal overflowed to inf and nan with five warnings; geometry and
+    # gauge-check exited 0 reporting coupling_equality=True, since inf <= inf, and spectrum
+    # and evolve named the real symmetric part's off-diagonal
+    body = ("surface: {kind: paraboloid, a: 0.5, rho_max: 1.0e+60}\n"
+            "field: {kind: frame-synthetic, a3: 4.0e-61}\nmode: as-written\n"
+            "grid: {n_points: 64}\nm_list: [1]\n")
+    for command in cli.COMMANDS:
+        assert_failed_cleanly(tmp_path, capsys, body, command,
+                              "the off-diagonal of M_w is past float64's range")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_an_as_written_drift_term_that_overflows_is_named_by_every_command(tmp_path, capsys):
     # before, assembly warned in Z^4 and every command named an inf in the diagonal band
     body = ("surface: {kind: gaussian-bump, amplitude: 3.3e+76, sigma: 0.5}\n"

@@ -1,9 +1,10 @@
-"""README's examples run as written: the library example and cap.yaml's spectrum summary."""
+"""README's examples run as written: the library example and cap.yaml's spectrum summary;
+its solver notes quote the solver's constants."""
 
 import re
 from pathlib import Path
 
-from curvband import normal_energy, parse_config
+from curvband import normal_energy, parse_config, solver
 from curvband.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -40,3 +41,20 @@ def test_cap_spectrum_summary_adds_the_normal_ladder(tmp_path):
     assert float(ground[1]) == float(ground[3]) + E_q
     first = (out / "spectrum.csv").read_text(encoding="utf-8").splitlines()[1].split(",")
     assert (first[2], first[3]) == (ground[3], ground[2])
+
+
+def test_solver_notes_quote_the_solver_constants():
+    # the notes summarize eigen_solve's route; each value they quote is the constant's
+    notes = readme_block(r"\n(- Every eigensolve takes one of two routes.*)")
+
+    def quoted(pattern):
+        found = re.search(pattern.replace(" ", r"\s+"), notes)
+        assert found, f"README's solver notes quote no {pattern!r}"
+        return found.groups()
+
+    assert float(*quoted(r"asymmetry is within `(\S+) max\|M_w\|`")) == solver.HERMITIAN_RTOL
+    assert float(*quoted(r"`\(k' \+ (\d+)\)\^2 <= n`")) == solver.LANCZOS_CROSSOVER
+    assert tuple(map(int, quoted(r"at most `(\d+)k \+ (\d+)` steps"))) == solver.LANCZOS_STEPS
+    target, rounds = quoted(r"residual is at most `(\S+)`, or for (\d+) rounds")
+    assert (float(target), int(rounds)) == (solver.REFINE_TARGET, solver.REFINE_ROUNDS)
+    assert float(*quoted(r"`\|\|Mv - lambda v\|\|/\|\|v\|\| < (\S+)`")) == solver.RESIDUAL_TOL

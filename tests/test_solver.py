@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import re
+import sys
 import warnings
 from importlib.machinery import ModuleSpec
 
@@ -178,15 +179,43 @@ def test_lapack_failure_is_a_named_error(monkeypatch, routine):
             eigen_solve(op, 2)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_infinite_symmetric_part_is_a_named_error():
     # finite bands whose measure weighting overflows: scipy's finiteness check raised a
     # ValueError here, and LAPACK is never handed an inf
     op = build_tangential(flat(1.0), zero_field(), 0, RadialGrid(32, 1.0))
     big = np.full(31, -1.5e308, dtype=complex)
-    with pytest.raises(SolveError, match="^the off-diagonal of the real symmetric part has a "
-                                         "nan or inf entry$"):
+    with pytest.raises(SolveError, match=re.escape(
+            "the off-diagonal of M_w is past float64's range at j = 0: |lower_j| = inf, "
+            "|upper_j| = 1.06066e+308, where the real symmetric part's off-diagonal, half "
+            "their sum, needs each within 8.98847e+307") + "$"):
         eigen_solve(dataclasses.replace(op, lower=big, upper=big), 2)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("report", [hermiticity_report, lambda op: eigen_solve(op, 1),
+                                    lambda op: evolve(op, np.ones(op.n), 1e-3, 1)],
+                         ids=["hermiticity-report", "eigen-solve", "evolve"])
+def test_an_infinite_weighted_off_diagonal_is_named_before_any_classification(report):
+    # a steep as-written paraboloid whose M_w leaves float64: before, the report warned and
+    # classified it Hermitian, as inf <= HERMITIAN_RTOL inf
+    op = build_tangential(paraboloid(0.5, 1e60), frame_synthetic(a3=4e-61), 1,
+                          RadialGrid(64, 1e60), mode="as-written")
+    with pytest.raises(SolveError, match="^the off-diagonal of M_w is past float64's range "):
+        report(op)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_weighted_off_diagonal_past_half_of_float64s_range_is_named():
+    # finite entries whose pairwise sum, R's off-diagonal, would overflow
+    op = build_tangential(flat(1.0), zero_field(), 0, RadialGrid(32, 1.0))
+    w = op.measure_weights
+    lower = np.sqrt(w[:-1] / w[1:]) * 0.6 * sys.float_info.max
+    half = dataclasses.replace(op, lower=lower * 0.5, upper=lower * 0.5 * w[1:] / w[:-1])
+    assert hermiticity_report(half).coupling_equality
+    full = dataclasses.replace(op, lower=lower, upper=lower * w[1:] / w[:-1])
+    with pytest.raises(SolveError, match="^the off-diagonal of M_w is past float64's range "):
+        hermiticity_report(full)
 
 
 def test_missing_lapack_extension_names_the_directory(monkeypatch, tmp_path):
