@@ -15,6 +15,7 @@ divergence-free when |div A| stays below a caller tolerance on the grid.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional, Tuple
 
@@ -122,9 +123,14 @@ def axial_uniform(b: float, profile: SurfaceProfile) -> Callable:
     """Symmetric gauge of a uniform axial magnetic field: (B/2)(-y, x, 0).
 
     Purely azimuthal in the adapted frame (A1 = A3 = 0 identically), hence
-    exactly divergence-free.
+    exactly divergence-free.  DomainError names a b whose |b| rho_max passes float64's
+    range, where the components (b/2) x and (b/2) y would overflow at the wall.
     """
     _finite("b", b)
+    if not abs(b) * profile.rho_max <= sys.float_info.max:  # a Python float: inf, no warning
+        raise DomainError(f"b must keep |b| rho_max within {sys.float_info.max:.6g}, where "
+                          f"(b/2) rho, the field at radius rho, is a float64 number at every "
+                          f"rho the divergence reads, got {b} at rho_max = {profile.rho_max}")
 
     def field(x, y, z):
         return -0.5 * b * y, 0.5 * b * x, np.zeros_like(_farr(z))

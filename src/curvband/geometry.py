@@ -51,11 +51,13 @@ def _finite(name: str, value) -> None:
 
 def _not_too_steep(name: str, value, slope: float, bend: float) -> None:
     """DomainError naming the parameter unless slope and bend, the largest |S_rho| and
-    |S_rhorho| its value gives on [0, rho_max], are below SLOPE_MAX and BEND_MAX."""
+    |S_rhorho| its value gives on [0, rho_max], are below SLOPE_MAX and BEND_MAX; a value of
+    None names a profile, whose slope and bend are the largest at the radii evaluated."""
     if not (slope < SLOPE_MAX and bend < BEND_MAX):
+        got = "; at the radii evaluated" if value is None else f", got {value}, where"
         raise DomainError(f"{name} must keep max |S_rho| below 2^255 ~ {SLOPE_MAX:.3g} and "
                           f"max |S_rhorho| below 2^511 ~ {BEND_MAX:.3g} on [0, rho_max], where "
-                          f"Z^4 and the curvatures are float64 numbers, got {value}, where they "
+                          f"Z^4 and the curvatures are float64 numbers{got} they "
                           f"are {slope:.3g} and {bend:.3g}")
 
 
@@ -220,8 +222,9 @@ class _Surface(NamedTuple):
 
 
 def _surface(profile: SurfaceProfile, rho, checked: bool = True) -> _Surface:
-    """Evaluate the profile once; checked rejects radii outside [0, rho_max]
-    and non-finite derivatives."""
+    """Evaluate the profile once; checked rejects radii outside [0, rho_max],
+    non-finite derivatives and, as the catalog's constructors do for their parameters,
+    derivatives past SLOPE_MAX or BEND_MAX."""
     r = _farr(rho)
     outside = ~((r >= 0.0) & (r <= profile.rho_max))  # nan is outside
     if checked and np.any(outside):
@@ -229,8 +232,11 @@ def _surface(profile: SurfaceProfile, rho, checked: bool = True) -> _Surface:
                           f"for profile {profile.name!r}")
     sr = _farr(profile.S_rho(r))
     srr = _farr(profile.S_rhorho(r))
-    if checked and not (np.all(np.isfinite(sr)) and np.all(np.isfinite(srr))):
-        raise EvaluationError(f"profile {profile.name!r} derivatives non-finite on input")
+    if checked:
+        if not (np.all(np.isfinite(sr)) and np.all(np.isfinite(srr))):
+            raise EvaluationError(f"profile {profile.name!r} derivatives non-finite on input")
+        _not_too_steep(f"profile {profile.name!r}", None, float(np.abs(sr).max(initial=0.0)),
+                       float(np.abs(srr).max(initial=0.0)))
     return _Surface(sr, srr, np.sqrt(1.0 + sr * sr), _axis_ratio(profile, r, sr))
 
 

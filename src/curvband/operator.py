@@ -170,17 +170,12 @@ def build_tangential(profile: SurfaceProfile, A: Callable, m: int,
     Z, H, K = (v[inner] for v in surf.curvatures())
     wt = rho * Z
 
-    # means above and below each node of the face coefficients: rho/Z of the
-    # corrected kinetic flux (0 exactly on the axis) and rho*A1 of the radial field
-    faces = np.array([rho_ext / surf.Z, rho_ext * a1_ext])
-    gbar_up, sbar_up = 0.5 * (faces[:, 1:-1] + faces[:, 2:])
-    gbar_lo, sbar_lo = 0.5 * (faces[:, :-2] + faces[:, 1:-1])
-
-    # an infinite 2 rho Z drho^2 would zero the kinetic terms; its largest entry, as a Python
-    # float, overflows to inf without a warning
-    if 2.0 * float(wt.max()) * dr * dr == math.inf:
-        raise DomainError(f"2 rho Z drho^2 overflows at rho_max = {grid.rho_max}: the surface "
-                          f"is too steep for the grid, Z = {float(Z.max()):.6g}")
+    # means above and below each node of the corrected kinetic flux's face coefficient
+    # rho/Z, 0 exactly on the axis
+    faces = rho_ext / surf.Z
+    gbar_up, gbar_lo = 0.5 * (faces[1:-1] + faces[2:]), 0.5 * (faces[:-2] + faces[1:-1])
+    # finite: rho <= 1e75 (RHO_MAX_RANGE), Z <= 2^255 (_surface) and drho <= rho_max / 17,
+    # so 2 rho Z drho^2 < 4.1e299
     kinetic = 2.0 * wt * dr * dr
     up = -gbar_up / kinetic          # coupling to chi_{j+1}
     lo = -gbar_lo / kinetic          # coupling to chi_{j-1}
@@ -197,25 +192,23 @@ def build_tangential(profile: SurfaceProfile, A: Callable, m: int,
             raise DomainError(f"the as-written drift term S_rho S_rhorho (Z^4 - Z^-4) / 2 "
                               f"overflows float64: the surface is too steep for the printed "
                               f"coefficients, Z = {float(Z.max()):.6g}")
-        # libm's pow, as a Python float's ** calls it, but overflowing to inf, not raising:
-        # the weights rho Z dr >= dr^2 are infinite then, which the solver names
+        # libm's pow, as a Python float's ** calls it
         dr2 = np.float64(dr) ** 2
-        up = up - 0.5 * delta_kin * (1.0 / dr2 + 1.0 / (2.0 * rho * dr)) \
-            + delta_drift / (2.0 * dr)
-        lo = lo - 0.5 * delta_kin * (1.0 / dr2 - 1.0 / (2.0 * rho * dr)) \
-            - delta_drift / (2.0 * dr)
-        diag = diag + delta_kin / dr2
+        with np.errstate(over="ignore", invalid="ignore"):  # named just below
+            up = up - 0.5 * delta_kin * (1.0 / dr2 + 1.0 / (2.0 * rho * dr)) \
+                + delta_drift / (2.0 * dr)
+            lo = lo - 0.5 * delta_kin * (1.0 / dr2 - 1.0 / (2.0 * rho * dr)) \
+                - delta_drift / (2.0 * dr)
+            diag = diag + delta_kin / dr2
+        if not (np.isfinite(up).all() and np.isfinite(lo).all() and np.isfinite(diag).all()):
+            raise DomainError(f"the as-written corrections (Z^2 - Z^-2) / drho^2 and the drift "
+                              f"term over 2 drho overflow float64 at drho = {dr:.6g}: the "
+                              f"surface is too steep for the printed coefficients on this "
+                              f"grid, Z = {float(Z.max()):.6g}")
 
-    # radial field term -i e (A1/Z) d/drho, written in the skew form
-    # whose midpoint coefficients are means of rho*A1; exactly
-    # anti-self-adjoint under the surface measure.  The axis face carries
-    # no flux: at m = 0 the fold below closes it like the axis itself,
-    # where rho*A1 is 0 (its mean, drho A1(drho)/2, would put an O(1/drho)
-    # imaginary entry on diag[0]); at m != 0 lo[0] is dropped anyway
-    sbar_lo[0] = 0.0
-    up = up - 1j * e * sbar_up / (2.0 * dr * wt)
-    lo = lo + 1j * e * sbar_lo / (2.0 * dr * wt)
-
+    # the field's rules come before its terms: with e^2/2 |A|^2 finite, |e A1| is at most
+    # sqrt(2 max float) ~ 1.9e154 at every node, so the radial-field entries below, at most
+    # 3/4 |e A1| / drho with drho >= 1e-75 / 2^52, stay below ~6.4e244
     a1, a2, a3 = a1_ext[inner], a2_ext[inner], a3_ext[inner]
     _finite_on_grid(a1_ext, a2, a3)
     centrifugal = 0.5 * m * m / rho ** 2      # largest at the first node, m^2 / (2 drho^2)
@@ -232,6 +225,20 @@ def build_tangential(profile: SurfaceProfile, A: Callable, m: int,
         i = int(np.argmax(peaks))
         raise DomainError(f"field component A{i + 1} reaches {peaks[i]:.6g} on the grid, where "
                           f"e^2/2 (A1^2 + A2^2 + A3^2) overflows float64 (e = {e})")
+
+    # radial field term -i e (A1/Z) d/drho, written in the skew form
+    # whose midpoint coefficients are means of rho*A1; exactly
+    # anti-self-adjoint under the surface measure.  The axis face carries
+    # no flux: at m = 0 the fold below closes it like the axis itself,
+    # where rho*A1 is 0 (its mean, drho A1(drho)/2, would put an O(1/drho)
+    # imaginary entry on diag[0]); at m != 0 lo[0] is dropped anyway.  Only
+    # the dropped up[n - 1] reads the wall's face, so it carries none either
+    flux = np.concatenate(([0.0], rho * a1, [0.0]))
+    sbar_up, sbar_lo = 0.5 * (flux[1:-1] + flux[2:]), 0.5 * (flux[:-2] + flux[1:-1])
+    sbar_lo[0] = 0.0
+    up = up - 1j * e * sbar_up / (2.0 * dr * wt)
+    lo = lo + 1j * e * sbar_lo / (2.0 * dr * wt)
+
     diag = diag + centrifugal \
         - 0.5 * (H ** 2 - K) \
         + e * m * a2 / rho \
@@ -285,7 +292,9 @@ def decoupling_check(omega: float, A: Callable,
     # the radii assembly checks, every node and the wall, past the worst node, named first
     _surface(profile, np.concatenate(([grid.nodes[worst]], grid.nodes, [grid.rho_max])))
     h1, h2 = offset_scale_factors(profile, grid.nodes[worst], q_star)
+    with np.errstate(over="ignore"):  # at a small omega, a product past range keeps its sign
+        chart_ok = bool(h1 * h2 > 0.0)
     return DecouplingReport(
         omega=omega, q_star=q_star, v_n=v_n, max_abs_a3=max_a3,
-        drive=drive, ratio=ratio, passed=bool(ratio >= 100.0), chart_ok=bool(h1 * h2 > 0.0),
+        drive=drive, ratio=ratio, passed=bool(ratio >= 100.0), chart_ok=chart_ok,
     )

@@ -296,18 +296,26 @@ def eigen_solve(operator: TangentialOperator, k: int) -> Spectrum:
         # cos(pi rho / (2 rho_max)); the 1e-3 keeps phi off 0 at the wall, where cos is ~1 / n
         angle = np.arange(1, n + 1) * (0.5 * math.pi / (n + 1))
         phi = np.sqrt(operator.measure_weights) * (np.cos(angle) + 1e-3)
-        located = _lanczos(d, e, phi, wanted, None if gauge is not None else scaled_tol)
+        # a solve or a sum past float64's range ends the attempt, which then bisects
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            located = _lanczos(d, e, phi, wanted, None if gauge is not None else scaled_tol)
     if located is None:
         located = _bisected(d, e, scaled_tol, k, gauge is not None)
     levels, y = np.ldexp(located[0], p), located[1][:, :k]
     if gauge is None:
         _certify(operator, levels, shift, s, tol, k)
-    values, vectors, residuals = (
-        _certified_pairs(operator, levels, y, off, shift, s, tol) if gauge is None
-        else _hermitian_pairs(operator, levels, y, gauge, shift, tol))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # named just below
+        values, vectors, residuals = (
+            _certified_pairs(operator, levels, y, off, shift, s, tol) if gauge is None
+            else _hermitian_pairs(operator, levels, y, gauge, shift, tol))
+    if not (np.isfinite(values).all() and np.isfinite(residuals).all()):
+        raise SolveError(f"the eigenpairs left float64's range: a level or its residual is "
+                         f"not finite, where max|M_w| = {scale:.6g} and the measure weights "
+                         f"reach {operator.measure_weights.max():.6g}")
     if not np.all(residuals < RESIDUAL_TOL):
         raise SolveError(f"eigen residual contract violated: max {residuals.max():.3e} "
-                         f">= {RESIDUAL_TOL}")
+                         f">= {RESIDUAL_TOL}, where the rounding floor eps max|M_w| is "
+                         f"{np.finfo(float).eps * scale:.3e} (max|M_w| = {scale:.6g})")
     order = np.lexsort((values.imag, values.real))
     return Spectrum(m=operator.m, eigenvalues=values[order], eigenvectors=vectors[:, order],
                     residuals=residuals[order])
@@ -379,6 +387,8 @@ def _lanczos(d, e, phi, k, tol=None):
         if beta[j] < REORTH_ETA * size:
             alpha[j] += _orthogonalized(basis[:j + 1], v)[j]
             beta[j] = math.sqrt(v @ v)
+        if not 0.0 < beta[j] < math.inf:  # a breakdown, or a solve past float64's range
+            return None
         if j >= test:
             theta, s, info = lapack.dstev(alpha[:j + 1], beta[:j])
             if info:
@@ -445,9 +455,16 @@ def _rescaled(x) -> np.ndarray:
 
 
 def _residual(mx, x, lam) -> float:
-    """||M x - lam x|| / ||x|| from mx = M x: the contract's residual."""
+    """||M x - lam x|| / ||x|| from mx = M x: the contract's residual.  Where a square
+    overflows, each sum is taken again at its own power of two, as in hermiticity_report:
+    exact, and only there, so every residual whose sums are finite keeps its bytes."""
     mx = mx - lam * x
-    return math.sqrt(np.vdot(mx, mx).real / np.vdot(x, x).real)
+    top, bottom = np.vdot(mx, mx).real, np.vdot(x, x).real
+    if top < math.inf and bottom < math.inf:
+        return math.sqrt(top / bottom)
+    p, q = (math.frexp(max(np.abs(v.real).max(), np.abs(v.imag).max()))[1] for v in (mx, x))
+    mx, x = mx * math.ldexp(1.0, -p), x * math.ldexp(1.0, -q)
+    return math.ldexp(math.sqrt(np.vdot(mx, mx).real / np.vdot(x, x).real), p - q)
 
 
 def _normalized(operator: TangentialOperator, values, basis):

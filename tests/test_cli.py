@@ -13,6 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
@@ -22,6 +23,7 @@ from curvband import (ConfigError, cli, fields, geometry, operator, parse_config
                       serialize_config, solver)
 from curvband.cli import main, write_csv
 from curvband.config import build
+from curvband.operator import RHO_MAX_RANGE
 from oracles import disc_dirichlet_energy
 
 MINIMAL = """
@@ -153,15 +155,18 @@ def test_rules_across_keys_are_named():
 ], ids=["sigma-0", "sigma-1e-300", "sigma-1e80", "amplitude-1e300", "radius-at-rho-max",
         "radius-below-rho-max", "radius-1e200", "a-1e308", "gamma-3-values", "gamma-reversed",
         "n-points-4", "n-points-2^52"])
-def test_a_constructor_rule_is_a_config_error_naming_its_section(surface, extra, section, key):
+def test_a_constructor_rule_is_a_config_error_naming_its_section(tmp_path, capsys, surface,
+                                                                  extra, section, key):
     # before, the config restated the first, fifth, sixth, ninth, tenth and eleventh of these
     # rules, and the others passed parsing and failed only when a command built the run:
     # radius 1e200 with an uncaught OverflowError, amplitude 1e300 and a 1e308 after
-    # RuntimeWarnings
+    # RuntimeWarnings.  A command names it in one line and writes nothing
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConfigError, match=rf"^{section}: {key} must "):
             parse_config(f"surface: {surface}\n{extra}\n")
+        assert_failed_cleanly(tmp_path, capsys, f"surface: {surface}\n{extra}\n", "geometry",
+                              f"error: geometry: {section}: {key} must ")
 
 
 def test_sphere_cap_radius_must_exceed_rho_max():
@@ -386,6 +391,10 @@ def test_invalid_config_exits_nonzero(tmp_path, capsys):
     code = main(["spectrum", "--config", str(cfg)])
     assert code == 1
     assert "n_points" in capsys.readouterr().err
+    # a number YAML 1.1 reads as a string
+    assert_failed_cleanly(tmp_path, capsys, MINIMAL + "omega: 1.0e6\n", "spectrum",
+                          "config.omega: must be a number, got '1.0e6', which YAML reads as a "
+                          "string")
 
 
 def test_missing_config_exits_nonzero(tmp_path, capsys):
@@ -726,17 +735,23 @@ def test_rho_max_past_the_supported_range_is_named(tmp_path, capsys, kind, rho_m
                               f"surface.rho_max: must be {'>=' if '-' in rho_max else '<='} 1e")
 
 
+FLAT_64 = "surface: {kind: flat}\ngrid: {n_points: 64}\n"
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("field, component", [("frame-synthetic, a3", "A3"),
-                                              ("axial-uniform, b", "A2"),
-                                              ("cartesian-constant, c", "A3")],
-                         ids=["frame-a3", "axial", "cartesian"])
-def test_a_field_whose_potential_overflows_is_named_by_every_command(tmp_path, capsys, field,
+@pytest.mark.parametrize("body, component", [
+    (FLAT_64 + "field: {kind: frame-synthetic, a3: 1.0e+300}\n", "A3"),
+    (FLAT_64 + "field: {kind: axial-uniform, b: 1.0e+300}\n", "A2"),
+    (FLAT_64 + "field: {kind: cartesian-constant, c: 1.0e+300}\n", "A3"),
+    # the radial-field term, whose rho A1 / (drho rho Z) overflowed with two warnings first
+    ("surface: {kind: paraboloid, a: -4.710960611511412e+39, rho_max: 1.0e-40}\n"
+     "field: {kind: cartesian-constant, c: 1.1755179245362536e+298}\n"
+     "grid: {n_points: 190}\nm_list: [-3]\n", "A3"),
+], ids=["frame-a3", "axial", "cartesian", "radial-term"])
+def test_a_field_whose_potential_overflows_is_named_by_every_command(tmp_path, capsys, body,
                                                                      component):
     # before, each command warned of an overflow in the square and then named an inf in
     # the operator's diagonal band; geometry and gauge-check assemble one channel too
-    body = (f"surface: {{kind: flat}}\nfield: {{kind: {field}: 1.0e+300}}\n"
-            "grid: {n_points: 64}\n")
     for command in cli.COMMANDS:
         assert_failed_cleanly(tmp_path, capsys, body, command, f"field component {component} ")
 
@@ -808,6 +823,153 @@ def test_flat_disc_at_the_ends_of_the_range_runs_without_warnings(tmp_path, caps
             assert code == 0 and err == "", err
 
 
+# channels whose levels lie far below float64's resolution of the operator, and the error
+# each names: a flat disc of radius 1e-60, a uniform frame A2 whose potential is 5e199 or
+# 5e307, and an as-written bump whose shifted matrix is singular to rounding
+CONTRACT = "eigen residual contract violated: max "
+PAST_RANGE = "the eigenpairs left float64's range: a level or its residual is not finite"
+BELOW_RESOLUTION = {
+    "disc-1e-60": ("surface: {kind: flat, rho_max: 1.0e-60}\ngrid: {n_points: 64}\n", CONTRACT),
+    "a2-1e100": (FLAT_64 + "field: {kind: frame-synthetic, a2: 1.0e+100}\nm_list: [1]\n",
+                 CONTRACT),
+    "a2-1e154": (FLAT_64 + "field: {kind: frame-synthetic, a2: 1.0e+154}\nm_list: [1]\n",
+                 PAST_RANGE),
+    "bump": ("surface: {kind: gaussian-bump, rho_max: 1.0e+75, amplitude: -1.325005810511576e+74, "
+             "sigma: 4.2622105543588964e+74}\nfield: {kind: axial-uniform, "
+             "b: 3.872057539080238e+25}\nmode: as-written\ngrid: {n_points: 25}\nm_list: [2]\n"
+             "k_eigen: 5\n", PAST_RANGE),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", sorted(BELOW_RESOLUTION))
+def test_a_channel_below_float64s_resolution_is_named_without_nan(tmp_path, capsys, case):
+    # before, spectrum and evolve read "eigen residual contract violated: max nan", after
+    # RuntimeWarnings for the field of 1e154 and the bump; a contract error now states a
+    # finite residual against the floor, and arithmetic past float64's range is named
+    body, message = BELOW_RESOLUTION[case]
+    for command in ("spectrum", "evolve"):
+        code, out = run_cli(tmp_path, body, command)
+        err = capsys.readouterr().err
+        assert code == 1 and not out.exists(), err
+        assert err.startswith(f"error: {command}: ") and err.count("\n") == 1, err
+        assert message in err and "nan" not in err, err
+        if message == CONTRACT:
+            worst = re.search(r"max (\S+) >= 1e-08, where the rounding floor eps max\|M_w\| is "
+                              r"(\S+) ", err)
+            assert worst and 1e-8 < float(worst.group(1)) < math.inf, err
+            assert float(worst.group(2)) > 1e100, err
+    for command in ("geometry", "gauge-check"):  # they solve nothing
+        code, _ = run_cli(tmp_path, body, command)
+        assert code == 0 and capsys.readouterr().err == ""
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@st.composite
+def _scaled(draw, typical, unit):
+    """A parameter within typical units, its usual size at the drawn rho_max, or about one
+    draw in seven a magnitude anywhere up to 1e300 of either sign, past every bound."""
+    if draw(st.integers(0, 6)) == 0:
+        return draw(st.sampled_from([1.0, -1.0])) * draw(_log_uniform(1e-300, 1e300))
+    return draw(st.floats(-typical, typical)) * unit
+
+
+@st.composite
+def run_documents(draw):
+    """A whole run document: every surface and field kind, parameters at their usual sizes
+    for the drawn rho_max and now and then past their bounds, and the grid, channels, mode,
+    omega, dt and steps of a run."""
+    rho_max = draw(st.sampled_from(RHO_MAX_RANGE) | _log_uniform(*RHO_MAX_RANGE))
+    kind = draw(st.sampled_from(["flat", "paraboloid", "gaussian-bump", "sphere-cap"]))
+    surface = {"kind": kind, "rho_max": rho_max}
+    if kind == "paraboloid":
+        surface["a"] = draw(_scaled(3.0, 1.0 / rho_max))
+    elif kind == "gaussian-bump":
+        surface["amplitude"] = draw(_scaled(1.0, rho_max))
+        surface["sigma"] = abs(draw(_scaled(2.0, rho_max))) or rho_max
+    elif kind == "sphere-cap":
+        surface["radius"] = rho_max * (1.0 + draw(_log_uniform(1e-3, 1e3)))
+    field = {"kind": draw(st.sampled_from(["axial-uniform", "cartesian-constant",
+                                           "frame-synthetic"]))}
+    if field["kind"] == "axial-uniform":
+        field["b"] = draw(_scaled(20.0, rho_max ** -2))
+    elif field["kind"] == "cartesian-constant":
+        field["c"] = draw(_scaled(8.0, 1.0 / rho_max))
+    else:
+        for key in ("a1", "a2", "a3"):
+            if draw(st.booleans()):
+                field[key] = draw(_scaled(20.0, 1.0 / rho_max))
+        if draw(st.booleans()):
+            field["gamma_interval"] = sorted(draw(st.floats(0.0, 1.0)) * rho_max
+                                             for _ in range(2))
+    n_points = draw(st.integers(16, 600))
+    return {"surface": surface, "field": field, "grid": {"n_points": n_points},
+            "mode": draw(st.sampled_from(operator.MODES)),
+            "m_list": draw(st.lists(st.integers(-4, 4), min_size=1, max_size=3)),
+            "k_eigen": draw(st.integers(1, 8)),
+            "omega": draw(_log_uniform(1e-300, 1e300)),
+            "dt": draw(_log_uniform(1e-300, 1e300)),
+            "steps": draw(st.integers(1, 200))}
+
+
+def _document(surface, field=None, n_points=64, **keys):
+    return {"surface": surface, **({"field": field} if field else {}),
+            "grid": {"n_points": n_points}, **keys}
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(doc=run_documents())
+@example(doc=_document({"kind": "paraboloid", "a": -4.710960611511412e+39, "rho_max": 1e-40},
+                       {"kind": "cartesian-constant", "c": 1.1755179245362536e+298}, 190,
+                       m_list=[-3]))
+@example(doc=_document({"kind": "flat", "rho_max": 1e-60}))
+@example(doc=_document({"kind": "flat"}, {"kind": "frame-synthetic", "a2": 1e100}, m_list=[1]))
+@example(doc=_document({"kind": "flat"}, {"kind": "frame-synthetic", "a2": 1e154}, m_list=[1]))
+@example(doc=_document({"kind": "gaussian-bump", "rho_max": 1e75,
+                        "amplitude": -1.325005810511576e+74, "sigma": 4.2622105543588964e+74},
+                       {"kind": "axial-uniform", "b": 3.872057539080238e+25}, 25,
+                       mode="as-written", m_list=[2], k_eigen=5))
+# and the documents earlier draws found warning, each now named or run without a warning:
+# decoupling_check's h1 h2 at a small omega, the axial field (b/2) x at the wall, a Lanczos
+# solve past range, the as-written corrections over drho^2, and the measure quotient w M x
+@example(doc=_document({"kind": "sphere-cap", "rho_max": 1e-75, "radius": 2e-75},
+                       {"kind": "axial-uniform", "b": 0.0}, 16, omega=1e-236))
+@example(doc=_document({"kind": "sphere-cap", "rho_max": 1.0181667117764068e+49,
+                        "radius": 1.063796748462136e+49},
+                       {"kind": "axial-uniform", "b": -1.2523561552947362e+262}, 161))
+@example(doc=_document({"kind": "flat", "rho_max": 10385628832857.672},
+                       {"kind": "cartesian-constant", "c": 7.758444157206038e+69}, 485,
+                       m_list=[2, 4, 0], k_eigen=4))
+@example(doc=_document({"kind": "paraboloid", "rho_max": 1.494665485898418e-74,
+                        "a": -1.7510940913907608e+103},
+                       {"kind": "axial-uniform", "b": 2.7826204232601946e+148}, 334,
+                       mode="as-written", m_list=[-4]))
+@example(doc=_document({"kind": "paraboloid", "rho_max": 1.8769541678668106e+67,
+                        "a": -6.271266829187802e-68},
+                       {"kind": "cartesian-constant", "c": 1.2710963410364118e+130}, 393,
+                       m_list=[-4, 3, 3], k_eigen=1))
+def test_every_command_on_a_whole_document_runs_or_names_its_error(tmp_path_factory, doc):
+    # the four commands on a document drawn from the whole schema: each exits 0, or exits 1
+    # with one error line that holds no nan and makes no output directory; a RuntimeWarning,
+    # an error under the test policy, or any other exception fails the run
+    tmp = tmp_path_factory.mktemp("document")
+    cfg = tmp / "run.yaml"
+    cfg.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    for command in cli.COMMANDS:
+        out, err = tmp / command, io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(cfg), "--output", str(out)])
+        if code == 0:
+            assert out.is_dir()
+        else:
+            assert code == 1 and not out.exists(), err.getvalue()
+            assert re.fullmatch(rf"error: {command}: [^\n]*\n", err.getvalue()), err.getvalue()
+            assert not re.search(r"\bnan\b", err.getvalue()), err.getvalue()
+
+
 @pytest.mark.parametrize("command", cli.COMMANDS)
 def test_grid_past_the_node_bound_is_named(tmp_path, capsys, command):
     # before, every command died with a ValueError from np.arange
@@ -836,14 +998,54 @@ def test_unwritable_output_is_a_named_error(tmp_path, capsys):
     assert blocker.read_text(encoding="utf-8") == "a regular file\n"
 
 
+# the runs CI's console-script step made twice, each into its own directory: all four
+# commands and as-written spectrum and evolve on one config per surface and field kind, a
+# Hermitian tunnelling doublet, a flat disc of radius 1e5, the Hermitian route's Lanczos at
+# n = 4000, the certified route's at n = 1000, and README's cap.yaml
+FRAME = "{kind: frame-synthetic, a3: 0.4, gamma_interval: [0.2, 0.6]}"
+KIND_PAIRS = {
+    "flat": ("{kind: flat}", FRAME),
+    "paraboloid": ("{kind: paraboloid, a: 0.5}", FRAME),
+    "bump": ("{kind: gaussian-bump, amplitude: 0.3, sigma: 0.5}", FRAME),
+    "cap": ("{kind: sphere-cap, radius: 2.0}", FRAME),
+    "axial": ("{kind: paraboloid, a: 0.5}", "{kind: axial-uniform, b: 1.3}"),
+    "cartesian": ("{kind: paraboloid, a: 0.5}", "{kind: cartesian-constant, c: 0.7}"),
+}
+RUN_CONFIGS = {
+    **{name: f"surface: {surface}\nfield: {field}\ngrid: {{n_points: 64}}\nm_list: [0, 1]\n"
+             "steps: 10\n" for name, (surface, field) in KIND_PAIRS.items()},
+    # a barrier a3^2 / 2 on [0.30, 0.60] splits the disc into a core and an annulus whose
+    # lowest levels lie 0.1 apart
+    "doublet": "surface: {kind: flat}\nfield: {kind: frame-synthetic, a3: 19.417868840237567, "
+               "gamma_interval: [0.29613570389872346, 0.5971578823257306]}\n"
+               "grid: {n_points: 200}\n",
+    # an operator norm of ~4e-7, where stein, comparing pivots with an absolute epsilon,
+    # failed before the locate was scaled
+    "wide": "surface: {kind: flat, rho_max: 1.0e+5}\ngrid: {n_points: 64}\n",
+    "fine": "surface: {kind: paraboloid, a: 0.5}\nfield: {kind: axial-uniform, b: 1.3}\n"
+            "grid: {n_points: 4000}\nm_list: [0, 1, 2]\n",
+    "nonnormal": "surface: {kind: paraboloid, a: 0.5}\nfield: {kind: frame-synthetic, a3: 0.3}\n"
+                 "grid: {n_points: 1000}\nm_list: [0, 1, 2]\n",
+    "readme-cap": README_CAP + "dt: 0.001\n",
+}
+RUNS = ([(name, command, mode) for name in KIND_PAIRS
+         for command, mode in [(command, None) for command in cli.COMMANDS]
+         + [("spectrum", "as-written"), ("evolve", "as-written")]]
+        + [(name, "spectrum", None) for name in ("doublet", "wide", "fine", "nonnormal",
+                                                 "readme-cap")])
+# a header and 64 nodes, 2 channels x 6 levels, 10 steps after t = 0, and 3 channels
+ROWS = {"geometry.csv": 65, "gauge_check.csv": 65, "spectrum.csv": 13, "trace.csv": 12,
+        "fine": 19, "nonnormal": 19, "doublet": 7, "wide": 7, "readme-cap": 7}
+
 IMPORT_PATH_RUN = """
 import sys
+from pathlib import Path
 from curvband import cli, solver
-for command in ("geometry", "gauge-check", "spectrum", "evolve"):
-    assert cli.main([command, "--config", sys.argv[1], "--output", sys.argv[2]]) == 0, command
-# as-written, the paraboloid's channels take the certified route
-assert cli.main(["spectrum", "--config", sys.argv[1], "--output", sys.argv[3],
-                 "--mode", "as-written"]) == 0
+configs, root = Path(sys.argv[1]), Path(sys.argv[2])
+for name, command, mode in RUNS:
+    out = root / name / (command if mode is None else f"{command}-{mode}")
+    argv = [command, "--config", str(configs / f"{name}.yaml"), "--output", str(out)]
+    assert cli.main(argv + (["--mode", mode] if mode else [])) == 0, (name, command, mode)
 assert "numpy.random" not in sys.modules, "a CLI run loaded numpy.random"
 assert "scipy.sparse" not in sys.modules, "a CLI run loaded scipy.sparse"
 assert "scipy.linalg" not in sys.modules, "a CLI run loaded scipy.linalg"
@@ -858,23 +1060,36 @@ assert scipy.linalg.eigh_tridiagonal([2.0, 2.0], [1.0], eigvals_only=True).tolis
 
 
 def test_cli_runs_never_load_scipy_sparse(tmp_path):
-    # a fresh interpreter, as each curvband command is; the solver loads only scipy's
-    # LAPACK extension, and solver.spla, which only the benchmark reads, loads
-    # scipy.sparse.linalg on first use; both packages import as usual afterwards.  No
-    # eigensolver route draws a random number, so numpy.random stays unloaded
-    cfg = tmp_path / "run.yaml"
-    cfg.write_text("surface: {kind: paraboloid, a: 0.5}\n"
-                   "field: {kind: frame-synthetic, a3: 0.4, gamma_interval: [0.2, 0.6]}\n"
-                   "grid: {n_points: 64}\nm_list: [0, 1]\nsteps: 10\n", encoding="utf-8")
+    # two fresh interpreters, as each curvband command is, make every run of RUNS: both
+    # write the same bytes, with nothing on stderr.  The solver loads only scipy's LAPACK
+    # extension, and solver.spla, which only the benchmark reads, loads scipy.sparse.linalg
+    # on first use; both packages import as usual afterwards.  No eigensolver route draws
+    # a random number, so numpy.random stays unloaded
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    for name, body in RUN_CONFIGS.items():
+        (configs / f"{name}.yaml").write_text(body, encoding="utf-8")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(curvband.__file__).resolve().parents[1])]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PATH_RUN, str(cfg), str(tmp_path / "out"),
-                           str(tmp_path / "as-written")],
-                          env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
-        "gauge_check.csv", "geometry.csv", "run_summary.txt", "spectrum.csv", "trace.csv"]
-    assert sorted(p.name for p in (tmp_path / "as-written").iterdir()) == [
-        "run_summary.txt", "spectrum.csv"]
+    script = f"RUNS = {RUNS!r}\n" + IMPORT_PATH_RUN
+    trees = [tmp_path / "first", tmp_path / "second"]
+    procs = [subprocess.Popen([sys.executable, "-c", script, str(configs), str(tree)], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+             for tree in trees]
+    for proc in procs:
+        out, err = proc.communicate(timeout=300)
+        assert (proc.returncode, out, err) == (0, "", ""), err
+    files = [sorted(p.relative_to(tree) for p in tree.rglob("*") if p.is_file())
+             for tree in trees]
+    assert files[0] == files[1] and len(files[0]) == 2 * len(RUNS)
+    for relative in files[0]:
+        first, second = (tree / relative for tree in trees)
+        assert first.read_bytes() == second.read_bytes(), relative
+        if relative.suffix == ".csv":
+            rows = first.read_text(encoding="utf-8").splitlines()
+            assert len(rows) == ROWS.get(relative.parts[0], ROWS[relative.name]), relative
+            if relative.name == "spectrum.csv":
+                residuals = np.loadtxt(rows[1:], delimiter=",", ndmin=2)[:, 4]
+                assert (residuals < 1e-8).all(), relative

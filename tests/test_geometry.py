@@ -10,9 +10,12 @@ from curvband import (
     DomainError,
     EvaluationError,
     ChartDegenerateError,
+    RadialGrid,
     SurfaceProfile,
+    build_tangential,
     catalog,
     curvatures,
+    decoupling_check,
     divergence,
     flat,
     gaussian_bump,
@@ -297,6 +300,36 @@ def test_a_surface_too_steep_for_float64_is_named(make, name, value):
 def test_a_surface_inside_the_steepness_bound_evaluates(prof):
     rho = np.linspace(0.0, prof.rho_max, 257)
     assert all(np.isfinite(values).all() for values in curvatures(prof, rho))
+
+
+def _steep_profile(slope, bend):
+    """A hand-built profile with S_rho = slope rho and S_rhorho = bend, which no constructor
+    bounds."""
+    return SurfaceProfile("steep", lambda r: 0.5 * slope * np.asarray(r, float) ** 2,
+                          lambda r: slope * np.asarray(r, float),
+                          lambda r: np.full_like(np.asarray(r, float), bend), 1.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("slope, bend, named", [(1e80, 1e80, "1e+80 and 1e+80"),
+                                                (1.0, 1e200, "1 and 1e+200")],
+                         ids=["slope", "bend"])
+def test_a_hand_built_profile_past_the_steepness_bound_is_named(slope, bend, named):
+    # before, curvatures warned "overflow encountered in power" and returned K = 0, and
+    # build_tangential assembled after the same warning; the check is the constructors'
+    prof = _steep_profile(slope, bend)
+    match = (f"^profile 'steep' {re.escape(STEEP)}.*; at the radii evaluated they are "
+             f"{re.escape(named)}$")
+    with pytest.raises(DomainError, match=match):
+        curvatures(prof, np.linspace(0.0, 1.0, 65))
+    with pytest.raises(DomainError, match=match):
+        build_tangential(prof, zero_field(), 0, RadialGrid(64, 1.0))
+    with pytest.raises(DomainError, match=match):
+        decoupling_check(1.0, zero_field(), prof, RadialGrid(64, 1.0))
+    # just inside both bounds the profile evaluates, with no warning
+    inside = _steep_profile(float(np.nextafter(2.0 ** 255, 0.0)),
+                            float(np.nextafter(2.0 ** 511, 0.0)))
+    assert all(np.isfinite(v).all() for v in curvatures(inside, np.linspace(0.0, 1.0, 65)))
 
 
 def test_sphere_cap_radius_is_named_past_its_range():

@@ -483,18 +483,21 @@ def test_rho_max_outside_the_range_is_named(rho_max):
         build_tangential(flat(rho_max), zero_field(), 0, RadialGrid(64, rho_max))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_kinetic_denominator_that_overflows_is_named():
     # before, 2 rho Z drho^2 overflowed to inf, the kinetic terms became 0, and the solve
-    # met the absolute contract with every level at about 1e-151; the curvature K, which
-    # divides by Z^4, still overflows first.  paraboloid names an a this steep, so the
-    # surface is the paraboloid's own functions in a SurfaceProfile
+    # met the absolute contract with every level at about 1e-151; later the curvature K,
+    # which divides by Z^4, overflowed with a warning before the denominator was named.
+    # paraboloid names an a this steep, so the surface is the paraboloid's own functions in
+    # a SurfaceProfile, which the evaluation names by its slope: below 2^255, with rho_max
+    # within RHO_MAX_RANGE, 2 rho Z drho^2 stays finite
     a = 1e25
     prof = SurfaceProfile("paraboloid", lambda r: a * np.asarray(r, float) ** 2,
                           lambda r: 2.0 * a * np.asarray(r, float),
                           lambda r: np.full_like(np.asarray(r, float), 2.0 * a), 1e75)
-    with pytest.warns(RuntimeWarning, match="overflow encountered in power"), \
-            pytest.raises(DomainError, match=r"^2 rho Z drho\^2 overflows at rho_max = 1e\+75: "
-                                             r"the surface is too steep for the grid, Z = 1\.969"):
+    with pytest.raises(DomainError, match=r"^profile 'paraboloid' must keep max \|S_rho\| "
+                                          r"below 2\^255 .*; at the radii evaluated they are "
+                                          r"2e\+100 and 2e\+25$"):
         build_tangential(prof, zero_field(), 0, RadialGrid(64, 1e75))
 
 

@@ -180,6 +180,23 @@ def test_lapack_failure_is_a_named_error(monkeypatch, routine):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("power", [0, 200, 400, 600, -400])
+def test_a_residual_whose_squares_overflow_keeps_its_value(power):
+    # before, |M x - E x|^2 overflowed in the sum and the residual read nan (the contract
+    # error "max nan"); each sum is now taken again at its own power of two, so a pair
+    # scaled by any power of two has the residual of the unscaled pair, bit for bit
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal(50) + 1j * rng.standard_normal(50)
+    mx = 3.0 * x + 1e-9 * rng.standard_normal(50)
+    expected = solver_mod._residual(mx, x, 3.0)
+    assert 1e-10 < expected < 1e-8
+    scale = math.ldexp(1.0, power)
+    assert solver_mod._residual(mx * scale, x * scale, 3.0) == expected
+    # only the residual's own scale moves where M x alone is scaled
+    assert solver_mod._residual(mx * 2.0 ** 600, x, 3.0 * 2.0 ** 600) == expected * 2.0 ** 600
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_infinite_symmetric_part_is_a_named_error():
     # finite bands whose measure weighting overflows: scipy's finiteness check raised a
     # ValueError here, and LAPACK is never handed an inf
